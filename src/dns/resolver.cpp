@@ -29,15 +29,18 @@ Resolver::Resolver(const Resolver& other)
     : transport_(other.transport_),
       options_(other.options_),
       cache_(other.cache_),
+      cuts_(other.cuts_),
       now_(other.now_),
       next_id_(other.next_id_),
       cache_hits_(other.cache_hits_),
+      delegation_hits_(other.delegation_hits_),
       upstream_queries_(other.upstream_queries_),
       timeouts_(other.timeouts_),
       retries_(other.retries_),
       // The copy keeps the tallies for its accessors but must not flush
       // history the source will already report.
       reported_cache_hits_(other.cache_hits_),
+      reported_delegation_hits_(other.delegation_hits_),
       reported_upstream_queries_(other.upstream_queries_),
       reported_timeouts_(other.timeouts_),
       reported_retries_(other.retries_) {}
@@ -46,18 +49,22 @@ Resolver::Resolver(Resolver&& other) noexcept
     : transport_(other.transport_),
       options_(std::move(other.options_)),
       cache_(std::move(other.cache_)),
+      cuts_(std::move(other.cuts_)),
       now_(other.now_),
       next_id_(other.next_id_),
       cache_hits_(other.cache_hits_),
+      delegation_hits_(other.delegation_hits_),
       upstream_queries_(other.upstream_queries_),
       timeouts_(other.timeouts_),
       retries_(other.retries_),
       reported_cache_hits_(other.reported_cache_hits_),
+      reported_delegation_hits_(other.reported_delegation_hits_),
       reported_upstream_queries_(other.reported_upstream_queries_),
       reported_timeouts_(other.reported_timeouts_),
       reported_retries_(other.reported_retries_) {
   // The unflushed delta now belongs to the destination.
   other.reported_cache_hits_ = other.cache_hits_;
+  other.reported_delegation_hits_ = other.delegation_hits_;
   other.reported_upstream_queries_ = other.upstream_queries_;
   other.reported_timeouts_ = other.timeouts_;
   other.reported_retries_ = other.retries_;
@@ -69,18 +76,23 @@ void Resolver::flush_metrics() {
   static auto& upstream_metric =
       obs::counter("dns.resolver.upstream_queries");
   static auto& cache_hit_metric = obs::counter("dns.resolver.cache_hits");
+  static auto& delegation_hit_metric =
+      obs::counter("dns.resolver.delegation_hits");
   static auto& retry_metric = obs::counter("dns.resolver.retries");
   static auto& timeout_metric = obs::counter("dns.resolver.timeouts");
   if (upstream_queries_ > reported_upstream_queries_)
     upstream_metric.inc(upstream_queries_ - reported_upstream_queries_);
   if (cache_hits_ > reported_cache_hits_)
     cache_hit_metric.inc(cache_hits_ - reported_cache_hits_);
+  if (delegation_hits_ > reported_delegation_hits_)
+    delegation_hit_metric.inc(delegation_hits_ - reported_delegation_hits_);
   if (retries_ > reported_retries_)
     retry_metric.inc(retries_ - reported_retries_);
   if (timeouts_ > reported_timeouts_)
     timeout_metric.inc(timeouts_ - reported_timeouts_);
   reported_upstream_queries_ = upstream_queries_;
   reported_cache_hits_ = cache_hits_;
+  reported_delegation_hits_ = delegation_hits_;
   reported_retries_ = retries_;
   reported_timeouts_ = timeouts_;
 }
@@ -133,6 +145,32 @@ const Resolver::CacheEntry* Resolver::cache_get(const Name& name,
   return &it->second;
 }
 
+void Resolver::cut_put(const Name& owner,
+                       const std::vector<net::Ipv4>& servers,
+                       std::uint32_t ttl) {
+  if (!options_.use_cache || servers.empty()) return;
+  const std::uint64_t expires_at = now_ + std::min<std::uint32_t>(ttl, 300);
+  for (auto& cut : cuts_) {
+    if (cut.owner == owner) {
+      cut.servers = servers;
+      cut.expires_at = expires_at;
+      return;
+    }
+  }
+  cuts_.push_back(CutEntry{owner, servers, expires_at});
+}
+
+const Resolver::CutEntry* Resolver::closest_cut(const Name& name) const {
+  if (!options_.use_cache) return nullptr;
+  const CutEntry* best = nullptr;
+  for (const auto& cut : cuts_) {
+    if (cut.expires_at <= now_ || !name.is_subdomain_of(cut.owner)) continue;
+    if (!best || cut.owner.label_count() > best->owner.label_count())
+      best = &cut;
+  }
+  return best;
+}
+
 std::vector<net::Ipv4> Resolver::referral_addresses(const Message& response,
                                                     int depth) {
   std::vector<Name> ns_names;
@@ -176,7 +214,16 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
     return cached->rcode;
   }
 
+  // `zone` is the cut the next query goes to; it is unset once an
+  // off-path referral has been followed, and from then on nothing this
+  // walk learns is cached.
+  std::optional<Name> zone = Name{};
   std::vector<net::Ipv4> servers = options_.root_servers;
+  if (const auto* cut = closest_cut(name)) {
+    zone = cut->owner;
+    servers = cut->servers;
+    ++delegation_hits_;
+  }
   std::vector<ResourceRecord> collected;
 
   // Failure at any delegation step is a dead delegation: negatively cache
@@ -234,17 +281,31 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
     }
 
     // NODATA (authoritative empty answer with SOA) terminates.
-    const bool has_ns_referral = std::any_of(
+    const auto first_ns = std::find_if(
         response->authority.begin(), response->authority.end(),
         [](const ResourceRecord& rr) { return rr.type() == RrType::kNs; });
-    if (!has_ns_referral) {
+    if (first_ns == response->authority.end()) {
       cache_put(name, type, Rcode::kNoError, collected);
       chain.insert(chain.end(), collected.begin(), collected.end());
       return Rcode::kNoError;
     }
 
-    // Referral: descend.
+    // Referral: descend. The cut is cached only if it is in bailiwick —
+    // the name at or below the NS owner, the owner strictly below the
+    // zone that referred us — so an off-path referral cannot redirect
+    // unrelated names.
+    const Name owner = first_ns->name;
+    std::uint32_t ns_ttl = first_ns->ttl;
+    for (const auto& rr : response->authority)
+      if (rr.type() == RrType::kNs) ns_ttl = std::min(ns_ttl, rr.ttl);
     servers = referral_addresses(*response, depth);
+    if (zone && owner != *zone && owner.is_subdomain_of(*zone) &&
+        name.is_subdomain_of(owner)) {
+      cut_put(owner, servers, ns_ttl);
+      zone = owner;
+    } else {
+      zone.reset();
+    }
   }
   return Rcode::kServFail;
 }
@@ -270,13 +331,18 @@ std::optional<std::vector<ResourceRecord>> Resolver::try_axfr(
   return std::nullopt;
 }
 
-void Resolver::flush_cache() { cache_.clear(); }
+void Resolver::flush_cache() {
+  cache_.clear();
+  cuts_.clear();
+}
 
 void Resolver::advance_time(std::uint32_t seconds) {
   now_ += seconds;
   std::erase_if(cache_, [this](const auto& kv) {
     return kv.second.expires_at <= now_;
   });
+  std::erase_if(cuts_,
+                [this](const CutEntry& cut) { return cut.expires_at <= now_; });
 }
 
 }  // namespace cs::dns

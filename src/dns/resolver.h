@@ -12,9 +12,10 @@
 /// Iterative caching resolver (the role `dig` + the local resolver played
 /// in the paper's measurement pipeline).
 ///
-/// Resolution starts from root hints and follows referrals down the
-/// delegation tree, resolving out-of-bailiwick name servers as needed,
-/// chasing CNAME chains across zones, and caching by TTL against a
+/// Resolution starts from the deepest cached zone cut above the name (or
+/// from root hints) and follows referrals down the delegation tree,
+/// resolving out-of-bailiwick name servers as needed, chasing CNAME chains
+/// across zones, and caching answers and zone cuts by TTL against a
 /// simulated clock. The cache can be flushed and recursion-desired can be
 /// cleared, mirroring the paper's `norecurse` + cache-reset methodology
 /// for locating authoritative name servers.
@@ -90,13 +91,17 @@ class Resolver {
     options_.client_address = address;
   }
 
-  /// Drops all cached entries (the paper flushed caches between NS probes).
+  /// Drops all cached answers and zone cuts (the paper flushed caches
+  /// between NS probes).
   void flush_cache();
 
   /// Advances the simulated clock, expiring cache entries whose TTL passed.
   void advance_time(std::uint32_t seconds);
 
+  /// Answer-cache hits: lookups served without any upstream query.
   std::uint64_t cache_hits() const noexcept { return cache_hits_; }
+  /// Walks that started at a cached zone cut instead of the roots.
+  std::uint64_t delegation_hits() const noexcept { return delegation_hits_; }
   std::uint64_t upstream_queries() const noexcept {
     return upstream_queries_;
   }
@@ -119,6 +124,13 @@ class Resolver {
     Rcode rcode = Rcode::kNoError;
     std::uint64_t expires_at = 0;
   };
+  /// A zone cut learned from an in-bailiwick referral: names at or below
+  /// `owner` are asked of `servers` directly.
+  struct CutEntry {
+    Name owner;
+    std::vector<net::Ipv4> servers;
+    std::uint64_t expires_at = 0;
+  };
 
   /// One full iterative walk for (name, type); appends to `chain`.
   Rcode resolve_step(const Name& name, RrType type,
@@ -139,17 +151,28 @@ class Resolver {
                  std::optional<std::uint32_t> ttl_override = std::nullopt);
   const CacheEntry* cache_get(const Name& name, RrType type);
 
+  /// Remembers a zone cut for min(ttl, 300) s, like cache_put.
+  void cut_put(const Name& owner, const std::vector<net::Ipv4>& servers,
+               std::uint32_t ttl);
+  /// Deepest unexpired cached cut at or above `name`; nullptr = the roots.
+  const CutEntry* closest_cut(const Name& name) const;
+
   DnsTransport& transport_;
   Options options_;
   std::map<CacheKey, CacheEntry> cache_;
+  /// A handful of cuts per resolver (a chunk resolver holds 2-3), so a
+  /// flat scan beats any index.
+  std::vector<CutEntry> cuts_;
   std::uint64_t now_ = 0;
   std::uint16_t next_id_ = 1;
   std::uint64_t cache_hits_ = 0;
+  std::uint64_t delegation_hits_ = 0;
   std::uint64_t upstream_queries_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
   /// Watermarks: the portion of each tally already flushed to obs.
   std::uint64_t reported_cache_hits_ = 0;
+  std::uint64_t reported_delegation_hits_ = 0;
   std::uint64_t reported_upstream_queries_ = 0;
   std::uint64_t reported_timeouts_ = 0;
   std::uint64_t reported_retries_ = 0;

@@ -16,6 +16,10 @@
 namespace cs::obs {
 namespace {
 
+/// Read during static initialisation, i.e. before main(): wall_ms counts
+/// from process start, not from whichever call first touched the Tracer.
+const std::uint64_t kProcessStartUs = steady_now_us();
+
 void json_escape_into(std::string& out, std::string_view text) {
   for (char c : text) {
     if (c == '"' || c == '\\') {
@@ -72,7 +76,8 @@ ResourceUsage resource_usage() noexcept {
 RunReport RunReport::capture(std::string name) {
   RunReport report;
   report.name = std::move(name);
-  report.wall_ms = Tracer::instance().epoch_now_us() / 1000.0;
+  report.wall_ms = static_cast<double>(steady_now_us() - kProcessStartUs) /
+                   1000.0;
   report.resources = resource_usage();
   report.stages = Tracer::instance().stats();
   report.metrics = MetricsRegistry::instance().snapshot();

@@ -41,7 +41,7 @@ ResourceUsage resource_usage() noexcept;
 
 struct RunReport {
   std::string name;          ///< bench / program identity
-  double wall_ms = 0.0;      ///< process wall time (tracer epoch to now)
+  double wall_ms = 0.0;      ///< process wall time (process start to now)
   unsigned threads = 0;      ///< exec pool width; callers set it (obs
                              ///< cannot depend on exec), 0 = unrecorded
   double baseline_wall_ms = 0.0;  ///< CS_BENCH_BASELINE wall, 0 = none

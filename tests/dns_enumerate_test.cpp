@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "dns/wordlist.h"
+#include "exec/config.h"
 
 namespace cs::dns {
 namespace {
@@ -124,11 +125,37 @@ TEST_F(EnumerateFixture, AxfrDisabledFallsStraightToBruteForce) {
   EXPECT_FALSE(result.subdomains.empty());
 }
 
+// Exact exchange counts for closed.com, whose AXFR is refused. The AXFR
+// attempt costs 5: the NS lookup walks root -> com -> closed.com (3), the
+// A lookup for ns1.closed.com starts at the cached closed.com cut (1), and
+// the refused transfer itself (1). Each brute-force probe then costs one
+// query to closed.com's own server, never another root/TLD walk.
 TEST_F(EnumerateFixture, QueriesSpentAccounted) {
   auto resolver = make_resolver();
   Enumerator enumerator{resolver, options()};
   const auto result = enumerator.enumerate(Name::must_parse("closed.com"));
-  EXPECT_GT(result.queries_spent, small_wordlist().size());
+  EXPECT_EQ(result.queries_spent, 5u + small_wordlist().size());
+  EXPECT_EQ(resolver.upstream_queries(), result.queries_spent);
+}
+
+TEST_F(EnumerateFixture, FactoryQueriesSpentAccountedAtAnyThreadCount) {
+  // The factory path probes the wordlist in 48-word chunks, each through
+  // a fresh resolver that walks root -> com once (2) before its cut for
+  // closed.com serves every probe; the AXFR attempt costs 5 as above.
+  const auto& words = default_wordlist();
+  const auto spent_at = [&](unsigned threads) {
+    exec::ScopedThreads guard{threads};
+    auto resolver = make_resolver();
+    auto opts = options();
+    opts.wordlist = words;
+    opts.resolver_factory = [this] { return make_resolver(); };
+    Enumerator enumerator{resolver, opts};
+    return enumerator.enumerate(Name::must_parse("closed.com")).queries_spent;
+  };
+  const std::size_t chunks = (words.size() + 47) / 48;
+  const auto one = spent_at(1);
+  EXPECT_EQ(one, 5u + 2u * chunks + words.size());
+  EXPECT_EQ(spent_at(8), one);
 }
 
 TEST_F(EnumerateFixture, NonexistentDomainYieldsNothing) {

@@ -24,6 +24,7 @@ SoaRecord soa_of(std::string_view mname) {
 struct MiniTree {
   SimulatedDnsNetwork network;
   std::shared_ptr<AuthoritativeServer> leaf;
+  Zone* com_zone = nullptr;
   Zone* leaf_zone = nullptr;
 
   MiniTree() {
@@ -34,12 +35,11 @@ struct MiniTree {
     root_zone.add(ResourceRecord::a(Name::must_parse("a.gtld.net"),
                                     net::Ipv4(192, 5, 6, 30)));
     auto com = std::make_shared<AuthoritativeServer>();
-    auto& com_zone = com->add_zone(Name::must_parse("com"),
-                                   soa_of("a.gtld.net"));
-    com_zone.add(ResourceRecord::ns(Name::must_parse("trap.com"),
-                                    Name::must_parse("ns1.trap.com")));
-    com_zone.add(ResourceRecord::a(Name::must_parse("ns1.trap.com"),
-                                   net::Ipv4(192, 0, 2, 77)));
+    com_zone = &com->add_zone(Name::must_parse("com"), soa_of("a.gtld.net"));
+    com_zone->add(ResourceRecord::ns(Name::must_parse("trap.com"),
+                                     Name::must_parse("ns1.trap.com")));
+    com_zone->add(ResourceRecord::a(Name::must_parse("ns1.trap.com"),
+                                    net::Ipv4(192, 0, 2, 77)));
     leaf = std::make_shared<AuthoritativeServer>();
     leaf_zone = &leaf->add_zone(Name::must_parse("trap.com"),
                                 soa_of("ns1.trap.com"));
@@ -158,6 +158,64 @@ TEST(DnsHardening, DatasetSurvivesDeadFleet) {
   EXPECT_LE(degraded.cloud_subdomains.size(),
             healthy.cloud_subdomains.size());
   EXPECT_EQ(degraded.domains.size(), healthy.domains.size());
+}
+
+/// Answers every query for a name under trap.com sent to the com server
+/// with a referral to victim.com's cut pointing at an attacker's server;
+/// everything else passes through to the real network.
+class OffPathReferrer final : public DnsTransport {
+ public:
+  explicit OffPathReferrer(SimulatedDnsNetwork& inner) : inner_(inner) {}
+
+  std::optional<std::vector<std::uint8_t>> exchange(
+      net::Ipv4 client, net::Ipv4 server,
+      std::span<const std::uint8_t> query) override {
+    const auto decoded = Message::decode(query);
+    if (server != net::Ipv4(192, 5, 6, 30) || !decoded ||
+        decoded->questions.empty() ||
+        !decoded->questions[0].name.is_subdomain_of(
+            Name::must_parse("trap.com")))
+      return inner_.exchange(client, server, query);
+    auto referral = Message::response_to(*decoded, Rcode::kNoError, false);
+    referral.authority.push_back(ResourceRecord::ns(
+        Name::must_parse("victim.com"), Name::must_parse("ns.evil.net")));
+    referral.additional.push_back(ResourceRecord::a(
+        Name::must_parse("ns.evil.net"), net::Ipv4(192, 0, 2, 66)));
+    return referral.encode();
+  }
+
+ private:
+  SimulatedDnsNetwork& inner_;
+};
+
+TEST(DnsHardening, OffPathReferralDoesNotRedirectLaterLookups) {
+  MiniTree tree;
+  tree.com_zone->add(ResourceRecord::ns(Name::must_parse("victim.com"),
+                                        Name::must_parse("ns1.victim.com")));
+  tree.com_zone->add(ResourceRecord::a(Name::must_parse("ns1.victim.com"),
+                                       net::Ipv4(192, 0, 2, 88)));
+  auto victim = std::make_shared<AuthoritativeServer>();
+  victim->add_zone(Name::must_parse("victim.com"), soa_of("ns1.victim.com"))
+      .add(ResourceRecord::a(Name::must_parse("www.victim.com"),
+                             net::Ipv4(9, 9, 9, 2)));
+  auto evil = std::make_shared<AuthoritativeServer>();
+  evil->add_zone(Name::must_parse("victim.com"), soa_of("ns.evil.net"))
+      .add(ResourceRecord::a(Name::must_parse("www.victim.com"),
+                             net::Ipv4(6, 6, 6, 6)));
+  tree.network.attach(net::Ipv4(192, 0, 2, 88), victim);
+  tree.network.attach(net::Ipv4(192, 0, 2, 66), evil);
+
+  OffPathReferrer referrer{tree.network};
+  Resolver::Options options;
+  options.root_servers = {net::Ipv4(198, 41, 0, 4)};
+  Resolver resolver{referrer, options};
+  // victim.com is not an ancestor of www.trap.com: the resolver follows
+  // the referral for this lookup but must not remember the cut.
+  resolver.resolve(Name::must_parse("www.trap.com"), RrType::kA);
+  const auto result =
+      resolver.resolve(Name::must_parse("www.victim.com"), RrType::kA);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.addresses(), std::vector<net::Ipv4>{net::Ipv4(9, 9, 9, 2)});
 }
 
 TEST(DnsHardening, QueryCounterMonotone) {

@@ -192,6 +192,71 @@ TEST_F(ResolverFixture, CacheDisabledAlwaysQueries) {
   EXPECT_EQ(resolver.cache_hits(), 0u);
 }
 
+// Zone-cut cache. www.example.com walks root -> com -> example.com (3
+// queries) and leaves cuts for com and example.com behind; the NS TTL is
+// 3600 s, capped at 300 s like every cache entry.
+
+TEST_F(ResolverFixture, SecondNameInReachedZoneCostsOneQuery) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 3u);
+  EXPECT_EQ(resolver.delegation_hits(), 0u);
+  const auto r =
+      resolver.resolve(Name::must_parse("nosuch.example.com"), RrType::kA);
+  EXPECT_EQ(r.rcode, Rcode::kNxDomain);
+  EXPECT_EQ(resolver.upstream_queries(), 4u);
+  EXPECT_EQ(resolver.delegation_hits(), 1u);
+  // A sibling zone under the cached com cut skips the root; its glueless
+  // name server under net still walks from the root: com, root, net,
+  // hosting.net, then glueless.com itself.
+  EXPECT_TRUE(
+      resolver.resolve(Name::must_parse("www.glueless.com"), RrType::kA).ok());
+  EXPECT_EQ(resolver.upstream_queries(), 9u);
+  EXPECT_EQ(resolver.delegation_hits(), 2u);
+}
+
+TEST_F(ResolverFixture, FlushCacheDropsZoneCuts) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  resolver.flush_cache();
+  resolver.resolve(Name::must_parse("ns1.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 6u);
+  EXPECT_EQ(resolver.delegation_hits(), 0u);
+}
+
+TEST_F(ResolverFixture, ZoneCutExpiresWithNsTtl) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  resolver.advance_time(299);
+  resolver.resolve(Name::must_parse("ns1.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 4u);
+  resolver.advance_time(2);  // 301 s: past the capped NS TTL
+  resolver.resolve(Name::must_parse("nosuch.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 7u);
+  EXPECT_EQ(resolver.delegation_hits(), 1u);
+}
+
+TEST_F(ResolverFixture, CacheDisabledAlwaysWalksFromRoot) {
+  Resolver resolver{network, options(false)};
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  resolver.resolve(Name::must_parse("ns1.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 6u);
+  EXPECT_EQ(resolver.delegation_hits(), 0u);
+}
+
+TEST_F(ResolverFixture, CopiedResolverKeepsZoneCuts) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  Resolver copy{resolver};
+  copy.resolve(Name::must_parse("ns1.example.com"), RrType::kA);
+  EXPECT_EQ(copy.upstream_queries(), 4u);
+  EXPECT_EQ(copy.delegation_hits(), 1u);
+  Resolver moved{std::move(copy)};
+  moved.resolve(Name::must_parse("nosuch.example.com"), RrType::kA);
+  EXPECT_EQ(moved.upstream_queries(), 5u);
+  EXPECT_EQ(moved.delegation_hits(), 2u);
+}
+
 TEST_F(ResolverFixture, DeadRootYieldsServFail) {
   network.set_down(net::Ipv4(198, 41, 0, 4), true);
   Resolver resolver{network, options()};

@@ -77,16 +77,22 @@ TEST(RunReportTest, JsonCarriesOneConsistentSnapshot) {
   const auto parsed = util::parse_json(report.to_json());
   ASSERT_TRUE(parsed.has_value());
 
+  ASSERT_NE(parsed->find("bench"), nullptr);
   EXPECT_EQ(parsed->find("bench")->text, "report fixture");
+  ASSERT_NE(parsed->find("wall_ms"), nullptr);
   EXPECT_GT(parsed->find("wall_ms")->number, 0.0);
+  ASSERT_NE(parsed->find("threads"), nullptr);
   EXPECT_DOUBLE_EQ(parsed->find("threads")->number, 4.0);
+  ASSERT_NE(parsed->find("speedup"), nullptr);
   EXPECT_NEAR(parsed->find("speedup")->number, 2.0, 0.01);
+  ASSERT_NE(parsed->get("resources", "peak_rss_kb"), nullptr);
   EXPECT_GT(parsed->get("resources", "peak_rss_kb")->number, 0.0);
   ASSERT_NE(parsed->get("counters", "report.test.widgets"), nullptr);
   EXPECT_DOUBLE_EQ(parsed->get("counters", "report.test.widgets")->number,
                    41.0);
   // The fault block strips the prefix and totals every injected event.
   ASSERT_NE(parsed->get("fault", "test.synthetic"), nullptr);
+  ASSERT_NE(parsed->get("fault", "total"), nullptr);
   EXPECT_GE(parsed->get("fault", "total")->number, 3.0);
   // snap block always present, zero when nothing checkpointed.
   ASSERT_NE(parsed->get("snap", "stages_resumed"), nullptr);
@@ -94,8 +100,20 @@ TEST(RunReportTest, JsonCarriesOneConsistentSnapshot) {
   const auto* latency =
       parsed->get("percentiles", "report.test.latency_us");
   ASSERT_NE(latency, nullptr);
+  ASSERT_NE(latency->find("count"), nullptr);
   EXPECT_GE(latency->find("count")->number, 1.0);
+  ASSERT_NE(latency->find("p99"), nullptr);
   EXPECT_GT(latency->find("p99")->number, 0.0);
+}
+
+TEST(RunReportTest, WallClockCountsFromProcessStart) {
+  // Let 5 ms pass before anything touches the Tracer. wall_ms must include
+  // them even though, run alone, capture() is this process's first use of
+  // the Tracer.
+  const auto begin = steady_now_us();
+  while (steady_now_us() - begin < 5'000) {
+  }
+  EXPECT_GE(RunReport::capture("process age").wall_ms, 5.0);
 }
 
 TEST(RunReportTest, CounterEventsRenderAsChromeCounterLanes) {
@@ -116,8 +134,10 @@ TEST(RunReportTest, CounterEventsRenderAsChromeCounterLanes) {
   ASSERT_NE(trace_events, nullptr);
   int counter_lanes = 0;
   for (const auto& event : trace_events->items) {
+    ASSERT_NE(event.find("ph"), nullptr);
     if (event.find("ph")->text_or("") != "C") continue;
     ++counter_lanes;
+    ASSERT_NE(event.find("name"), nullptr);
     EXPECT_EQ(event.find("name")->text, "test.lane");
     ASSERT_NE(event.get("args", "value"), nullptr);
     EXPECT_TRUE(event.get("args", "value")->is_number());
