@@ -26,9 +26,12 @@ int main() {
         targets.push_back(addr);
 
   util::Table ablation{{"T (ms)", "identified", "unknown", "error vs truth"}};
+  // One provider copy for the whole sweep: each estimator adds its probe
+  // fleet to it.
+  cloud::Provider ec2 = sweep_study.world().ec2();
   for (const double threshold : {0.6, 0.9, 1.1, 1.5, 2.5}) {
     carto::LatencyZoneEstimator estimator{
-        sweep_study.world().ec2(), sweep_study.wan_model(),
+        ec2, sweep_study.wan_model(),
         {.seed = 5, .threshold_ms = threshold}};
     std::size_t identified = 0, unknown = 0, wrong = 0;
     for (const auto addr : targets) {

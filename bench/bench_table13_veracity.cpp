@@ -26,8 +26,9 @@ int main() {
   for (const std::size_t samples : {100ul, 400ul, 1200ul, 2400ul, 5000ul}) {
     auto world_config = bench::default_config(50).world;
     synth::World world{world_config};
+    cloud::Provider ec2 = world.ec2();
     carto::ProximityEstimator estimator{
-        world.ec2(), {.seed = 5, .total_samples = samples}};
+        ec2, {.seed = 5, .total_samples = samples}};
     ablation.add(samples, estimator.labeled_blocks());
   }
   std::cout << ablation.render();

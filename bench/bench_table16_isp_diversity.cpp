@@ -14,8 +14,9 @@ int main() {
 
   bench::print_header("Single-ISP failure impact (extension of §5.2)");
   const auto vantages = internet::planetlab_vantages(100);
+  cloud::Provider ec2 = study.world().ec2();
   const auto impacts = analysis::single_isp_failure_impact(
-      study.world().ec2(), study.as_topology(), vantages);
+      ec2, study.as_topology(), vantages);
   util::Table t{{"Region", "failed AS", "1-region unreachable",
                  "with failover region"}};
   for (const auto& impact : impacts)

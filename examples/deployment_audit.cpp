@@ -35,9 +35,10 @@ int main(int argc, char** argv) {
   const auto patterns = analysis::analyze_patterns(dataset, ranges);
   const auto regions = analysis::analyze_regions(dataset, ranges);
 
-  carto::ProximityEstimator proximity{world.ec2(), {.seed = 7}};
+  cloud::Provider ec2 = world.ec2();
+  carto::ProximityEstimator proximity{ec2, {.seed = 7}};
   internet::WideAreaModel model{{.seed = 7}};
-  carto::LatencyZoneEstimator latency{world.ec2(), model, {.seed = 7}};
+  carto::LatencyZoneEstimator latency{ec2, model, {.seed = 7}};
   carto::CombinedZoneEstimator zones{proximity, latency};
 
   std::size_t audited = 0;

@@ -4,12 +4,14 @@
 #include <set>
 
 namespace cs::analysis {
+namespace {
 
+/// Three "isp-probe" instances per zone of every region, in region/zone
+/// order, as in the paper.
 std::vector<const cloud::Instance*> launch_probe_fleet(cloud::Provider& ec2) {
   std::vector<const cloud::Instance*> fleet;
   for (const auto& region : ec2.regions())
     for (int zone = 0; zone < region.zone_count; ++zone)
-      // Three instances per zone, as in the paper.
       for (int i = 0; i < 3; ++i)
         fleet.push_back(&ec2.launch({.account = "isp-probe",
                                      .region = region.name,
@@ -17,6 +19,8 @@ std::vector<const cloud::Instance*> launch_probe_fleet(cloud::Provider& ec2) {
                                      .type = "m1.medium"}));
   return fleet;
 }
+
+}  // namespace
 
 IspStudy run_isp_study(cloud::Provider& ec2,
                        const internet::AsTopology& topology,

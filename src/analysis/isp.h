@@ -24,15 +24,10 @@ struct IspStudy {
   std::vector<IspDiversityRow> rows;
 };
 
-/// Launches the §5.2 probe fleet — three "isp-probe" instances per zone
-/// of every region, in region/zone order. Split out from run_isp_study so
-/// a snapshot-resumed run can replay exactly these launches (and keep the
-/// provider's address allocation identical) without redoing the
-/// traceroutes.
-std::vector<const cloud::Instance*> launch_probe_fleet(cloud::Provider& ec2);
-
-/// Runs the §5.2 methodology: instances per zone traceroute to every
-/// vantage; the first non-cloud hop is whois'ed to an AS.
+/// Runs the §5.2 methodology: three "isp-probe" instances launched per
+/// zone of every region traceroute to every vantage; the first non-cloud
+/// hop is whois'ed to an AS. The fleet launches into `ec2`, so pass a
+/// copy of a shared provider (e.g. `cloud::Provider ec2 = world.ec2();`).
 IspStudy run_isp_study(cloud::Provider& ec2,
                        const internet::AsTopology& topology,
                        const std::vector<internet::VantagePoint>& vantages,
@@ -40,7 +35,8 @@ IspStudy run_isp_study(cloud::Provider& ec2,
 
 /// Availability experiment: fail each region's busiest downstream ISP and
 /// measure the fraction of vantage paths blackholed for a single-region
-/// deployment vs. a k-region deployment with failover.
+/// deployment vs. a k-region deployment with failover. Launches its
+/// probes into `ec2`, like run_isp_study.
 struct FailureImpact {
   std::string region;
   std::uint32_t failed_asn = 0;

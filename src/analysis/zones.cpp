@@ -5,7 +5,7 @@
 namespace cs::analysis {
 
 ZoneStudy run_zone_study(const AlexaDataset& dataset,
-                         const CloudRanges& ranges, synth::World& world,
+                         const CloudRanges& ranges, const synth::World& world,
                          carto::ProximityEstimator& proximity,
                          carto::LatencyZoneEstimator& latency) {
   ZoneStudy study;

@@ -75,7 +75,7 @@ struct ZoneStudy {
 /// in the dataset with both estimators, evaluates them, and aggregates
 /// zone usage with the combined method.
 ZoneStudy run_zone_study(const AlexaDataset& dataset,
-                         const CloudRanges& ranges, synth::World& world,
+                         const CloudRanges& ranges, const synth::World& world,
                          carto::ProximityEstimator& proximity,
                          carto::LatencyZoneEstimator& latency);
 

@@ -85,10 +85,11 @@ Provider::Provider(ProviderKind kind, std::uint64_t seed,
   // Publish ranges and carve internal /16 space. Region i owns second
   // octets [i*32, i*32+32) of 10.0.0.0/8, pre-dealt to zones in a shuffled
   // interleaving (this is what makes Figure 7's banding non-trivial).
+  auto ranges = std::make_shared<net::PrefixMap<std::string>>();
   for (std::size_t i = 0; i < regions_.size(); ++i) {
     const auto& region = regions_[i];
     for (const auto& block : region.public_blocks)
-      public_ranges_.insert(block, region.name);
+      ranges->insert(block, region.name);
 
     RegionState state;
     state.region_index = i;
@@ -106,6 +107,7 @@ Provider::Provider(ProviderKind kind, std::uint64_t seed,
     }
     region_state_[region.name] = std::move(state);
   }
+  public_ranges_ = std::move(ranges);
 }
 
 const Region* Provider::region(std::string_view name) const {
@@ -115,7 +117,7 @@ const Region* Provider::region(std::string_view name) const {
 }
 
 std::optional<std::string> Provider::region_of(net::Ipv4 addr) const {
-  return public_ranges_.lookup(addr);
+  return public_ranges_->lookup(addr);
 }
 
 net::Ipv4 Provider::allocate_cdn_ip() {
@@ -186,21 +188,21 @@ const Instance& Provider::launch(const LaunchRequest& request) {
   inst.public_ip = allocate_public_ip(*region, state);
   inst.internal_ip = allocate_internal_ip(state, zone, rng_);
 
-  instances_.push_back(std::move(inst));
-  Instance* stored = &instances_.back();
-  by_public_ip_[stored->public_ip.value()] = stored;
-  by_internal_ip_[stored->internal_ip.value()] = stored;
-  return *stored;
+  const std::size_t index = instances_.size();
+  const Instance& stored = instances_.emplace_back(std::move(inst));
+  by_public_ip_[stored.public_ip.value()] = index;
+  by_internal_ip_[stored.internal_ip.value()] = index;
+  return stored;
 }
 
 const Instance* Provider::find_by_public_ip(net::Ipv4 addr) const {
   const auto it = by_public_ip_.find(addr.value());
-  return it == by_public_ip_.end() ? nullptr : it->second;
+  return it == by_public_ip_.end() ? nullptr : &instances_[it->second];
 }
 
 const Instance* Provider::find_by_internal_ip(net::Ipv4 addr) const {
   const auto it = by_internal_ip_.find(addr.value());
-  return it == by_internal_ip_.end() ? nullptr : it->second;
+  return it == by_internal_ip_.end() ? nullptr : &instances_[it->second];
 }
 
 std::optional<net::Ipv4> Provider::internal_ip_of(net::Ipv4 public_ip) const {

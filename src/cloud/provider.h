@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -25,6 +26,11 @@
 ///  - a CloudFront-like CDN address space distinct from EC2's ranges.
 ///
 /// Ground-truth accessors let experiments score the estimators exactly.
+///
+/// A Provider is a value: copying one snapshots its instances and address
+/// allocators, and launches into the copy leave the original untouched.
+/// That is how a stage launches its own fleet without shifting anyone
+/// else's world (the immutable published-range trie is shared by copies).
 namespace cs::cloud {
 
 enum class ProviderKind { kEc2, kAzure };
@@ -75,7 +81,7 @@ class Provider {
   /// The published public ranges: block -> region name. This is what the
   /// analysis pipeline treats as the downloaded range list.
   const net::PrefixMap<std::string>& published_ranges() const noexcept {
-    return public_ranges_;
+    return *public_ranges_;
   }
   /// Region attribution for an address (nullopt if outside the cloud).
   std::optional<std::string> region_of(net::Ipv4 addr) const;
@@ -133,13 +139,15 @@ class Provider {
   ProviderKind kind_;
   std::uint64_t seed_;
   std::vector<Region> regions_;
-  net::PrefixMap<std::string> public_ranges_;
+  std::shared_ptr<const net::PrefixMap<std::string>> public_ranges_;
   net::Cidr cdn_block_;
   std::uint32_t next_cdn_offset_ = 16;  // leave room for NS addresses
 
   std::deque<Instance> instances_;
-  std::unordered_map<std::uint32_t, Instance*> by_public_ip_;
-  std::unordered_map<std::uint32_t, Instance*> by_internal_ip_;
+  /// Address -> index into instances_ (indices, not pointers, so a copy's
+  /// lookups resolve into the copy's own instances).
+  std::unordered_map<std::uint32_t, std::size_t> by_public_ip_;
+  std::unordered_map<std::uint32_t, std::size_t> by_internal_ip_;
   std::unordered_map<std::string, RegionState> region_state_;
   /// (second octet of internal /16) -> physical zone, global across regions
   /// because each region owns a disjoint second-octet range.

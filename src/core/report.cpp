@@ -188,7 +188,7 @@ std::string render_table10(Study& study) {
 }
 
 std::string render_table11(Study& study) {
-  auto& ec2 = study.world().ec2();
+  cloud::Provider ec2 = study.world().ec2();
   auto& model = study.wan_model();
   const std::string region = "ec2.us-east-1";
   const auto& probe = ec2.launch({.account = "table11",
@@ -391,8 +391,9 @@ std::string render_fig6(const analysis::RegionReport& report) {
 }
 
 std::string render_fig7(Study& study) {
+  cloud::Provider ec2 = study.world().ec2();
   carto::ProximityEstimator proximity{
-      study.world().ec2(),
+      ec2,
       carto::ProximityEstimator::Options{.seed = study.config().world.seed ^
                                                  0xF16}};
   std::string out =

@@ -36,22 +36,13 @@ class StageScope {
   std::uint64_t start_us_ = 0;
 };
 
-constexpr const char* kDepsDataset[] = {"dataset"};
-constexpr const char* kDepsCaptureLogs[] = {"capture_logs"};
-
-/// Canonical build order. Every supervised stage appears here; deps name
-/// the stages forced first (both when building and when resuming, so the
-/// world mutates in the same order either way).
+/// Every supervised stage, dependencies before dependents. Stages are
+/// pure, so any order builds the same artifacts; this one is what
+/// build_all() and --halt-after walk.
 constexpr Study::StageDesc kStageTable[] = {
-    {"dataset", {}},
-    {"cloud_usage", kDepsDataset},
-    {"patterns", kDepsDataset},
-    {"regions", kDepsDataset},
-    {"capture_logs", {}},
-    {"capture", kDepsCaptureLogs},
-    {"zone_study", kDepsDataset},
-    {"campaign", {}},
-    {"isp_study", {}},
+    {"dataset"},    {"cloud_usage"},  {"patterns"},
+    {"regions"},    {"capture_logs"}, {"capture"},
+    {"zone_study"}, {"campaign"},     {"isp_study"},
 };
 
 }  // namespace
@@ -125,19 +116,14 @@ std::uint64_t Study::config_hash() const {
   return snap::fnv1a(w.bytes());
 }
 
-template <typename T, typename Build, typename Replay>
-const T& Study::stage(const char* name, std::optional<T>& slot, Build&& build,
-                      Replay&& replay) {
+template <typename T, typename Build>
+const T& Study::stage(const char* name, std::optional<T>& slot,
+                      Build&& build) {
   if (slot) return *slot;
   auto& run = stage_runs_.emplace_back();
   run.stage = name;
   if (store_) {
     if (auto loaded = store_->template load<T>(name)) {
-      // The artifact is done, but its builder's world side effects (the
-      // instance launches that shift every later address allocation) are
-      // not in the snapshot — replay them so downstream stages see the
-      // same world an uninterrupted run would have.
-      replay();
       run.from_snapshot = true;
       slot = std::move(*loaded);
       obs::counter("study.stages_resumed").inc();
@@ -171,102 +157,78 @@ const std::map<std::string, std::size_t>& Study::rank_map() {
 }
 
 const analysis::AlexaDataset& Study::dataset() {
-  return stage(
-      "dataset", dataset_,
-      [&] {
-        auto options = config_.dataset;
-        analysis::DatasetBuilder::Resume resume;
-        if (store_) {
-          // Mid-stage checkpoint: a chunked build leaves "dataset.partial"
-          // at chunk boundaries, so a crash inside the (paper-scale: hours
-          // long) dataset stage only loses the current chunk. Resuming
-          // from any chunk size is byte-identical — per-domain probes are
-          // independent and merge in rank order.
-          if (auto partial = store_->template load<analysis::PartialDataset>(
-                  "dataset.partial")) {
-            resume.next_domain =
-                static_cast<std::size_t>(partial->next_domain);
-            resume.dataset = partial->columns.to_dataset();
-          }
-          options.on_chunk = [this](const analysis::AlexaDataset& so_far,
-                                    std::size_t next_domain) {
-            analysis::PartialDataset partial;
-            partial.columns = analysis::DatasetColumns::from_dataset(so_far);
-            partial.next_domain = next_domain;
-            store_->save("dataset.partial", partial);
-          };
-        }
-        analysis::DatasetBuilder builder{*world_, options};
-        auto built = builder.build(std::move(resume));
-        // The full "dataset" snapshot saved by stage() supersedes any
-        // partial; retire it so a config change can't leave one around.
-        if (store_) store_->remove("dataset.partial");
-        return built;
-      },
-      [] {});
+  return stage("dataset", dataset_, [&] {
+    auto options = config_.dataset;
+    analysis::DatasetBuilder::Resume resume;
+    if (store_) {
+      // Mid-stage checkpoint: a chunked build leaves "dataset.partial"
+      // at chunk boundaries, so a crash inside the (paper-scale: hours
+      // long) dataset stage only loses the current chunk. Resuming
+      // from any chunk size is byte-identical — per-domain probes are
+      // independent and merge in rank order.
+      if (auto partial = store_->template load<analysis::PartialDataset>(
+              "dataset.partial")) {
+        resume.next_domain = static_cast<std::size_t>(partial->next_domain);
+        resume.dataset = partial->columns.to_dataset();
+      }
+      options.on_chunk = [this](const analysis::AlexaDataset& so_far,
+                                std::size_t next_domain) {
+        analysis::PartialDataset partial;
+        partial.columns = analysis::DatasetColumns::from_dataset(so_far);
+        partial.next_domain = next_domain;
+        store_->save("dataset.partial", partial);
+      };
+    }
+    analysis::DatasetBuilder builder{*world_, options};
+    auto built = builder.build(std::move(resume));
+    // The full "dataset" snapshot saved by stage() supersedes any
+    // partial; retire it so a config change can't leave one around.
+    if (store_) store_->remove("dataset.partial");
+    return built;
+  });
 }
 
 const analysis::CloudUsageReport& Study::cloud_usage() {
-  return stage(
-      "cloud_usage", cloud_usage_,
-      [&] {
-        const auto& data = dataset();
-        return analysis::analyze_cloud_usage(data);
-      },
-      [&] { dataset(); });
+  return stage("cloud_usage", cloud_usage_, [&] {
+    const auto& data = dataset();
+    return analysis::analyze_cloud_usage(data);
+  });
 }
 
 const analysis::PatternReport& Study::patterns() {
-  return stage(
-      "patterns", patterns_,
-      [&] {
-        const auto& data = dataset();
-        return analysis::analyze_patterns(data, ranges());
-      },
-      [&] { dataset(); });
+  return stage("patterns", patterns_, [&] {
+    const auto& data = dataset();
+    return analysis::analyze_patterns(data, ranges());
+  });
 }
 
 const analysis::RegionReport& Study::regions() {
-  return stage(
-      "regions", regions_,
-      [&] {
-        const auto& data = dataset();
-        return analysis::analyze_regions(data, ranges());
-      },
-      [&] { dataset(); });
+  return stage("regions", regions_, [&] {
+    const auto& data = dataset();
+    return analysis::analyze_regions(data, ranges());
+  });
 }
 
 const proto::TraceLogs& Study::capture_logs() {
-  return stage(
-      "capture_logs", capture_logs_,
-      [&] {
-        // Streamed: each traffic unit feeds the flow assembler and is
-        // freed before the next one is generated, so the capture never
-        // materializes. Byte-identical to analyze_flows(assemble_flows(
-        // generator.generate())) — units are tuple-disjoint and the
-        // assembler imposes a batching-independent total order.
-        synth::TrafficGenerator generator{*world_, config_.traffic};
-        pcap::FlowAssembler assembler;
-        generator.generate_units(
-            [&](std::vector<pcap::Packet>&& unit) { assembler.feed(unit); });
-        return proto::analyze_flows(assembler.finish());
-      },
-      [&] {
-        // The generator's constructor launches the heavy-hitter tenants;
-        // replaying just the construction keeps provider address
-        // allocation identical without regenerating a week of traffic.
-        synth::TrafficGenerator generator{*world_, config_.traffic};
-      });
+  return stage("capture_logs", capture_logs_, [&] {
+    // Streamed: each traffic unit feeds the flow assembler and is
+    // freed before the next one is generated, so the capture never
+    // materializes. Byte-identical to analyze_flows(assemble_flows(
+    // generator.generate())) — units are tuple-disjoint and the
+    // assembler imposes a batching-independent total order.
+    synth::TrafficGenerator generator{*world_, config_.traffic};
+    pcap::FlowAssembler assembler;
+    generator.generate_units(
+        [&](std::vector<pcap::Packet>&& unit) { assembler.feed(unit); });
+    return proto::analyze_flows(assembler.finish());
+  });
 }
 
 const analysis::CaptureReport& Study::capture() {
-  return stage(
-      "capture", capture_,
-      [&] {
-        const auto& logs = capture_logs();
-        return analysis::analyze_capture(logs, ranges(), rank_map());
-      },
-      [&] { capture_logs(); });
+  return stage("capture", capture_, [&] {
+    const auto& logs = capture_logs();
+    return analysis::analyze_capture(logs, ranges(), rank_map());
+  });
 }
 
 internet::WideAreaModel& Study::wan_model() {
@@ -283,58 +245,39 @@ internet::AsTopology& Study::as_topology() {
 }
 
 const analysis::ZoneStudy& Study::zone_study() {
-  // Idempotent across retries and shared with the replay path: the
-  // estimator constructors launch carto probe fleets into EC2.
-  const auto ensure_estimators = [&] {
-    if (!proximity_)
-      proximity_.emplace(
-          world_->ec2(),
-          carto::ProximityEstimator::Options{.seed = config_.world.seed ^ 1});
-    if (!latency_)
-      latency_.emplace(
-          world_->ec2(), wan_model(),
-          carto::LatencyZoneEstimator::Options{.seed =
-                                                   config_.world.seed ^ 2});
-  };
-  return stage(
-      "zone_study", zone_study_,
-      [&] {
-        const auto& data = dataset();
-        ensure_estimators();
-        return analysis::run_zone_study(data, ranges(), *world_, *proximity_,
-                                        *latency_);
-      },
-      [&] {
-        dataset();
-        ensure_estimators();
-      });
+  return stage("zone_study", zone_study_, [&] {
+    const auto& data = dataset();
+    // Both estimators launch their carto probe fleets into this copy.
+    cloud::Provider ec2 = world_->ec2();
+    carto::ProximityEstimator proximity{
+        ec2,
+        carto::ProximityEstimator::Options{.seed = config_.world.seed ^ 1}};
+    carto::LatencyZoneEstimator latency{
+        ec2, wan_model(),
+        carto::LatencyZoneEstimator::Options{.seed = config_.world.seed ^ 2}};
+    return analysis::run_zone_study(data, ranges(), *world_, proximity,
+                                    latency);
+  });
 }
 
 const analysis::Campaign& Study::campaign() {
-  return stage(
-      "campaign", campaign_,
-      [&] {
-        const auto vantages =
-            internet::planetlab_vantages(config_.campaign_vantages);
-        std::vector<const cloud::Region*> regions;
-        for (const auto& region : world_->ec2().regions())
-          regions.push_back(&region);
-        return analysis::run_campaign(wan_model(), vantages, regions,
-                                      config_.campaign_days);
-      },
-      [] {});
+  return stage("campaign", campaign_, [&] {
+    const auto vantages =
+        internet::planetlab_vantages(config_.campaign_vantages);
+    std::vector<const cloud::Region*> regions;
+    for (const auto& region : world_->ec2().regions())
+      regions.push_back(&region);
+    return analysis::run_campaign(wan_model(), vantages, regions,
+                                  config_.campaign_days);
+  });
 }
 
 const analysis::IspStudy& Study::isp_study() {
-  return stage(
-      "isp_study", isp_study_,
-      [&] {
-        const auto vantages =
-            internet::planetlab_vantages(config_.isp_vantages);
-        return analysis::run_isp_study(world_->ec2(), as_topology(),
-                                       vantages);
-      },
-      [&] { analysis::launch_probe_fleet(world_->ec2()); });
+  return stage("isp_study", isp_study_, [&] {
+    const auto vantages = internet::planetlab_vantages(config_.isp_vantages);
+    cloud::Provider ec2 = world_->ec2();
+    return analysis::run_isp_study(ec2, as_topology(), vantages);
+  });
 }
 
 std::span<const Study::StageDesc> Study::stage_table() { return kStageTable; }

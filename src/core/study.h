@@ -31,6 +31,11 @@
 /// memory and, when a checkpoint directory is configured, on disk so a
 /// killed run resumes instead of starting over.
 ///
+/// Every stage is a pure function of the config: the World is read-only
+/// once built, and a stage that launches instances (traffic tenants,
+/// probe fleets) launches into its own copy of the provider. So stages
+/// may be built, resumed or skipped in any order with identical results.
+///
 /// Typical use:
 ///   cs::core::Study study{cs::core::StudyConfig{}};
 ///   const auto& usage = study.cloud_usage();     // §3.2
@@ -99,13 +104,12 @@ class Study {
 
   // --- stage table & supervision ----------------------------------------
 
-  /// One supervised stage: its name and the stages it forces first.
+  /// One supervised stage.
   struct StageDesc {
     const char* name;
-    std::span<const char* const> deps;
   };
-  /// Every supervised stage in canonical build order. (ranges/rank_map/
-  /// wan_model/as_topology are cheap derived views, not stages.)
+  /// Every supervised stage, dependencies before dependents. (ranges/
+  /// rank_map/wan_model/as_topology are cheap derived views, not stages.)
   static std::span<const StageDesc> stage_table();
 
   /// Builds (or resumes) the named stage; false if the name is unknown.
@@ -137,14 +141,11 @@ class Study {
   }
 
  private:
-  /// The lazy-build skeleton every stage accessor shares. `build` runs
-  /// the stage under the supervisor; `replay` re-applies the stage's
-  /// world side effects (dependency forcing + instance launches) when the
-  /// artifact itself came from a snapshot, so downstream stages see an
-  /// identical world either way.
-  template <typename T, typename Build, typename Replay>
-  const T& stage(const char* name, std::optional<T>& slot, Build&& build,
-                 Replay&& replay);
+  /// The lazy-build skeleton every stage accessor shares: the artifact
+  /// from its snapshot when there is one, else `build` under the
+  /// supervisor.
+  template <typename T, typename Build>
+  const T& stage(const char* name, std::optional<T>& slot, Build&& build);
 
   StudyConfig config_;
   std::unique_ptr<synth::World> world_;
@@ -167,8 +168,6 @@ class Study {
   std::optional<analysis::IspStudy> isp_study_;
   std::optional<internet::WideAreaModel> wan_model_;
   std::optional<internet::AsTopology> as_topology_;
-  std::optional<carto::ProximityEstimator> proximity_;
-  std::optional<carto::LatencyZoneEstimator> latency_;
 };
 
 }  // namespace cs::core

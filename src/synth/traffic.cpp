@@ -115,8 +115,11 @@ constexpr double kMss = 1400.0;
 
 }  // namespace
 
-TrafficGenerator::TrafficGenerator(World& world, TrafficConfig config)
-    : world_(world), config_(config) {
+TrafficGenerator::TrafficGenerator(const World& world, TrafficConfig config)
+    : world_(world),
+      ec2_(world.ec2()),
+      azure_(world.azure()),
+      config_(config) {
   setup_endpoints();
 }
 
@@ -131,8 +134,7 @@ TrafficEndpoint TrafficGenerator::make_endpoint(const std::string& domain,
   ep.cert_cn = "*." + domain;
   ep.provider = provider;
   ep.in_alexa = in_alexa;
-  auto& cloud =
-      provider == ProviderKind::kEc2 ? world_.ec2() : world_.azure();
+  auto& cloud = provider == ProviderKind::kEc2 ? ec2_ : azure_;
   ep.ip = cloud
               .launch({.account = "traffic-" + domain,
                        .region = region,
@@ -418,16 +420,14 @@ std::size_t TrafficGenerator::generate_units(
 
   auto cloud_dns_servers = [&](ProviderKind kind) {
     std::vector<net::Ipv4> out;
-    const auto& provider =
-        kind == ProviderKind::kEc2 ? world_.ec2() : world_.azure();
+    const auto& provider = kind == ProviderKind::kEc2 ? ec2_ : azure_;
     for (const auto& inst : provider.instances())
       if (inst.type == "dns-vm") out.push_back(inst.public_ip);
     if (out.empty()) out.push_back(endpoints_.front().ip);
     return out;
   };
   auto any_instance_ip = [&](util::Rng& rng, ProviderKind kind) {
-    const auto& provider =
-        kind == ProviderKind::kEc2 ? world_.ec2() : world_.azure();
+    const auto& provider = kind == ProviderKind::kEc2 ? ec2_ : azure_;
     const auto& instances = provider.instances();
     return instances[rng.next_below(instances.size())].public_ip;
   };

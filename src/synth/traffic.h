@@ -52,9 +52,10 @@ struct TrafficEndpoint {
 
 class TrafficGenerator {
  public:
-  /// May launch extra instances in the world's providers for the paper's
-  /// named heavy-hitter tenants (dropbox.com, atdmt.com, ...).
-  TrafficGenerator(World& world, TrafficConfig config);
+  /// Launches the paper's named heavy-hitter tenants (dropbox.com,
+  /// atdmt.com, ...) into the generator's own copies of the world's
+  /// providers; the world itself is never modified.
+  TrafficGenerator(const World& world, TrafficConfig config);
 
   /// Generates the full capture, sorted by timestamp.
   std::vector<pcap::Packet> generate();
@@ -87,7 +88,11 @@ class TrafficGenerator {
                                 cloud::ProviderKind provider,
                                 const std::string& region, bool in_alexa);
 
-  World& world_;
+  const World& world_;
+  /// Copies of the world's providers: the tenants launch here, and
+  /// non-web flows sample servers from here.
+  cloud::Provider ec2_;
+  cloud::Provider azure_;
   TrafficConfig config_;
   std::vector<TrafficEndpoint> endpoints_;
   /// Parallel to endpoints_: target share of total web bytes.

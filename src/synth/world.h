@@ -100,9 +100,11 @@ class World {
   const std::vector<DomainTruth>& domains() const noexcept { return domains_; }
   const DomainTruth* domain(std::string_view name) const;
 
-  cloud::Provider& ec2() noexcept { return *ec2_; }
+  /// The providers as the world built them. There is deliberately no
+  /// mutable access: a stage that launches instances (probe fleets,
+  /// traffic tenants) copies the provider and launches into its copy, so
+  /// no stage can shift the addresses another stage sees.
   const cloud::Provider& ec2() const noexcept { return *ec2_; }
-  cloud::Provider& azure() noexcept { return *azure_; }
   const cloud::Provider& azure() const noexcept { return *azure_; }
 
   dns::SimulatedDnsNetwork& network() noexcept { return network_; }

@@ -16,10 +16,12 @@ class ZonesTest : public ::testing::Test {
     dataset_ = new AlexaDataset{builder.build()};
     ranges_ = new CloudRanges{world_->ec2(), world_->azure()};
     model_ = new internet::WideAreaModel{{.seed = 51}};
+    // The estimators launch their probe fleets into a copy of the world's
+    // EC2; the world itself is read-only.
+    ec2_ = new cloud::Provider{world_->ec2()};
     proximity_ = new carto::ProximityEstimator{
-        world_->ec2(), {.seed = 51, .total_samples = 900}};
-    latency_ = new carto::LatencyZoneEstimator{world_->ec2(), *model_,
-                                               {.seed = 51}};
+        *ec2_, {.seed = 51, .total_samples = 900}};
+    latency_ = new carto::LatencyZoneEstimator{*ec2_, *model_, {.seed = 51}};
     study_ = new ZoneStudy{run_zone_study(*dataset_, *ranges_, *world_,
                                           *proximity_, *latency_)};
   }
@@ -27,6 +29,7 @@ class ZonesTest : public ::testing::Test {
     delete study_;
     delete latency_;
     delete proximity_;
+    delete ec2_;
     delete model_;
     delete ranges_;
     delete dataset_;
@@ -37,6 +40,7 @@ class ZonesTest : public ::testing::Test {
   static AlexaDataset* dataset_;
   static CloudRanges* ranges_;
   static internet::WideAreaModel* model_;
+  static cloud::Provider* ec2_;
   static carto::ProximityEstimator* proximity_;
   static carto::LatencyZoneEstimator* latency_;
   static ZoneStudy* study_;
@@ -46,6 +50,7 @@ synth::World* ZonesTest::world_ = nullptr;
 AlexaDataset* ZonesTest::dataset_ = nullptr;
 CloudRanges* ZonesTest::ranges_ = nullptr;
 internet::WideAreaModel* ZonesTest::model_ = nullptr;
+cloud::Provider* ZonesTest::ec2_ = nullptr;
 carto::ProximityEstimator* ZonesTest::proximity_ = nullptr;
 carto::LatencyZoneEstimator* ZonesTest::latency_ = nullptr;
 ZoneStudy* ZonesTest::study_ = nullptr;

@@ -179,5 +179,34 @@ TEST(Provider, DeterministicAcrossConstructions) {
   }
 }
 
+TEST(Provider, CopyIsAnIndependentValue) {
+  auto original = Provider::make_ec2(42);
+  const auto& before =
+      original.launch({.account = "x", .region = "ec2.us-east-1"});
+  const auto before_ip = before.public_ip;
+
+  Provider copy = original;
+  // Lookups in the copy resolve to the copy's own instances.
+  const auto* found = copy.find_by_public_ip(before_ip);
+  ASSERT_NE(found, nullptr);
+  EXPECT_NE(found, &before);
+  EXPECT_EQ(found, &copy.instances().front());
+  EXPECT_EQ(copy.region_of(before_ip).value_or(""), "ec2.us-east-1");
+  EXPECT_EQ(&copy.published_ranges(), &original.published_ranges());
+
+  // The copy allocates exactly what the original would have next, and
+  // launching into it leaves the original untouched.
+  const auto& in_copy =
+      copy.launch({.account = "y", .region = "ec2.us-east-1"});
+  EXPECT_EQ(original.instance_count(), 1u);
+  EXPECT_EQ(original.find_by_public_ip(in_copy.public_ip), nullptr);
+  const auto& in_original =
+      original.launch({.account = "y", .region = "ec2.us-east-1"});
+  EXPECT_EQ(in_original.public_ip, in_copy.public_ip);
+  EXPECT_EQ(in_original.internal_ip, in_copy.internal_ip);
+  EXPECT_EQ(in_original.id, in_copy.id);
+  EXPECT_EQ(copy.find_by_internal_ip(in_copy.internal_ip), &in_copy);
+}
+
 }  // namespace
 }  // namespace cs::cloud

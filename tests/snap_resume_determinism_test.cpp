@@ -1,9 +1,10 @@
 // The cs::snap acceptance gate: a study killed partway and resumed from
 // its checkpoint directory renders byte-identically to an uninterrupted
 // run — at CS_THREADS=1 and CS_THREADS=8, on two seeds. Snapshots carry
-// the artifacts; the stage table's replay hooks re-apply each resumed
-// stage's world side effects (instance launches), so downstream stages
-// and the launch-heavy tables (8, 11) see the exact same universe.
+// the artifacts, and nothing else is needed: stages are pure functions of
+// the config (the World is read-only, and every launch goes into a
+// stage-local provider copy), so a resumed stage leaves no trace on the
+// stages built after it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -94,9 +95,12 @@ TEST_P(ResumeDeterminism, ResumedRunMatchesUninterruptedByteForByte) {
     }
 
     // C: by now every stage is snapshotted; a third run resumes all nine
-    // and still renders identically.
+    // and still renders identically. build_all() requests every stage:
+    // rendering alone never asks for the dataset or the capture logs
+    // once their dependents come from snapshots.
     {
       Study full{ckpt};
+      full.build_all();
       EXPECT_EQ(render_full(full), expected);
       EXPECT_EQ(full.stages_resumed(), Study::stage_table().size());
     }
