@@ -6,6 +6,7 @@
 #include "analysis/ranges.h"
 #include "dns/message.h"
 #include "dns/resolver.h"
+#include "dns/server.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "pcap/decode.h"
@@ -43,6 +44,87 @@ void BM_DnsDecode(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(dns::Message::decode(wire));
 }
 BENCHMARK(BM_DnsDecode);
+
+// Probe-path ladder rungs: name building, zone lookup, one server answer
+// and the client's decode of it, on the shapes the brute force produces.
+
+const char* const kWords[] = {"www", "mail", "api", "cdn", "m", "blog",
+                              "dev", "shop"};
+
+void BM_NameChild(benchmark::State& state) {
+  const auto base = dns::Name::must_parse("pinterest-cdn.example.com");
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(base.child(kWords[i++ % std::size(kWords)]));
+}
+BENCHMARK(BM_NameChild);
+
+/// A domain zone like the synthetic world's: the apex plus wordlist hosts.
+dns::Zone make_domain_zone(const dns::Name& origin) {
+  dns::SoaRecord soa;
+  soa.mname = *origin.child("ns1");
+  soa.rname = *origin.child("hostmaster");
+  dns::Zone zone{origin, soa};
+  zone.add(dns::ResourceRecord::ns(origin, soa.mname));
+  zone.add(dns::ResourceRecord::a(soa.mname, net::Ipv4(198, 51, 100, 1)));
+  for (std::size_t w = 0; w < std::size(kWords); ++w)
+    zone.add(dns::ResourceRecord::a(
+        *origin.child(kWords[w]),
+        net::Ipv4(54, 0, 0, static_cast<std::uint8_t>(w))));
+  return zone;
+}
+
+void BM_ZoneFind(benchmark::State& state) {
+  const auto origin = dns::Name::must_parse("example.com");
+  const auto zone = make_domain_zone(origin);
+  // Half the lookups hit, half miss, like brute-force probes.
+  std::vector<dns::Name> names;
+  for (const char* word : kWords) {
+    names.push_back(*origin.child(word));
+    names.push_back(*origin.child(std::string{word} + "-x"));
+  }
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        zone.find(names[i++ % names.size()], dns::RrType::kA));
+}
+BENCHMARK(BM_ZoneFind);
+
+/// A fleet server hosting 50 domain zones, and an NXDOMAIN probe for it.
+struct FleetServer {
+  dns::AuthoritativeServer server;
+  std::vector<std::uint8_t> query;
+  FleetServer() {
+    for (int d = 0; d < 50; ++d) {
+      const auto origin =
+          dns::Name::must_parse("domain" + std::to_string(d) + ".com");
+      const auto source = make_domain_zone(origin);
+      dns::Zone& zone = server.add_zone(origin, source.soa());
+      for (const auto& rr : source.axfr())
+        if (rr.type() != dns::RrType::kSoa) zone.add(rr);
+    }
+    query = dns::Message::query(
+                7, dns::Name::must_parse("staging.domain25.com"),
+                dns::RrType::kA)
+                .encode();
+  }
+};
+
+void BM_ServerHandleNxdomain(benchmark::State& state) {
+  const FleetServer fleet;
+  const net::Ipv4 client{199, 16, 0, 10};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(fleet.server.handle_wire(client, fleet.query));
+}
+BENCHMARK(BM_ServerHandleNxdomain);
+
+void BM_ResponseDecodeNxdomain(benchmark::State& state) {
+  const FleetServer fleet;
+  const auto wire =
+      fleet.server.handle_wire(net::Ipv4{199, 16, 0, 10}, fleet.query);
+  for (auto _ : state) benchmark::DoNotOptimize(dns::Message::decode(wire));
+}
+BENCHMARK(BM_ResponseDecodeNxdomain);
 
 void BM_PrefixLookup(benchmark::State& state) {
   auto ec2 = cloud::Provider::make_ec2(1);

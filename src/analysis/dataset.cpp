@@ -134,24 +134,28 @@ DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(
     // distributed lookups from every vantage to capture geo-specific
     // records; caches are flushed between vantages, as the paper did.
     std::size_t lookups_ok = 0;
-    for (std::size_t v = 0; v < vantages.size(); ++v) {
-      resolver.flush_cache();
-      resolver.set_client_address(vantages[v].address);
-      const auto result = resolver.resolve(subdomain, dns::RrType::kA);
-      if (!result.ok()) {
-        domain_obs.failed_lookups.record(result.rcode);
-        continue;
+    {
+      obs::Span lookups_span{"analysis.dataset.vantage_lookups"};
+      for (std::size_t v = 0; v < vantages.size(); ++v) {
+        resolver.flush_cache();
+        resolver.set_client_address(vantages[v].address);
+        const auto result = resolver.resolve(subdomain, dns::RrType::kA);
+        if (!result.ok()) {
+          domain_obs.failed_lookups.record(result.rcode);
+          continue;
+        }
+        ++lookups_ok;
+        if (options_.keep_records)
+          for (const auto& rr : result.records) obs.records.push_back(rr);
+        const auto result_addresses = result.addresses();
+        const auto chain = result.cname_chain();
+        addresses.insert(result_addresses.begin(), result_addresses.end());
+        cnames.insert(chain.begin(), chain.end());
+        if (v == 0 && chain.empty() && !result_addresses.empty())
+          obs.direct_a_record = true;
       }
-      ++lookups_ok;
-      if (options_.keep_records)
-        for (const auto& rr : result.records) obs.records.push_back(rr);
-      for (const auto addr : result.addresses()) addresses.insert(addr);
-      for (const auto& cname : result.cname_chain()) cnames.insert(cname);
-      if (v == 0 && result.cname_chain().empty() &&
-          !result.addresses().empty())
-        obs.direct_a_record = true;
+      resolver.flush_cache();
     }
-    resolver.flush_cache();
 
     // A name every vantage failed to resolve is missing data — recording
     // it as "other hosting" would corrupt the §3 aggregates, so it goes
@@ -191,6 +195,7 @@ DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(
     obs.cnames.assign(cnames.begin(), cnames.end());
 
     if (options_.collect_name_servers) {
+      obs::Span ns_span{"analysis.dataset.name_servers"};
       const auto ns_result =
           resolver.resolve(domain_truth.name, dns::RrType::kNs);
       for (const auto& rr : ns_result.records) {

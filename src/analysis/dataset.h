@@ -153,7 +153,7 @@ struct AlexaDataset {
 class DatasetBuilder {
  public:
   struct Options {
-    std::vector<std::string> wordlist;  ///< empty = default wordlist
+    std::vector<std::string> wordlist{};  ///< empty = default wordlist
     bool attempt_axfr = true;
     /// Number of vantage points used for the distributed lookups (the
     /// paper used 200) and for NS location probing (50).
@@ -174,7 +174,7 @@ class DatasetBuilder {
     /// "dataset.partial" snapshot so a killed paper-scale build resumes
     /// mid-stage instead of restarting. Null = no partial checkpoints.
     std::function<void(const AlexaDataset& partial, std::size_t next_domain)>
-        on_chunk;
+        on_chunk{};
   };
 
   /// A mid-stage resume point: everything built for domains before

@@ -94,15 +94,15 @@ void encode(Writer& w, net::Ipv4 v) { w.u32(v.value()); }
 void decode(Reader& r, net::Ipv4& v) { v = net::Ipv4{r.u32()}; }
 
 void encode(Writer& w, const dns::Name& v) {
-  w.count(v.labels().size());
-  for (const auto& label : v.labels()) w.str(label);
+  w.count(v.label_count());
+  for (const auto label : v.labels()) w.str(label);
 }
 void decode(Reader& r, dns::Name& v) {
   const auto n = r.count();
   std::vector<std::string> labels;
   labels.reserve(n);
   for (std::size_t i = 0; i < n; ++i) labels.push_back(r.str());
-  auto name = dns::Name::from_labels(std::move(labels));
+  auto name = dns::Name::from_labels(labels);
   if (!name) throw SnapshotError{"snapshot holds an invalid DNS name"};
   v = std::move(*name);
 }

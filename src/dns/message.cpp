@@ -1,17 +1,20 @@
 #include "dns/message.h"
 
 #include <cstring>
-#include <map>
 
 namespace cs::dns {
 namespace {
 
 constexpr std::uint16_t kClassIn = 1;
-constexpr std::size_t kMaxPointerHops = 64;
 
 /// Serializer with RFC 1035 §4.1.4 name compression.
 class Writer {
  public:
+  Writer() {
+    buf_.reserve(512);
+    targets_.reserve(32);
+  }
+
   std::vector<std::uint8_t> take() && { return std::move(buf_); }
   std::size_t size() const noexcept { return buf_.size(); }
 
@@ -32,35 +35,65 @@ class Writer {
     buf_[offset + 1] = static_cast<std::uint8_t>(v);
   }
 
-  /// Writes a name, emitting a compression pointer for the longest
-  /// previously-seen suffix.
+  /// Writes a name, emitting a compression pointer for the longest suffix
+  /// already in the buffer (its earliest occurrence).
   void name(const Name& n) {
-    const auto& labels = n.labels();
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      // Suffix starting at label i, keyed by its presentation form.
-      std::string suffix;
-      for (std::size_t j = i; j < labels.size(); ++j) {
-        suffix += labels[j];
-        suffix += '.';
-      }
-      if (const auto it = offsets_.find(suffix); it != offsets_.end()) {
-        u16(static_cast<std::uint16_t>(0xC000 | it->second));
+    const std::string_view wire = n.wire();
+    for (std::size_t at = 0; at < wire.size();) {
+      const std::string_view suffix = wire.substr(at);
+      if (const auto target = find(suffix)) {
+        u16(static_cast<std::uint16_t>(0xC000 | *target));
         return;
       }
-      if (buf_.size() <= 0x3FFF) offsets_.emplace(suffix, buf_.size());
-      u8(static_cast<std::uint8_t>(labels[i].size()));
-      bytes({reinterpret_cast<const std::uint8_t*>(labels[i].data()),
-             labels[i].size()});
+      if (buf_.size() <= 0x3FFF)
+        targets_.push_back({static_cast<std::uint16_t>(buf_.size()),
+                            static_cast<std::uint8_t>(suffix.size())});
+      const std::size_t len = 1 + static_cast<unsigned char>(wire[at]);
+      bytes({reinterpret_cast<const std::uint8_t*>(wire.data() + at), len});
+      at += len;
     }
     u8(0);  // root terminator
   }
 
  private:
+  /// A label written in full at `offset` (a pointer target), starting a
+  /// suffix of `length` wire octets (root octet excluded).
+  struct Target {
+    std::uint16_t offset;
+    std::uint8_t length;
+  };
+
+  /// Earliest target spelling `suffix`.
+  std::optional<std::uint16_t> find(std::string_view suffix) const {
+    for (const auto& t : targets_)
+      if (t.length == suffix.size() && spells(t.offset, suffix))
+        return t.offset;
+    return std::nullopt;
+  }
+
+  /// True if the name at `at` in the buffer, pointers followed, is `suffix`.
+  bool spells(std::size_t at, std::string_view suffix) const {
+    for (std::size_t i = 0;;) {
+      const std::uint8_t len = buf_[at];
+      if ((len & 0xC0) == 0xC0) {
+        at = (static_cast<std::size_t>(len & 0x3F) << 8) | buf_[at + 1];
+        continue;
+      }
+      if (len == 0) return i == suffix.size();
+      if (i >= suffix.size() ||
+          static_cast<unsigned char>(suffix[i]) != len ||
+          std::memcmp(buf_.data() + at + 1, suffix.data() + i + 1, len) != 0)
+        return false;
+      i += 1 + len;
+      at += 1 + len;
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
-  std::map<std::string, std::size_t> offsets_;
+  std::vector<Target> targets_;
 };
 
-/// Bounds-checked reader with compression-pointer chasing.
+/// Bounds-checked reader; names decode through Name::decode_wire.
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> wire) : wire_(wire) {}
@@ -85,37 +118,7 @@ class Reader {
   }
 
   Name name() {
-    std::vector<std::string> labels;
-    std::size_t cursor = pos_;
-    std::size_t hops = 0;
-    bool jumped = false;
-    for (;;) {
-      if (cursor >= wire_.size()) return fail<Name>();
-      const std::uint8_t len = wire_[cursor];
-      if ((len & 0xC0) == 0xC0) {
-        if (cursor + 1 >= wire_.size() || ++hops > kMaxPointerHops)
-          return fail<Name>();
-        const std::size_t target =
-            (static_cast<std::size_t>(len & 0x3F) << 8) | wire_[cursor + 1];
-        if (!jumped) {
-          pos_ = cursor + 2;
-          jumped = true;
-        }
-        if (target >= cursor) return fail<Name>();  // forward pointers banned
-        cursor = target;
-        continue;
-      }
-      if (len > 63) return fail<Name>();
-      if (len == 0) {
-        if (!jumped) pos_ = cursor + 1;
-        break;
-      }
-      if (cursor + 1 + len > wire_.size()) return fail<Name>();
-      labels.emplace_back(
-          reinterpret_cast<const char*>(wire_.data() + cursor + 1), len);
-      cursor += 1 + len;
-    }
-    auto n = Name::from_labels(std::move(labels));
+    auto n = Name::decode_wire(wire_, pos_);
     if (!n) return fail<Name>();
     return *std::move(n);
   }

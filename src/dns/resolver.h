@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/message.h"
@@ -114,9 +114,11 @@ class Resolver {
   struct CacheKey {
     Name name;
     RrType type;
-    bool operator<(const CacheKey& other) const {
-      if (name != other.name) return Name::canonical_less(name, other.name);
-      return type < other.type;
+    bool operator==(const CacheKey&) const = default;
+  };
+  struct CacheKeyHash {
+    std::size_t operator()(const CacheKey& key) const noexcept {
+      return NameHash{}(key.name) ^ static_cast<std::size_t>(key.type);
     }
   };
   struct CacheEntry {
@@ -159,7 +161,7 @@ class Resolver {
 
   DnsTransport& transport_;
   Options options_;
-  std::map<CacheKey, CacheEntry> cache_;
+  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
   /// A handful of cuts per resolver (a chunk resolver holds 2-3), so a
   /// flat scan beats any index.
   std::vector<CutEntry> cuts_;

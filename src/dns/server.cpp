@@ -37,13 +37,12 @@ const Zone* AuthoritativeServer::zone(const Name& origin) const {
 }
 
 const Zone* AuthoritativeServer::best_zone(const Name& name) const {
-  const Zone* best = nullptr;
-  for (const auto& [origin, zone] : zones_) {
-    if (name.is_subdomain_of(origin) &&
-        (!best || origin.label_count() > best->origin().label_count()))
-      best = zone.get();
+  const std::string_view wire = name.wire();
+  for (std::size_t at = 0;; at += 1 + static_cast<unsigned char>(wire[at])) {
+    if (const auto it = zones_.find(wire.substr(at)); it != zones_.end())
+      return it->second.get();
+    if (at == wire.size()) return nullptr;
   }
-  return best;
 }
 
 Message AuthoritativeServer::handle(net::Ipv4 client,
@@ -82,8 +81,7 @@ void AuthoritativeServer::answer_question(net::Ipv4 client, const Question& q,
   }
 
   // Delegation below this zone's apex?
-  if (const auto cut = zone->delegation_cut(q.name);
-      cut && *cut != zone->origin()) {
+  if (const Name* cut = zone->delegation_cut(q.name)) {
     // Referral: NS records at the cut plus any glue we host.
     response.header.aa = false;
     for (auto& ns : zone->find(*cut, RrType::kNs)) {

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/message.h"
@@ -60,14 +60,14 @@ class AuthoritativeServer {
   std::size_t zone_count() const noexcept { return zones_.size(); }
 
  private:
-  /// Deepest zone whose origin is an ancestor of (or equals) the name.
+  /// Deepest zone whose origin is an ancestor of (or equals) the name:
+  /// one hash probe per suffix, deepest first.
   const Zone* best_zone(const Name& name) const;
 
   void answer_question(net::Ipv4 client, const Question& q,
                        Message& response) const;
 
-  std::map<Name, std::unique_ptr<Zone>, bool (*)(const Name&, const Name&)>
-      zones_{&Name::canonical_less};
+  std::unordered_map<Name, std::unique_ptr<Zone>, NameHash, NameEq> zones_;
   AxfrPolicy axfr_policy_;
   DynamicAnswer dynamic_answer_;
 };

@@ -1,11 +1,12 @@
 #include "dns/zone.h"
 
+#include <algorithm>
+#include <array>
+
 namespace cs::dns {
 
 Zone::Zone(Name origin, SoaRecord soa)
-    : origin_(std::move(origin)),
-      soa_(std::move(soa)),
-      nodes_(&Name::canonical_less) {
+    : origin_(std::move(origin)), soa_(std::move(soa)) {
   ResourceRecord apex;
   apex.name = origin_;
   apex.ttl = 3600;
@@ -22,6 +23,9 @@ bool Zone::add(ResourceRecord rr) {
   const bool has_other = !node.by_type.empty() && !has_cname;
   if ((adding_cname && has_other) || (!adding_cname && has_cname))
     return false;
+  if (rr.type() == RrType::kNs && rr.name != origin_ &&
+      !node.by_type.contains(RrType::kNs))
+    ++cut_count_;
   node.by_type[rr.type()].push_back(std::move(rr));
   ++record_count_;
   return true;
@@ -47,26 +51,34 @@ std::vector<ResourceRecord> Zone::find_all(const Name& name) const {
   return out;
 }
 
-std::optional<Name> Zone::delegation_cut(const Name& name) const {
-  // Walk from the query name towards the apex; the first (deepest) non-apex
-  // owner of NS records below which `name` falls is the cut. We must return
-  // the *shallowest* cut between apex and name per RFC 1034 resolution, so
-  // walk top-down instead: check each ancestor from just below the apex.
-  if (!name.is_subdomain_of(origin_)) return std::nullopt;
-  // Collect ancestors from apex (exclusive) down to name (inclusive).
-  std::vector<Name> chain;
-  Name cursor = name;
-  while (cursor != origin_) {
-    chain.push_back(cursor);
-    if (cursor.is_root()) break;
-    cursor = cursor.parent();
-  }
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    const auto node = nodes_.find(*it);
+const Name* Zone::delegation_cut(const Name& name) const {
+  // RFC 1034 resolution stops at the *shallowest* cut between the apex
+  // and the name, so probe the name's suffixes from just below the apex
+  // downwards. Each suffix is a view into the name's wire form.
+  if (cut_count_ == 0 || !name.is_subdomain_of(origin_)) return nullptr;
+  const std::string_view wire = name.wire();
+  std::array<std::uint8_t, 128> starts;  // a name has at most 127 labels
+  std::size_t count = 0;
+  for (const auto label : name.labels())
+    starts[count++] = static_cast<std::uint8_t>(label.data() - 1 - wire.data());
+  const std::size_t below_apex = count - origin_.label_count();
+  for (std::size_t i = below_apex; i-- > 0;) {
+    const auto node = nodes_.find(wire.substr(starts[i]));
     if (node != nodes_.end() && node->second.by_type.contains(RrType::kNs))
-      return *it;
+      return &node->first;
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+std::vector<const std::pair<const Name, Zone::NodeData>*> Zone::sorted_nodes()
+    const {
+  std::vector<const std::pair<const Name, NodeData>*> out;
+  out.reserve(nodes_.size());
+  for (const auto& node : nodes_) out.push_back(&node);
+  std::sort(out.begin(), out.end(), [](const auto* a, const auto* b) {
+    return Name::canonical_less(a->first, b->first);
+  });
+  return out;
 }
 
 std::vector<ResourceRecord> Zone::axfr() const {
@@ -76,8 +88,8 @@ std::vector<ResourceRecord> Zone::axfr() const {
   apex.ttl = 3600;
   apex.data = soa_;
   out.push_back(apex);
-  for (const auto& [name, node] : nodes_) {
-    for (const auto& [type, recs] : node.by_type) {
+  for (const auto* node : sorted_nodes()) {
+    for (const auto& [type, recs] : node->second.by_type) {
       if (type == RrType::kSoa) continue;
       out.insert(out.end(), recs.begin(), recs.end());
     }
@@ -89,7 +101,7 @@ std::vector<ResourceRecord> Zone::axfr() const {
 std::vector<Name> Zone::names() const {
   std::vector<Name> out;
   out.reserve(nodes_.size());
-  for (const auto& [name, node] : nodes_) out.push_back(name);
+  for (const auto* node : sorted_nodes()) out.push_back(node->first);
   return out;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <map>
-#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/rr.h"
@@ -34,14 +34,17 @@ class Zone {
   std::vector<ResourceRecord> find_all(const Name& name) const;
 
   /// If `name` sits at or below a delegation cut (a non-apex owner of NS
-  /// records), returns the cut owner name.
-  std::optional<Name> delegation_cut(const Name& name) const;
+  /// records), returns the shallowest such cut owner; nullptr otherwise.
+  /// The pointer is valid until the zone is next modified.
+  const Name* delegation_cut(const Name& name) const;
 
   /// Full zone contents in canonical order for AXFR: SOA first, then all
-  /// other records, then the SOA again (RFC 5936 framing).
+  /// other records, then the SOA again (RFC 5936 framing). Sorted on
+  /// every call.
   std::vector<ResourceRecord> axfr() const;
 
   /// All names owned by the zone in canonical order (SOA apex included).
+  /// Sorted on every call.
   std::vector<Name> names() const;
 
   std::size_t record_count() const noexcept { return record_count_; }
@@ -51,9 +54,14 @@ class Zone {
     std::map<RrType, std::vector<ResourceRecord>> by_type;
   };
 
+  /// Nodes in canonical order, for AXFR and names().
+  std::vector<const std::pair<const Name, NodeData>*> sorted_nodes() const;
+
   Name origin_;
   SoaRecord soa_;
-  std::map<Name, NodeData, bool (*)(const Name&, const Name&)> nodes_;
+  std::unordered_map<Name, NodeData, NameHash, NameEq> nodes_;
+  /// Non-apex names owning NS records; delegation_cut() is free at 0.
+  std::size_t cut_count_ = 0;
   std::size_t record_count_ = 0;
 };
 

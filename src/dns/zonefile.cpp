@@ -12,15 +12,9 @@ namespace {
 std::string present_owner(const Name& name, const Name& origin) {
   if (name == origin) return "@";
   if (name.is_subdomain_of(origin) && !origin.is_root()) {
-    // Strip the origin's labels.
-    const auto& labels = name.labels();
-    const std::size_t keep = labels.size() - origin.label_count();
-    std::string out;
-    for (std::size_t i = 0; i < keep; ++i) {
-      if (i) out += '.';
-      out += labels[i];
-    }
-    return out;
+    // Strip ".<origin>".
+    const std::string full = name.to_string();
+    return full.substr(0, full.size() - origin.to_string().size() - 1);
   }
   return name.to_string() + ".";
 }
@@ -57,12 +51,8 @@ std::string present_rdata(const ResourceRecord& rr) {
 std::optional<Name> parse_owner(std::string_view token, const Name& origin) {
   if (token == "@") return origin;
   if (!token.empty() && token.back() == '.') return Name::parse(token);
-  const auto relative = Name::parse(token);
-  if (!relative) return std::nullopt;
-  // Append the origin's labels.
-  std::vector<std::string> labels = relative->labels();
-  for (const auto& label : origin.labels()) labels.push_back(label);
-  return Name::from_labels(std::move(labels));
+  if (origin.is_root()) return Name::parse(token);
+  return Name::parse(std::string{token} + "." + origin.to_string());
 }
 
 std::optional<std::uint32_t> parse_u32(std::string_view token) {

@@ -189,7 +189,9 @@ class World::Builder {
   }
 
   dns::Zone* tld_zone(const Name& domain) {
-    const auto it = tld_zones_.find(std::string{domain.labels().back()});
+    std::string_view tld;
+    for (const auto label : domain.labels()) tld = label;
+    const auto it = tld_zones_.find(std::string{tld});
     return it == tld_zones_.end() ? nullptr : it->second;
   }
 

@@ -70,10 +70,12 @@ TEST_F(DatasetTest, LowerBoundProperty) {
     found.insert(obs.name.to_string());
   for (const auto& domain : world_->domains()) {
     if (domain.axfr_open) continue;
-    for (const auto& sub : domain.subdomains)
-      if (!sub.discoverable)
+    for (const auto& sub : domain.subdomains) {
+      if (!sub.discoverable) {
         EXPECT_FALSE(found.contains(sub.name.to_string()))
             << sub.name.to_string();
+      }
+    }
   }
 }
 
@@ -108,11 +110,13 @@ TEST_F(DatasetTest, DirectARecordMatchesVmTruth) {
   for (const auto& obs : dataset_->cloud_subdomains) {
     const auto* truth = world_->subdomain_truth(obs.name);
     if (!truth) continue;
-    if (truth->front_end == synth::FrontEnd::kVm)
+    if (truth->front_end == synth::FrontEnd::kVm) {
       EXPECT_TRUE(obs.direct_a_record) << obs.name.to_string();
+    }
     if (truth->front_end == synth::FrontEnd::kElb ||
-        truth->front_end == synth::FrontEnd::kHeroku)
+        truth->front_end == synth::FrontEnd::kHeroku) {
       EXPECT_FALSE(obs.direct_a_record) << obs.name.to_string();
+    }
   }
 }
 
@@ -192,7 +196,9 @@ void expect_same_dataset(const AlexaDataset& a, const AlexaDataset& b,
     EXPECT_EQ(sa.name, sb.name) << i;
     EXPECT_EQ(sa.domain, sb.domain) << i;
     EXPECT_EQ(sa.domain_rank, sb.domain_rank) << i;
-    if (compare_records) EXPECT_EQ(sa.records.size(), sb.records.size()) << i;
+    if (compare_records) {
+      EXPECT_EQ(sa.records.size(), sb.records.size()) << i;
+    }
     EXPECT_EQ(sa.addresses, sb.addresses) << i;
     EXPECT_EQ(sa.cnames, sb.cnames) << i;
     EXPECT_EQ(sa.direct_a_record, sb.direct_a_record) << i;

@@ -55,8 +55,9 @@ TEST_F(IspTest, ZonesOfARegionSeeSimilarCounts) {
       lo = std::min(lo, count);
       hi = std::max(hi, count);
     }
-    if (hi >= 6)
+    if (hi >= 6) {
       EXPECT_LE(hi - lo, hi / 2) << row.region;  // "(almost) the same"
+    }
   }
 }
 

@@ -137,7 +137,9 @@ TEST_F(PatternsTest, Table8RowsConsistent) {
     EXPECT_LE(row.vm, row.cloud_subdomains);
     EXPECT_LE(row.elb, row.cloud_subdomains);
     // ELB IPs only present when some subdomain uses ELB.
-    if (row.elb == 0) EXPECT_EQ(row.elb_ips, 0u);
+    if (row.elb == 0) {
+      EXPECT_EQ(row.elb_ips, 0u);
+    }
   }
   // amazon.com (rank 9): ELB-heavy with zero VM front ends, per spec.
   for (const auto& row : rows)
@@ -173,8 +175,11 @@ TEST_F(PatternsTest, UsEastDominatesEc2Regions) {
   const auto regions = analyze_regions(*dataset_, *ranges_);
   const auto it = regions.subdomains_per_region.find("ec2.us-east-1");
   ASSERT_NE(it, regions.subdomains_per_region.end());
-  for (const auto& [region, count] : regions.subdomains_per_region)
-    if (region.rfind("ec2.", 0) == 0) EXPECT_GE(it->second, count) << region;
+  for (const auto& [region, count] : regions.subdomains_per_region) {
+    if (region.rfind("ec2.", 0) == 0) {
+      EXPECT_GE(it->second, count) << region;
+    }
+  }
 }
 
 TEST_F(PatternsTest, CustomerGeoMismatchInPaperBand) {
@@ -197,7 +202,9 @@ TEST_F(PatternsTest, Table10RegionRowsConsistent) {
   for (const auto& row : rows) {
     EXPECT_GE(row.cloud_subdomains, row.k1 + row.k2);
     EXPECT_GE(row.total_regions, 1u);
-    if (row.domain == "live.com") EXPECT_EQ(row.total_regions, 3u);
+    if (row.domain == "live.com") {
+      EXPECT_EQ(row.total_regions, 3u);
+    }
     if (row.domain == "msn.com") {
       EXPECT_EQ(row.total_regions, 5u);
       EXPECT_GT(row.k2, 0u);  // 11 of 89 subdomains use two regions

@@ -84,8 +84,9 @@ TEST_F(ModelFixture, ThroughputRespectsAccessCap) {
   const auto seattle = vantage_named("seattle");
   for (int i = 0; i < 100; ++i) {
     if (const auto t = model.throughput_sample(
-            seattle, region("ec2.us-west-2"), i * 900.0))
+            seattle, region("ec2.us-west-2"), i * 900.0)) {
       EXPECT_LE(*t, 12000.0 * 1.1);
+    }
   }
 }
 

@@ -91,7 +91,9 @@ TEST_P(DnsCodecProperty, TruncationNeverDecodes) {
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     const std::span<const std::uint8_t> prefix{wire.data(), cut};
     const auto decoded = dns::Message::decode(prefix);
-    if (decoded) EXPECT_NE(*decoded, message);
+    if (decoded) {
+      EXPECT_NE(*decoded, message);
+    }
   }
 }
 

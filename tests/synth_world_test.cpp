@@ -157,7 +157,9 @@ TEST_F(WorldTest, ZoneTruthConsistentWithProvider) {
     if (s->provider != cloud::ProviderKind::kEc2) continue;
     for (const auto ip : s->front_ips) {
       const auto zone = world_->ec2().zone_of_public_ip(ip);
-      if (zone) EXPECT_TRUE(s->zones.contains(*zone)) << s->name.to_string();
+      if (zone) {
+        EXPECT_TRUE(s->zones.contains(*zone)) << s->name.to_string();
+      }
     }
   }
 }

@@ -57,12 +57,12 @@ struct Source {
 };
 
 struct Finding {
-  std::string file;
+  std::string file{};
   int line = 0;
-  std::string check;    // "B1", "C1", "D1", "E1", "G1", "K1", "L1", "S1", "A1"
-  std::string message;
+  std::string check{};  // "B1", "C1", "D1", "E1", "G1", "K1", "L1", "S1", "A1"
+  std::string message{};
   bool suppressed = false;
-  std::string reason;   // suppression reason when suppressed
+  std::string reason{};  // suppression reason when suppressed
 };
 
 /// Run every check over the given sources. Sources whose path ends in
