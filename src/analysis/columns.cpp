@@ -33,11 +33,6 @@ DatasetColumns DatasetColumns::from_dataset(const AlexaDataset& dataset) {
   sub.address_off.reserve(subs + 1);
   sub.cname_off.reserve(subs + 1);
   sub.ns_off.reserve(subs + 1);
-  sub.record_off.push_back(0);
-  sub.address_off.push_back(0);
-  sub.cname_off.push_back(0);
-  sub.ns_off.push_back(0);
-  sub.ns_addr_off.push_back(0);
   for (const auto& s : dataset.cloud_subdomains) {
     sub.name.push_back(c.names.intern(s.name.to_string()));
     sub.domain.push_back(c.names.intern(s.domain.to_string()));
@@ -71,8 +66,6 @@ DatasetColumns DatasetColumns::from_dataset(const AlexaDataset& dataset) {
   dom.other_only.reserve(doms);
   dom.unresolved.reserve(doms);
   dom.failed_off.reserve(doms + 1);
-  dom.cloud_off.push_back(0);
-  dom.failed_off.push_back(0);
   for (const auto& d : dataset.domains) {
     dom.name.push_back(c.names.intern(d.name.to_string()));
     dom.rank.push_back(d.rank);

@@ -29,23 +29,24 @@ struct DatasetColumns {
   util::StringArena names;
 
   /// Parallel columns, one entry per cloud subdomain. Every *_off column
-  /// holds count+1 offsets (off[0] = 0) into its flattened pool.
+  /// holds count+1 offsets (off[0] = 0) into its flattened pool, so a
+  /// default-constructed DatasetColumns is the empty dataset's columns.
   struct Subdomains {
     std::vector<std::uint32_t> name;    ///< arena ids
     std::vector<std::uint32_t> domain;  ///< arena ids
     std::vector<std::uint64_t> domain_rank;
     std::vector<std::uint8_t> flags;  ///< kDirectA .. kCloudFront bits
-    std::vector<std::uint64_t> record_off;
+    std::vector<std::uint64_t> record_off{0};
     std::vector<dns::ResourceRecord> record_pool;
-    std::vector<std::uint64_t> address_off;
+    std::vector<std::uint64_t> address_off{0};
     std::vector<net::Ipv4> address_pool;
-    std::vector<std::uint64_t> cname_off;
+    std::vector<std::uint64_t> cname_off{0};
     std::vector<std::uint32_t> cname_pool;  ///< arena ids
     /// Name servers: subdomain i owns ns entries [ns_off[i], ns_off[i+1]);
     /// ns entry j owns addresses [ns_addr_off[j], ns_addr_off[j+1]).
-    std::vector<std::uint64_t> ns_off;
+    std::vector<std::uint64_t> ns_off{0};
     std::vector<std::uint32_t> ns_name_pool;  ///< arena ids
-    std::vector<std::uint64_t> ns_addr_off;
+    std::vector<std::uint64_t> ns_addr_off{0};
     std::vector<net::Ipv4> ns_addr_pool;
   } subdomains;
 
@@ -55,13 +56,13 @@ struct DatasetColumns {
     std::vector<std::uint64_t> rank;
     std::vector<std::uint8_t> axfr;
     std::vector<std::uint64_t> subdomains_probed;
-    std::vector<std::uint64_t> cloud_off;
+    std::vector<std::uint64_t> cloud_off{0};
     std::vector<std::uint64_t> cloud_pool;  ///< indices into subdomain columns
     std::vector<std::uint64_t> other_only;
     std::vector<std::uint64_t> unresolved;
     /// Failed-lookup ledgers as sparse (rcode, count) runs in rcode index
     /// order.
-    std::vector<std::uint64_t> failed_off;
+    std::vector<std::uint64_t> failed_off{0};
     std::vector<std::uint8_t> failed_rcode_pool;
     std::vector<std::uint64_t> failed_count_pool;
   } domains;

@@ -12,17 +12,22 @@
 #include "proto/logs.h"
 #include "snap/codec.h"
 
-/// Snapshot codecs for every cached stage result in core::Study. One
-/// encode/decode pair per artifact type; the store picks the overload by
-/// the slot's static type, via ADL on snap::Writer/Reader, which is why
-/// these stay in namespace cs::snap even though the file lives in
-/// analysis/ — the codecs depend on every artifact type, and the include
-/// graph must point analysis -> snap, never snap -> analysis (cslint G1). Decoding validates as it goes (DNS names are
-/// re-parsed through their own validators, enums are range-checked) and
-/// throws SnapshotError rather than materialising nonsense.
+/// Snapshot codecs for every cached stage result in core::Study. The
+/// store picks the encode_artifact/decode_artifact overload by the slot's
+/// static type, via ADL on snap::Writer/Reader. That is why the codecs
+/// stay in namespace cs::snap although the file lives in analysis/: they
+/// depend on every artifact type, and the include graph must point
+/// analysis -> snap, never snap -> analysis (cslint G1).
+///
+/// Each artifact struct has one field list that both encode and decode
+/// walk (see snap/codec.h for the wire forms). Decoding validates as it
+/// goes: DNS names are re-parsed through their own validators, enums and
+/// signed integers are range-checked, and the dataset columns are checked
+/// for shape. It throws SnapshotError rather than materialising nonsense.
 ///
 /// Round-trip contract, pinned by snap_codec_test: for every artifact
-/// `a`, encode(decode(encode(a))) produces the same bytes as encode(a).
+/// `a`, encode(decode(encode(a))) produces the same bytes as encode(a),
+/// and ArtifactGolden pins those bytes themselves.
 namespace cs::snap {
 
 void encode_artifact(Writer& w, const analysis::AlexaDataset& v);

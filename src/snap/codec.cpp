@@ -15,6 +15,14 @@ constexpr std::uint8_t kMagic[4] = {'C', 'S', 'N', 'P'};
 
 }  // namespace
 
+namespace detail {
+
+void reject_field(const char* kind, std::int64_t value) {
+  reject(util::fmt("snapshot {} field holds {}", kind, value));
+}
+
+}  // namespace detail
+
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
   std::uint64_t h = 1469598103934665603ULL;
   for (const auto byte : bytes) {
