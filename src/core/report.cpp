@@ -482,24 +482,13 @@ std::string render_data_quality(Study& study) {
     const auto& s = plan->spec();
     head += util::fmt(
         "loss={} timeout={} truncate={} servfail={} corrupt={} "
-        "vantage_drop={} stage_abort={} seed={}",
+        "vantage_drop={} stage_abort={} drop={} dup={} reorder={} "
+        "delay_us={} jitter_us={} seed={}",
         s.loss, s.timeout, s.truncate, s.servfail, s.corrupt,
-        s.vantage_drop, s.stage_abort, s.seed);
+        s.vantage_drop, s.stage_abort, s.drop, s.dup, s.reorder, s.delay_us,
+        s.jitter_us, s.seed);
   } else {
     head += "none (CS_FAULT unset)";
-  }
-  head += "\n";
-  head += "Chaos profile: ";
-  if (const auto* loopback = study.loopback();
-      loopback && loopback->options().chaos.any()) {
-    const auto& c = loopback->options().chaos;
-    head += util::fmt(
-        "drop={} dup={} reorder={} corrupt={} delay_us={} jitter_us={} "
-        "seed={} ({})",
-        c.drop, c.dup, c.reorder, c.corrupt, c.delay_us, c.jitter_us, c.seed,
-        c.survivable() ? "survivable" : "UNSURVIVABLE");
-  } else {
-    head += "none (CS_CHAOS unset or sim transport)";
   }
   head += "\n";
   if (const auto& store = study.checkpoint_store())
@@ -528,8 +517,8 @@ std::string render_data_quality(Study& study) {
   t.add("Resolver retries", snapshot.counter("dns.resolver.retries"));
   t.add("Resolver timeouts", snapshot.counter("dns.resolver.timeouts"));
   // The socket client's degradation ledger: every fast-fail path is a
-  // named row, so an unsurvivable chaos profile (or a genuinely sick
-  // wire) shows up as accounted failure, never silent data loss.
+  // named row, so an unsurvivable wire plan (or a genuinely sick wire)
+  // shows up as accounted failure, never silent data loss.
   t.add("Socket retransmits", snapshot.counter("netio.client.retransmits"));
   t.add("Socket exchange expirations",
         snapshot.counter("netio.client.expirations"));
@@ -539,11 +528,9 @@ std::string render_data_quality(Study& study) {
         snapshot.counter("netio.client.breaker_trips"));
   t.add("Circuit breaker fast-fails",
         snapshot.counter("netio.client.breaker_fastfails"));
-  t.add("Chaos frames dropped", snapshot.counter("netio.chaos.drops"));
-  t.add("Chaos frames duplicated", snapshot.counter("netio.chaos.dups"));
-  t.add("Chaos frames corrupted", snapshot.counter("netio.chaos.corrupts"));
-  t.add("Chaos forced deliveries",
-        snapshot.counter("netio.chaos.forced_deliveries"));
+  t.add("Wire datagrams dropped", snapshot.counter("fault.wire.drop"));
+  t.add("Wire datagrams duplicated", snapshot.counter("fault.wire.dup"));
+  t.add("Wire datagrams corrupted", snapshot.counter("fault.wire.corrupt"));
   t.add("Injected DNS loss", snapshot.counter("fault.dns.loss"));
   t.add("Injected DNS timeouts", snapshot.counter("fault.dns.timeout"));
   t.add("Injected DNS truncations", snapshot.counter("fault.dns.truncate"));

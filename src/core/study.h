@@ -68,12 +68,12 @@ struct StudyConfig {
   /// dataset is byte-identical over either backend at the same seed, so
   /// switching transports must not invalidate snapshots.
   std::optional<netio::TransportMode> transport;
-  /// Socket-backend sizing, resilience thresholds, and chaos profile.
-  /// nullopt defers to the CS_NETIO_* / CS_CHAOS knobs; a set value (even
-  /// the defaults) overrides the environment entirely, which is how the
-  /// chaos determinism tests stay immune to an ambient CS_CHAOS. Excluded
-  /// from the config hash for the same reason as `transport`: the wire's
-  /// behaviour never shapes what a completed stage produced.
+  /// Socket-backend sizing and resilience thresholds. nullopt defers to
+  /// the CS_NETIO_* knobs; a set value (even the defaults) overrides them.
+  /// Wire impairment is not configured here: it is the process-wide fault
+  /// plan (CS_FAULT, or fault::ScopedPlan in tests). Excluded from the
+  /// config hash for the same reason as `transport`: the wire's behaviour
+  /// never shapes what a completed stage produced.
   std::optional<netio::LoopbackDns::Options> netio;
 };
 
@@ -135,7 +135,7 @@ class Study {
   }
 
   /// The live-socket backend, or nullptr when resolver traffic rides the
-  /// in-process network (its options carry the active chaos profile).
+  /// in-process network.
   const netio::LoopbackDns* loopback() const noexcept {
     return loopback_.get();
   }

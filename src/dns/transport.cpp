@@ -74,11 +74,7 @@ WireReply SimulatedDnsNetwork::serve(net::Ipv4 client, net::Ipv4 server,
   const auto* plan = fault::active_plan();
   std::uint64_t key = 0;
   if (plan) [[unlikely]] {
-    // Key past the 2-byte DNS message ID: the socket backend's client
-    // rewrites that field for query-ID multiplexing, and fault decisions
-    // must not depend on which transport carried the bytes.
-    const auto keyed = query.size() >= 2 ? query.subspan(2) : query;
-    key = fault::exchange_key(client.value(), server.value(), keyed);
+    key = fault::query_key(client.value(), server.value(), query);
     if (plan->decide(fault::Kind::kLoss, key)) {
       static auto& losses = obs::counter("fault.dns.loss");
       losses.inc();
@@ -115,9 +111,33 @@ WireReply SimulatedDnsNetwork::serve(net::Ipv4 client, net::Ipv4 server,
 
 std::optional<std::vector<std::uint8_t>> SimulatedDnsNetwork::exchange(
     net::Ipv4 client, net::Ipv4 server, std::span<const std::uint8_t> query) {
-  auto reply = serve(client, server, query);
-  if (reply.verdict != WireVerdict::kAnswer) return std::nullopt;
-  return std::move(reply.bytes);
+  const auto* plan = fault::active_plan();
+  if (!plan || plan->spec().drop <= 0.0) [[likely]] {
+    auto reply = serve(client, server, query);
+    if (reply.verdict != WireVerdict::kAnswer) return std::nullopt;
+    return std::move(reply.bytes);
+  }
+  // Wire drops in simulated time: a dropped datagram is retransmitted at
+  // once, with no RTO to wait out, and the server answers every copy that
+  // reaches it, as it does over sockets. The timing-only wire kinds
+  // (dup, reorder, delay, jitter) cannot change a synchronous exchange,
+  // and corrupt acts on socket datagrams only (DESIGN §8).
+  static auto& drops = obs::counter("fault.wire.drop");
+  const auto key = fault::query_key(client.value(), server.value(), query);
+  for (std::uint32_t attempt = 0; attempt < kSimulatedAttempts; ++attempt) {
+    if (plan->drops(fault::Direction::kQuery, key, attempt)) {
+      drops.inc();
+      continue;
+    }
+    auto reply = serve(client, server, query);
+    if (reply.verdict != WireVerdict::kAnswer) return std::nullopt;
+    if (plan->drops(fault::Direction::kResponse, key, attempt)) {
+      drops.inc();
+      continue;
+    }
+    return std::move(reply.bytes);
+  }
+  return std::nullopt;
 }
 
 std::shared_ptr<AuthoritativeServer> SimulatedDnsNetwork::server_at(

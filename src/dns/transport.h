@@ -19,9 +19,11 @@
 /// over a real UDP socket; in this repository the bytes either stay
 /// in-process (SimulatedDnsNetwork) or travel real localhost UDP
 /// (netio::SocketDnsTransport / netio::DnsSocketServer, selected with
-/// CS_TRANSPORT=socket). Seeded faults (cs::fault, CS_FAULT) are injected
-/// here on the wire — dropped, timed-out, truncated, and SERVFAIL'd
-/// exchanges — so failure handling is testable deterministically.
+/// CS_TRANSPORT=socket). The seeded impairment plan (cs::fault, CS_FAULT)
+/// acts here on the wire: serve() loses, times out, truncates and
+/// SERVFAILs whole exchanges for both backends, and exchange() executes
+/// the survivable per-datagram `drop` in simulated time. The socket
+/// backend executes every per-datagram kind on real datagrams instead.
 namespace cs::dns {
 
 class DnsTransport {
@@ -94,9 +96,17 @@ class SimulatedDnsNetwork final : public DnsTransport {
   WireReply serve(net::Ipv4 client, net::Ipv4 server,
                   std::span<const std::uint8_t> query) const;
 
+  /// serve() in simulated time: with a plan whose `drop` > 0, a dropped
+  /// query or response is retransmitted at once, up to
+  /// kSimulatedAttempts sends. No wall-clock wait, no state.
   std::optional<std::vector<std::uint8_t>> exchange(
       net::Ipv4 client, net::Ipv4 server,
       std::span<const std::uint8_t> query) override;
+
+  /// Sends per exchange on the simulated wire: the socket client's
+  /// default schedule (CS_NETIO_MAX_ATTEMPTS). Only a first attempt may
+  /// drop, so the second always gets through.
+  static constexpr std::uint32_t kSimulatedAttempts = 3;
 
   /// Queries served (every attempt counts, including retransmits reaching
   /// the socket backend). Thread-safe.

@@ -2,7 +2,9 @@
 
 #include <charconv>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/log.h"
 #include "util/env.h"
@@ -11,7 +13,7 @@
 namespace cs::fault {
 namespace {
 
-/// Per-kind salts so the seven decision families draw from unrelated
+/// Per-kind salts so the decision families draw from unrelated
 /// ShardedRng roots even under one spec seed.
 constexpr std::uint64_t kKindSalt[kKindCount] = {
     0x10551055F001F001ULL,  // loss
@@ -21,11 +23,60 @@ constexpr std::uint64_t kKindSalt[kKindCount] = {
     0xC0442070C0442070ULL,  // corrupt
     0xD20902D20902FA11ULL,  // vantage drop
     0x57A6EAB027ABA6E5ULL,  // stage abort
+    0xD209D209D209D209ULL,  // drop
+    0xD0B1ED0B1ED0B1EDULL,  // dup
+    0x2E02DE22E02DE20AULL,  // reorder
+    0xDE1A7DE1A7DE1A70ULL,  // delay
 };
+
+template <std::size_t... I>
+std::array<exec::ShardedRng, kKindCount> make_roots(
+    std::uint64_t seed, std::index_sequence<I...>) noexcept {
+  return {exec::ShardedRng{seed ^ kKindSalt[I]}...};
+}
+
+/// Folded into the shard of response-direction decisions.
+constexpr std::uint64_t kResponseSalt = 0x5E22E25E22E25E22ULL;
+/// Fixed-point golden-ratio step: attempt n's shard sits far from
+/// attempt n-1's, so retransmit decisions are independent draws.
+constexpr std::uint64_t kAttemptStep = 0x9E3779B97F4A7C15ULL;
+/// Floor under the reorder/dup holdback so a zero-delay spec still moves
+/// the held datagram behind its successors on the timer wheel.
+constexpr std::uint64_t kHoldbackFloorUs = 200;
+
+std::uint64_t wire_shard(Direction direction, std::uint64_t key,
+                         std::uint32_t attempt) noexcept {
+  std::uint64_t shard = key ^ ((attempt + 1ULL) * kAttemptStep);
+  if (direction == Direction::kResponse) shard ^= kResponseSalt;
+  return shard;
+}
 
 constexpr std::size_t index(Kind kind) noexcept {
   return static_cast<std::size_t>(kind);
 }
+
+/// One CS_FAULT key: a rate in [0,1] or a u64 (delays and the seed).
+struct Field {
+  std::string_view key;
+  double Spec::*rate;
+  std::uint64_t Spec::*number;
+};
+
+constexpr Field kFields[] = {
+    {"loss", &Spec::loss, nullptr},
+    {"timeout", &Spec::timeout, nullptr},
+    {"truncate", &Spec::truncate, nullptr},
+    {"servfail", &Spec::servfail, nullptr},
+    {"corrupt", &Spec::corrupt, nullptr},
+    {"vantage_drop", &Spec::vantage_drop, nullptr},
+    {"stage_abort", &Spec::stage_abort, nullptr},
+    {"drop", &Spec::drop, nullptr},
+    {"dup", &Spec::dup, nullptr},
+    {"reorder", &Spec::reorder, nullptr},
+    {"delay_us", nullptr, &Spec::delay_us},
+    {"jitter_us", nullptr, &Spec::jitter_us},
+    {"seed", nullptr, &Spec::seed},
+};
 
 /// Strict double in [0,1]: the full token must parse and be finite.
 std::optional<double> parse_rate(std::string_view text) noexcept {
@@ -38,7 +89,7 @@ std::optional<double> parse_rate(std::string_view text) noexcept {
   return value;
 }
 
-std::optional<std::uint64_t> parse_seed(std::string_view text) noexcept {
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
   std::uint64_t value = 0;
   const auto* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
@@ -57,6 +108,10 @@ const char* to_string(Kind kind) noexcept {
     case Kind::kCorrupt: return "corrupt";
     case Kind::kVantageDrop: return "vantage_drop";
     case Kind::kStageAbort: return "stage_abort";
+    case Kind::kDrop: return "drop";
+    case Kind::kDup: return "dup";
+    case Kind::kReorder: return "reorder";
+    case Kind::kDelay: return "delay";
   }
   return "unknown";
 }
@@ -70,19 +125,28 @@ double Spec::rate(Kind kind) const noexcept {
     case Kind::kCorrupt: return corrupt;
     case Kind::kVantageDrop: return vantage_drop;
     case Kind::kStageAbort: return stage_abort;
+    case Kind::kDrop: return drop;
+    case Kind::kDup: return dup;
+    case Kind::kReorder: return reorder;
+    case Kind::kDelay: return 0.0;
   }
   return 0.0;
 }
 
 bool Spec::any() const noexcept {
   return loss > 0.0 || timeout > 0.0 || truncate > 0.0 || servfail > 0.0 ||
-         corrupt > 0.0 || vantage_drop > 0.0 || stage_abort > 0.0;
+         vantage_drop > 0.0 || stage_abort > 0.0 || wire();
+}
+
+bool Spec::wire() const noexcept {
+  return drop > 0.0 || dup > 0.0 || reorder > 0.0 || delay_us > 0 ||
+         jitter_us > 0 || corrupt > 0.0;
 }
 
 std::optional<Spec> Spec::parse(std::string_view text) noexcept {
   Spec spec;
   if (text.empty()) return std::nullopt;
-  bool seen[kKindCount + 1] = {};
+  bool seen[std::size(kFields)] = {};
   while (!text.empty()) {
     const auto comma = text.find(',');
     const auto entry = text.substr(0, comma);
@@ -95,46 +159,26 @@ std::optional<Spec> Spec::parse(std::string_view text) noexcept {
     const auto key = entry.substr(0, eq);
     const auto value = entry.substr(eq + 1);
 
-    if (key == "seed") {
-      if (seen[kKindCount]) return std::nullopt;
-      seen[kKindCount] = true;
-      const auto parsed = parse_seed(value);
+    std::size_t i = 0;
+    while (i < std::size(kFields) && kFields[i].key != key) ++i;
+    if (i == std::size(kFields) || seen[i]) return std::nullopt;
+    seen[i] = true;
+    if (kFields[i].rate) {
+      const auto parsed = parse_rate(value);
       if (!parsed) return std::nullopt;
-      spec.seed = *parsed;
-      continue;
+      spec.*kFields[i].rate = *parsed;
+    } else {
+      const auto parsed = parse_u64(value);
+      if (!parsed) return std::nullopt;
+      spec.*kFields[i].number = *parsed;
     }
-
-    double* slot = nullptr;
-    std::size_t kind = 0;
-    if (key == "loss") slot = &spec.loss, kind = index(Kind::kLoss);
-    else if (key == "timeout") slot = &spec.timeout, kind = index(Kind::kTimeout);
-    else if (key == "truncate") slot = &spec.truncate, kind = index(Kind::kTruncate);
-    else if (key == "servfail") slot = &spec.servfail, kind = index(Kind::kServFail);
-    else if (key == "corrupt") slot = &spec.corrupt, kind = index(Kind::kCorrupt);
-    else if (key == "vantage_drop")
-      slot = &spec.vantage_drop, kind = index(Kind::kVantageDrop);
-    else if (key == "stage_abort")
-      slot = &spec.stage_abort, kind = index(Kind::kStageAbort);
-    else
-      return std::nullopt;
-    if (seen[kind]) return std::nullopt;
-    seen[kind] = true;
-    const auto parsed = parse_rate(value);
-    if (!parsed) return std::nullopt;
-    *slot = *parsed;
   }
   return spec;
 }
 
 Plan::Plan(Spec spec) noexcept
     : spec_(spec),
-      roots_{exec::ShardedRng{spec.seed ^ kKindSalt[0]},
-             exec::ShardedRng{spec.seed ^ kKindSalt[1]},
-             exec::ShardedRng{spec.seed ^ kKindSalt[2]},
-             exec::ShardedRng{spec.seed ^ kKindSalt[3]},
-             exec::ShardedRng{spec.seed ^ kKindSalt[4]},
-             exec::ShardedRng{spec.seed ^ kKindSalt[5]},
-             exec::ShardedRng{spec.seed ^ kKindSalt[6]}} {}
+      roots_(make_roots(spec.seed, std::make_index_sequence<kKindCount>{})) {}
 
 bool Plan::decide(Kind kind, std::uint64_t key) const noexcept {
   const double rate = spec_.rate(kind);
@@ -149,6 +193,45 @@ util::Rng Plan::stream(Kind kind, std::uint64_t key) const noexcept {
   return rng;
 }
 
+bool Plan::drops(Direction direction, std::uint64_t key,
+                 std::uint32_t attempt) const noexcept {
+  return attempt == 0 &&
+         decide(Kind::kDrop, wire_shard(direction, key, attempt));
+}
+
+WireDecision Plan::wire(Direction direction, std::uint64_t key,
+                        std::uint32_t attempt,
+                        std::size_t size) const noexcept {
+  WireDecision d;
+  if (drops(direction, key, attempt)) {
+    d.drop = true;
+    return d;
+  }
+  const std::uint64_t shard = wire_shard(direction, key, attempt);
+  d.delay_us = spec_.delay_us;
+  if (spec_.jitter_us > 0)
+    d.delay_us +=
+        stream(Kind::kDelay, shard).next_below(spec_.jitter_us + 1);
+  // Bounded holdback: the datagram falls behind anything sent within the
+  // window, then goes out — reordering, not loss.
+  const std::uint64_t holdback =
+      2 * (spec_.delay_us + spec_.jitter_us) + kHoldbackFloorUs;
+  if (decide(Kind::kReorder, shard)) {
+    d.reorder = true;
+    d.delay_us += holdback;
+  }
+  if (decide(Kind::kDup, shard)) {
+    d.duplicate = true;
+    d.duplicate_delay_us = d.delay_us + holdback;
+  }
+  if (size > 0 && decide(Kind::kCorrupt, shard)) {
+    auto rng = stream(Kind::kCorrupt, shard);
+    d.corrupt_offset = static_cast<std::size_t>(rng.next_below(size));
+    d.corrupt_mask = static_cast<std::uint8_t>(1u << rng.next_below(8));
+  }
+  return d;
+}
+
 std::uint64_t exchange_key(std::uint32_t client, std::uint32_t server,
                            std::span<const std::uint8_t> query) noexcept {
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
@@ -160,6 +243,12 @@ std::uint64_t exchange_key(std::uint32_t client, std::uint32_t server,
   for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(server >> (8 * i)));
   for (const auto byte : query) mix(byte);
   return h;
+}
+
+std::uint64_t query_key(std::uint32_t client, std::uint32_t server,
+                        std::span<const std::uint8_t> query) noexcept {
+  return exchange_key(client, server,
+                      query.size() >= 2 ? query.subspan(2) : query);
 }
 
 namespace detail {
@@ -186,8 +275,9 @@ const Plan* init_plan_from_env() noexcept {
           "fault", "{}",
           util::env_malformed(
               util::Knob::kFault, *env,
-              "loss=P,timeout=P,truncate=P,servfail=P[,corrupt=P]"
-              "[,vantage_drop=P][,stage_abort=P][,seed=N] with P in [0,1]"));
+              "comma-separated loss, timeout, truncate, servfail, corrupt, "
+              "vantage_drop, stage_abort, drop, dup, reorder (=P in [0,1]), "
+              "delay_us, jitter_us, seed (=N)"));
     g_state.store(0, std::memory_order_release);
     return nullptr;
   }

@@ -12,45 +12,52 @@
 #include "exec/sharded_rng.h"
 #include "util/rng.h"
 
-/// Deterministic, seed-driven fault injection for the whole pipeline.
+/// Deterministic, seed-driven impairment for the whole pipeline: the one
+/// model for everything the study's lossy world can do to it (DESIGN §8).
 ///
 /// The paper's measurements ran against a hostile real world — flaky
-/// PlanetLab vantages, timing-out authoritative servers, truncated
-/// captures. This module recreates that hostility on demand so the
-/// consumers (resolver, flow assembly, campaign aggregation) can prove
-/// they degrade gracefully instead of corrupting aggregates.
+/// PlanetLab vantages, timing-out authoritative servers, a lossy wire,
+/// truncated captures. This module recreates that hostility on demand so
+/// the consumers (resolver, socket client, flow assembly, campaign
+/// aggregation) can prove they degrade gracefully instead of corrupting
+/// aggregates.
 ///
 /// Contract:
-///  - Faults are configured by CS_FAULT
-///    (`CS_FAULT=loss=0.02,timeout=0.01,truncate=0.005,servfail=0.01`) or
+///  - Impairments are configured by CS_FAULT
+///    (`CS_FAULT=loss=0.02,timeout=0.01,drop=0.05,delay_us=300`) or
 ///    programmatically via a Spec + ScopedPlan.
-///  - Every decision is a pure function of (plan seed, fault kind, event
-///    key): the key identifies the event (a DNS exchange, a capture
-///    record index, a campaign vantage), never the thread or call order,
-///    so an injected run is byte-identical at any CS_THREADS. Streams are
-///    derived through exec::ShardedRng, the same per-shard construction
-///    the parallel stages use for their own randomness.
+///  - Every decision is a pure function of (plan seed, kind, event key):
+///    the key identifies the event (a DNS exchange, one datagram of it, a
+///    capture record index, a campaign vantage), never the thread or call
+///    order, so an impaired run is byte-identical at any CS_THREADS.
+///    Streams are derived through exec::ShardedRng, the same per-shard
+///    construction the parallel stages use for their own randomness.
 ///  - With CS_FAULT unset the injector is a no-op: active_plan() is one
-///    relaxed atomic load + branch, cheap enough for per-exchange and
-///    per-record call sites (the ~6 ns decode_frame loop stays
-///    uninstrumented; injection happens one layer up).
+///    relaxed atomic load + branch, cheap enough for per-exchange,
+///    per-datagram and per-record call sites (the ~6 ns decode_frame loop
+///    stays uninstrumented; injection happens one layer up).
 namespace cs::fault {
 
 /// What the injector can do to one event.
 enum class Kind : std::uint8_t {
-  kLoss = 0,     ///< query/probe dropped in flight (caller sees a timeout)
-  kTimeout,      ///< server reached but never answers
+  kLoss = 0,     ///< whole exchange lost, on every retransmit
+  kTimeout,      ///< server reached but never answers, on every retransmit
   kTruncate,     ///< response/frame cut short
   kServFail,     ///< authoritative server answers SERVFAIL
-  kCorrupt,      ///< frame bytes flipped in place
+  kCorrupt,      ///< capture record or socket datagram: one bit flipped
   kVantageDrop,  ///< campaign vantage offline for a whole round
   kStageAbort,   ///< pipeline stage dies before producing its artifact
+  kDrop,         ///< one datagram of an exchange's first attempt lost
+  kDup,          ///< datagram delivered twice
+  kReorder,      ///< datagram held back past its successors
+  kDelay,        ///< not a Bernoulli kind: its stream draws the jitter
 };
-inline constexpr std::size_t kKindCount = 7;
+inline constexpr std::size_t kKindCount = 11;
 
 const char* to_string(Kind kind) noexcept;
 
-/// Per-kind fault rates plus the seed the decision streams derive from.
+/// Per-kind rates, the wire's delay shape, and the seed the decision
+/// streams derive from.
 struct Spec {
   double loss = 0.0;
   double timeout = 0.0;
@@ -59,18 +66,45 @@ struct Spec {
   double corrupt = 0.0;
   double vantage_drop = 0.0;
   double stage_abort = 0.0;
+  double drop = 0.0;
+  double dup = 0.0;
+  double reorder = 0.0;
+  std::uint64_t delay_us = 0;   ///< fixed one-way datagram delay
+  std::uint64_t jitter_us = 0;  ///< uniform extra delay in [0, jitter_us]
   std::uint64_t seed = 0xC10D5FA17ULL;
 
+  /// The Bernoulli rate of `kind` (0 for kDelay).
   double rate(Kind kind) const noexcept;
   bool any() const noexcept;
+  /// True when some kind acts on socket datagrams (drop, dup, reorder,
+  /// delay, jitter or corrupt), i.e. the transports must ask wire().
+  bool wire() const noexcept;
 
   /// Strictly parses a `key=value,key=value` spec (the CS_FAULT syntax).
   /// Keys: loss, timeout, truncate, servfail, corrupt, vantage_drop,
-  /// stage_abort (probabilities in [0,1]) and seed (u64). Unknown keys,
-  /// out-of-range
-  /// rates, duplicate keys, or trailing garbage reject the whole spec —
-  /// a misread fault rate would silently change every downstream number.
+  /// stage_abort, drop, dup, reorder (probabilities in [0,1]), delay_us,
+  /// jitter_us and seed (u64). Unknown keys, out-of-range rates,
+  /// duplicate keys, or trailing garbage reject the whole spec — a
+  /// misread rate would silently change every downstream number.
   static std::optional<Spec> parse(std::string_view text) noexcept;
+};
+
+/// Which way a datagram travels; part of every wire decision's key, so
+/// the two directions of one exchange draw from unrelated streams.
+enum class Direction : std::uint8_t { kQuery = 0, kResponse = 1 };
+
+/// What the wire does to one datagram. The executor skips the send on
+/// `drop`, holds copies back `delay_us` / `duplicate_delay_us`, and XORs
+/// datagram[corrupt_offset] with a nonzero corrupt_mask (on a copy: a
+/// retransmit resends pristine bytes).
+struct WireDecision {
+  bool drop = false;
+  bool reorder = false;  ///< delay_us includes the reorder holdback
+  bool duplicate = false;
+  std::uint64_t delay_us = 0;
+  std::uint64_t duplicate_delay_us = 0;
+  std::size_t corrupt_offset = 0;
+  std::uint8_t corrupt_mask = 0;
 };
 
 /// An immutable fault plan: the Spec compiled into per-kind ShardedRng
@@ -90,6 +124,18 @@ class Plan {
   /// uncorrelated streams via the ShardedRng scramble.
   util::Rng stream(Kind kind, std::uint64_t key) const noexcept;
 
+  /// Whether the wire loses the `direction` datagram of an exchange's
+  /// `attempt`-th send (0 = the first). Only a first attempt may drop, so
+  /// a client that retransmits at least once always gets an answer:
+  /// drop is survivable by rule, with no per-exchange state.
+  bool drops(Direction direction, std::uint64_t key,
+             std::uint32_t attempt) const noexcept;
+
+  /// Every wire kind's decision for one datagram of `size` bytes, keyed
+  /// like drops(). A pure function of its arguments.
+  WireDecision wire(Direction direction, std::uint64_t key,
+                    std::uint32_t attempt, std::size_t size) const noexcept;
+
  private:
   Spec spec_;
   std::array<exec::ShardedRng, kKindCount> roots_;
@@ -100,6 +146,13 @@ class Plan {
 /// itself, not of which thread or in which order it ran.
 std::uint64_t exchange_key(std::uint32_t client, std::uint32_t server,
                            std::span<const std::uint8_t> query) noexcept;
+
+/// The key every impairment site uses for a DNS exchange: exchange_key
+/// over the query past its 2-byte message ID, which the socket client
+/// rewrites for multiplexing. Retransmits, the response, and a re-ask of
+/// the same question all share it, whichever transport carried them.
+std::uint64_t query_key(std::uint32_t client, std::uint32_t server,
+                        std::span<const std::uint8_t> query) noexcept;
 
 namespace detail {
 /// -1 = CS_FAULT not yet read; 0 = no plan; 1 = plan installed.

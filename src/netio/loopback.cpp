@@ -57,36 +57,15 @@ LoopbackDns::Options LoopbackDns::options_from_env() {
       util::Knob::kNetioBreakerCooldownUs,
       static_cast<unsigned>(options.breaker_cooldown_us),
       "breaker open->half-open delay in us >= 1");
-  options.chaos = chaos_profile_from_env();
   return options;
 }
 
 LoopbackDns::LoopbackDns(const dns::SimulatedDnsNetwork& network,
                          Options options)
     : options_(options),
-      chaos_(options.chaos.any()
-                 ? std::make_unique<ChaosLink>(options.chaos,
-                                               options.max_attempts)
-                 : nullptr),
       server_(network,
               DnsSocketServer::Options{
-                  options.server_threads ? options.server_threads : 1,
-                  chaos_.get()}) {
-  if (chaos_) {
-    const auto& p = chaos_->profile();
-    obs::log_info("netio.chaos",
-                  "wire impairment active: drop={} dup={} reorder={} "
-                  "corrupt={} delay_us={} jitter_us={} seed={} ({})",
-                  p.drop, p.dup, p.reorder, p.corrupt, p.delay_us,
-                  p.jitter_us, p.seed,
-                  p.survivable() ? "survivable" : "UNSURVIVABLE");
-    if (p.survivable() && chaos_->max_latency_us() >= options_.min_rto_us)
-      obs::log_warn("netio.chaos",
-                    "injected latency (up to {} us) reaches the RTO floor "
-                    "({} us); delays will look like loss",
-                    chaos_->max_latency_us(), options_.min_rto_us);
-  }
-}
+                  options.server_threads ? options.server_threads : 1}) {}
 
 LoopbackDns::~LoopbackDns() { stop(); }
 
@@ -107,7 +86,6 @@ bool LoopbackDns::start() {
   client.retry_budget_cap = options_.retry_budget_cap;
   client.breaker_threshold = options_.breaker_threshold;
   client.breaker_cooldown_us = options_.breaker_cooldown_us;
-  client.chaos = chaos_.get();
   transport_ = std::make_unique<SocketDnsTransport>(client);
   if (!transport_->start()) {
     transport_.reset();

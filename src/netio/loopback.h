@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "dns/transport.h"
-#include "netio/chaos.h"
 #include "netio/server.h"
 #include "netio/transport.h"
 
@@ -19,14 +18,13 @@
 ///   CS_NETIO_RETRY_BUDGET       retry token-bucket capacity (default 1000)
 ///   CS_NETIO_BREAKER_FAILS      expiries that open a breaker (default 16)
 ///   CS_NETIO_BREAKER_COOLDOWN_US open -> half-open delay (default 250000)
-///   CS_CHAOS                    wire impairment profile (chaos.h)
 ///
 /// core::Study consults transport_mode_from_env() and, in socket mode,
 /// stands up a LoopbackDns over the world's SimulatedDnsNetwork and
 /// points every resolver at it — the enumerator, resolver, and dataset
-/// builder run unchanged over real localhost UDP. When the chaos profile
-/// is active, one ChaosLink is shared by both directions of the wire so
-/// its per-exchange drop budget spans the whole round trip.
+/// builder run unchanged over real localhost UDP. Wire impairment is not
+/// an option here: both ends execute the process-wide fault plan's
+/// per-datagram decisions (CS_FAULT or fault::ScopedPlan, DESIGN §8).
 namespace cs::netio {
 
 enum class TransportMode { kSim, kSocket };
@@ -50,11 +48,10 @@ class LoopbackDns {
     double retry_budget_cap = 1000.0;       ///< CS_NETIO_RETRY_BUDGET
     unsigned breaker_threshold = 16;        ///< CS_NETIO_BREAKER_FAILS
     std::uint64_t breaker_cooldown_us = 250'000;  ///< ..._COOLDOWN_US
-    ChaosProfile chaos;  ///< inactive by default; CS_CHAOS via env
   };
 
-  /// Options with the CS_NETIO_* knobs and CS_CHAOS applied (strict
-  /// parses; malformed values warn and keep the defaults).
+  /// Options with the CS_NETIO_* knobs applied (strict parses; malformed
+  /// values warn and keep the defaults).
   static Options options_from_env();
 
   /// `network` must outlive this harness; its routing table must be fully
@@ -74,13 +71,9 @@ class LoopbackDns {
   SocketDnsTransport& transport() noexcept { return *transport_; }
   DnsSocketServer& server() noexcept { return server_; }
   const Options& options() const noexcept { return options_; }
-  /// The shared impairment layer, or nullptr when the profile is inactive.
-  ChaosLink* chaos() noexcept { return chaos_.get(); }
 
  private:
   Options options_;
-  /// Shared by server and client; must outlive both (declared first).
-  std::unique_ptr<ChaosLink> chaos_;
   DnsSocketServer server_;
   /// Built in start(), once the server's bound port is known.
   std::unique_ptr<SocketDnsTransport> transport_;

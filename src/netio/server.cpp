@@ -94,24 +94,12 @@ void DnsSocketServer::drain(Worker& worker) {
       continue;
     }
     queries.inc();
-    // The chaos key must match the client's: the exchange with the DNS ID
-    // bytes (mux-rewritten there) stripped.
-    const auto payload = frame->payload;
-    const std::uint64_t key =
-        options_.chaos
-            ? fault::exchange_key(
-                  frame->client.value(), frame->server.value(),
-                  payload.size() >= 2 ? payload.subspan(2) : payload)
-            : 0;
     const auto reply =
         network_.serve(frame->client, frame->server, frame->payload);
     switch (reply.verdict) {
-      case dns::WireVerdict::kAnswer: {
-        send_frame(worker, peer, key,
-                   encode_frame(FrameKind::kResponse, frame->client,
-                                frame->server, reply.bytes));
+      case dns::WireVerdict::kAnswer:
+        send_frame(worker, peer, *frame, FrameKind::kResponse, reply.bytes);
         break;
-      }
       case dns::WireVerdict::kDrop:
         // Injected loss/timeout: real silence, the client's retransmit
         // timer does the rest (and its retry replays the same decision).
@@ -126,9 +114,7 @@ void DnsSocketServer::drain(Worker& worker) {
           echo[0] = frame->payload[0];
           echo[1] = frame->payload[1];
         }
-        send_frame(worker, peer, key,
-                   encode_frame(FrameKind::kUnreachable, frame->client,
-                                frame->server, echo));
+        send_frame(worker, peer, *frame, FrameKind::kUnreachable, echo);
         break;
       }
     }
@@ -136,36 +122,26 @@ void DnsSocketServer::drain(Worker& worker) {
 }
 
 void DnsSocketServer::send_frame(Worker& worker, const Endpoint& peer,
-                                 std::uint64_t exchange_key,
-                                 std::vector<std::uint8_t> frame) {
-  static auto& send_drops = obs::counter("netio.server.send_drops");
-  if (!options_.chaos) {
-    if (!worker.socket.send_to(peer, frame)) send_drops.inc();
-    return;
-  }
-  const auto verdict = options_.chaos->decide(
-      ChaosDirection::kServerToClient, exchange_key, frame.size());
-  if (!verdict.deliver) return;
-  auto* w = &worker;  // workers_ is stable after start()
-  const auto emit = [this, w, peer](std::vector<std::uint8_t> bytes,
-                                    std::uint64_t delay_us) {
-    static auto& drops = obs::counter("netio.server.send_drops");
-    if (delay_us == 0) {
-      if (!w->socket.send_to(peer, bytes)) drops.inc();
-      return;
-    }
-    // Held-back copies ride the worker's own reactor timers; stop() joins
-    // that reactor before the socket is closed, so the capture is safe.
-    w->reactor->run_after(
-        delay_us, [w, peer, bytes = std::move(bytes)] {
-          static auto& late_drops = obs::counter("netio.server.send_drops");
-          if (!w->socket.send_to(peer, bytes)) late_drops.inc();
-        });
-  };
-  if (verdict.corrupt_mask != 0)
-    frame[verdict.corrupt_offset] ^= verdict.corrupt_mask;
-  if (verdict.duplicate) emit(frame, verdict.duplicate_delay_us);
-  emit(std::move(frame), verdict.delay_us);
+                                 const Frame& query, FrameKind kind,
+                                 std::span<const std::uint8_t> payload) {
+  const auto datagram = encode_frame(kind, query.client, query.server,
+                                     payload, query.attempt);
+  // The key matches the client's, which keys the query before its mux-ID
+  // rewrite: query_key skips the ID bytes. Only hashed when a plan is
+  // installed. Held-back copies ride the worker's own reactor timers;
+  // stop() joins that reactor before the socket is closed, so the
+  // capture is safe.
+  const auto key = fault::active_plan()
+                       ? fault::query_key(query.client.value(),
+                                          query.server.value(), query.payload)
+                       : 0;
+  send_impaired(*worker.reactor, fault::Direction::kResponse, key,
+                query.attempt, datagram,
+                [w = &worker, peer](std::span<const std::uint8_t> bytes) {
+                  static auto& send_drops =
+                      obs::counter("netio.server.send_drops");
+                  if (!w->socket.send_to(peer, bytes)) send_drops.inc();
+                });
 }
 
 }  // namespace cs::netio

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "dns/transport.h"
-#include "netio/chaos.h"
 #include "netio/reactor.h"
 #include "netio/socket.h"
+#include "netio/wire.h"
 
 /// Authoritative DNS over real localhost UDP.
 ///
@@ -23,16 +23,16 @@
 /// answered with a kUnreachable control frame so the client can fail the
 /// exchange fast instead of waiting out its retransmit schedule.
 ///
-/// With a ChaosLink installed, every outgoing response/unreachable frame
-/// takes a seeded impairment verdict (the server-to-client direction);
+/// Every outgoing response/unreachable frame takes the fault plan's wire
+/// decision for the response direction, keyed by the exchange and the
+/// attempt index the query frame carried (send_impaired in wire.h);
 /// held-back copies go out through the owning worker's reactor timers.
 namespace cs::netio {
 
 class DnsSocketServer {
  public:
   struct Options {
-    unsigned threads = 2;        ///< reactor workers (CS_NETIO_THREADS)
-    ChaosLink* chaos = nullptr;  ///< non-owning; shared with the client
+    unsigned threads = 2;  ///< reactor workers (CS_NETIO_THREADS)
   };
 
   /// `network` must outlive the server and stay quiescent (no attach /
@@ -66,10 +66,9 @@ class DnsSocketServer {
   };
 
   void drain(Worker& worker);
-  /// Sends one outgoing frame through the chaos verdict (if any).
-  void send_frame(Worker& worker, const Endpoint& peer,
-                  std::uint64_t exchange_key,
-                  std::vector<std::uint8_t> frame);
+  /// Sends one outgoing frame through the plan's wire decision.
+  void send_frame(Worker& worker, const Endpoint& peer, const Frame& query,
+                  FrameKind kind, std::span<const std::uint8_t> payload);
 
   const dns::SimulatedDnsNetwork& network_;
   Options options_;

@@ -1,5 +1,6 @@
 #include "netio/transport.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -163,38 +164,22 @@ void SocketDnsTransport::breaker_success_locked(ServerState& state) {
 }
 
 void SocketDnsTransport::send_query_locked(Pending& p) {
-  if (!options_.chaos) {
-    // A failed send (full socket buffer) is just a lost datagram: the
-    // retransmit timer recovers it.
-    sockets_[p.socket_index].send(p.datagram);
-    return;
-  }
-  const auto verdict = options_.chaos->decide(ChaosDirection::kClientToServer,
-                                              p.exchange_key,
-                                              p.datagram.size());
-  if (!verdict.deliver) return;
-  const auto emit = [this, index = p.socket_index](
-                        std::vector<std::uint8_t> bytes,
-                        std::uint64_t delay_us) {
-    if (delay_us == 0) {
-      sockets_[index].send(bytes);
-      return;
-    }
-    // Held-back copies go out through the reactor's own timer wheel.
-    // Lock-free on purpose: B1 bans mutex acquisition inside reactor
-    // callbacks, and none is needed — the atomic running_ check plus
-    // stop()'s join-before-close ordering (the reactor joins before the
-    // sockets close) keep the send inside the sockets' lifetime.
-    reactor_.run_after(delay_us, [this, index, bytes = std::move(bytes)] {
-      if (running_.load(std::memory_order_acquire))
-        sockets_[index].send(bytes);
-    });
-  };
-  auto bytes = p.datagram;
-  if (verdict.corrupt_mask != 0)
-    bytes[verdict.corrupt_offset] ^= verdict.corrupt_mask;
-  if (verdict.duplicate) emit(bytes, verdict.duplicate_delay_us);
-  emit(std::move(bytes), verdict.delay_us);
+  const auto attempt = p.attempts - 1;
+  set_frame_attempt(p.datagram,
+                    static_cast<std::uint8_t>(std::min(attempt, 255u)));
+  // A failed send (full socket buffer) is just a lost datagram: the
+  // retransmit timer recovers it. Held-back copies run on the reactor
+  // lock-free on purpose: B1 bans mutex acquisition inside reactor
+  // callbacks, and none is needed — the atomic running_ check plus
+  // stop()'s join-before-close ordering keep the send inside the
+  // sockets' lifetime.
+  send_impaired(reactor_, fault::Direction::kQuery, p.exchange_key, attempt,
+                p.datagram,
+                [this, index = p.socket_index](
+                    std::span<const std::uint8_t> bytes) {
+                  if (running_.load(std::memory_order_acquire))
+                    sockets_[index].send(bytes);
+                });
 }
 
 std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
@@ -231,11 +216,7 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
     p = std::make_shared<Pending>();
     p->server = server;
     p->original_id = dns_id(query).value_or(0);
-    // Keyed before the mux rewrite and without the ID bytes: retransmits,
-    // the response, and a re-ask of the same question all share the key.
-    p->exchange_key = fault::exchange_key(
-        client.value(), server.value(),
-        query.size() >= 2 ? query.subspan(2) : query);
+    p->exchange_key = fault::query_key(client.value(), server.value(), query);
     std::vector<std::uint8_t> payload{query.begin(), query.end()};
     rewrite_dns_id(payload, mux_id);
     p->datagram = encode_frame(FrameKind::kQuery, client, server, payload);
@@ -377,8 +358,10 @@ void SocketDnsTransport::on_retransmit_deadline(std::uint16_t mux_id) {
   ++p.attempts;
   p.retransmitted = true;
   retransmits.inc();
-  // Same bytes, same mux ID: the server replays the same seeded fault
-  // decision, so an injected loss stays lost across every attempt.
+  // Same DNS bytes, same mux ID: the server replays the same seeded
+  // loss/timeout decision, so an injected loss stays lost across every
+  // attempt. Only the frame's attempt index moves, and with it the
+  // wire's per-datagram decisions.
   send_query_locked(p);
   const auto delay_us =
       jittered_delay(state.rto.rto_us(), p.exchange_key, p.attempts);

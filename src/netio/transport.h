@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dns/transport.h"
-#include "netio/chaos.h"
 #include "netio/reactor.h"
 #include "netio/resilience.h"
 #include "netio/socket.h"
@@ -45,9 +44,11 @@
 /// next caller blocks until a slot frees, bounding socket-buffer pressure
 /// no matter how many resolver threads pile on.
 ///
-/// When a ChaosLink is installed (chaos.h) every outgoing datagram takes
-/// a seeded impairment verdict first; without one the cost is a single
-/// null-pointer branch.
+/// Every outgoing query datagram takes the fault plan's wire decision
+/// for its (exchange key, attempt) first (send_impaired in wire.h); with
+/// no plan, or one without wire kinds, the cost is one relaxed load and
+/// a predicted branch. The frame carries the attempt index, so the
+/// server decides the response direction without per-exchange state.
 namespace cs::netio {
 
 class SocketDnsTransport final : public dns::DnsTransport {
@@ -64,7 +65,6 @@ class SocketDnsTransport final : public dns::DnsTransport {
     double retry_budget_cap = 1000.0;  ///< CS_NETIO_RETRY_BUDGET
     unsigned breaker_threshold = 16;   ///< CS_NETIO_BREAKER_FAILS
     std::uint64_t breaker_cooldown_us = 250'000;  ///< open -> half-open
-    ChaosLink* chaos = nullptr;  ///< non-owning; shared with the server
   };
 
   explicit SocketDnsTransport(Options options);
@@ -103,8 +103,8 @@ class SocketDnsTransport final : public dns::DnsTransport {
     unsigned attempts = 0;
     TimerWheel::Token timer = 0;
     std::uint64_t sent_us = 0;  ///< first send, for the latency histogram
-    /// fault::exchange_key over the ID-stripped query: the chaos-decision
-    /// and backoff-jitter key, invariant across mux rewrites/retransmits.
+    /// fault::query_key of the exchange: the wire-decision and
+    /// backoff-jitter key, invariant across mux rewrites/retransmits.
     std::uint64_t exchange_key = 0;
     /// Karn's rule: once true, this exchange's RTT never feeds SRTT.
     bool retransmitted = false;
@@ -128,7 +128,8 @@ class SocketDnsTransport final : public dns::DnsTransport {
   void settle_locked(std::uint16_t mux_id,
                      std::optional<std::vector<std::uint8_t>> result)
       CS_REQUIRES(mutex_);
-  /// Sends (or chaos-impairs) one copy of the pending query's datagram.
+  /// Sends one copy of the pending query's datagram through the plan's
+  /// wire decision for its current attempt.
   void send_query_locked(Pending& p) CS_REQUIRES(mutex_);
   ServerState& server_state_locked(std::uint32_t server) CS_REQUIRES(mutex_);
   /// Breaker failure with trip/open accounting.
@@ -139,7 +140,7 @@ class SocketDnsTransport final : public dns::DnsTransport {
   Reactor reactor_{"netio-client"};
   std::vector<UdpSocket> sockets_;
   /// Lifecycle flag. Reads are lock-free (the running() accessor and the
-  /// chaos-delayed send path); every transition happens under mutex_, so
+  /// held-back send path); every transition happens under mutex_, so
   /// exchange()'s locked re-check still rules out a send-after-stop.
   std::atomic<bool> running_{false};
 

@@ -1,5 +1,7 @@
 #include "netio/wire.h"
 
+#include "obs/metrics.h"
+
 namespace cs::netio {
 namespace {
 
@@ -21,13 +23,15 @@ std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
 
 std::vector<std::uint8_t> encode_frame(FrameKind kind, net::Ipv4 client,
                                        net::Ipv4 server,
-                                       std::span<const std::uint8_t> payload) {
+                                       std::span<const std::uint8_t> payload,
+                                       std::uint8_t attempt) {
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderSize + payload.size());
   out.push_back('C');
   out.push_back('S');
   out.push_back(kFrameVersion);
   out.push_back(static_cast<std::uint8_t>(kind));
+  out.push_back(attempt);
   put_u32(out, client.value());
   put_u32(out, server.value());
   out.insert(out.end(), payload.begin(), payload.end());
@@ -42,10 +46,16 @@ std::optional<Frame> decode_frame(std::span<const std::uint8_t> datagram) {
     return std::nullopt;
   Frame frame;
   frame.kind = static_cast<FrameKind>(datagram[3]);
-  frame.client = net::Ipv4{get_u32(datagram, 4)};
-  frame.server = net::Ipv4{get_u32(datagram, 8)};
+  frame.attempt = datagram[4];
+  frame.client = net::Ipv4{get_u32(datagram, 5)};
+  frame.server = net::Ipv4{get_u32(datagram, 9)};
   frame.payload = datagram.subspan(kFrameHeaderSize);
   return frame;
+}
+
+void set_frame_attempt(std::span<std::uint8_t> datagram,
+                       std::uint8_t attempt) {
+  if (datagram.size() >= kFrameHeaderSize) datagram[4] = attempt;
 }
 
 std::optional<std::uint16_t> dns_id(std::span<const std::uint8_t> payload) {
@@ -57,6 +67,22 @@ void rewrite_dns_id(std::span<std::uint8_t> payload, std::uint16_t id) {
   if (payload.size() < 2) return;
   payload[0] = static_cast<std::uint8_t>(id >> 8);
   payload[1] = static_cast<std::uint8_t>(id & 0xFF);
+}
+
+void count_wire_decision(const fault::WireDecision& decision) {
+  static auto& drops = obs::counter("fault.wire.drop");
+  static auto& reorders = obs::counter("fault.wire.reorder");
+  static auto& dups = obs::counter("fault.wire.dup");
+  static auto& delays = obs::counter("fault.wire.delay");
+  static auto& corrupts = obs::counter("fault.wire.corrupt");
+  if (decision.drop) {
+    drops.inc();
+    return;
+  }
+  if (decision.reorder) reorders.inc();
+  if (decision.duplicate) dups.inc();
+  if (decision.delay_us > 0) delays.inc();
+  if (decision.corrupt_mask != 0) corrupts.inc();
 }
 
 }  // namespace cs::netio

@@ -5,31 +5,36 @@
 #include <span>
 #include <vector>
 
+#include "fault/fault.h"
 #include "net/ipv4.h"
+#include "netio/reactor.h"
 
-/// Datagram framing for the loopback DNS wire.
+/// Datagram framing for the loopback DNS wire, and the one place netio
+/// executes the fault plan's per-datagram decisions.
 ///
 /// Real sockets carry loopback addresses, but the synthetic world speaks
 /// the paper's address plan — vantage-point clients querying authoritative
-/// servers at their simulated IPs. A 12-byte frame header carries that
+/// servers at their simulated IPs. A 13-byte frame header carries that
 /// identity alongside every DNS payload:
 ///
-///   0      2      3      4        8        12
-///   +------+------+------+--------+--------+----------------+
-///   | "CS" | ver  | kind | client | server | DNS payload... |
-///   +------+------+------+--------+--------+----------------+
-///                          u32 BE   u32 BE
+///   0      2      3      4         5        9        13
+///   +------+------+------+---------+--------+--------+----------------+
+///   | "CS" | ver  | kind | attempt | client | server | DNS payload... |
+///   +------+------+------+---------+--------+--------+----------------+
+///                                    u32 BE   u32 BE
 ///
 /// kQuery travels client->server; kResponse carries the authoritative
 /// answer back; kUnreachable is the server's fast-fail for a simulated-
 /// down or unknown server address (the stand-in for an ICMP port
 /// unreachable), its payload echoing the query's 2-byte DNS ID so the
 /// client can settle the right in-flight exchange immediately instead of
-/// waiting out the retransmit schedule.
+/// waiting out the retransmit schedule. `attempt` is the query's send
+/// index within its exchange (0 = first, saturating at 255); the server
+/// echoes it, so each side keys its wire decisions on it without state.
 namespace cs::netio {
 
-inline constexpr std::size_t kFrameHeaderSize = 12;
-inline constexpr std::uint8_t kFrameVersion = 1;
+inline constexpr std::size_t kFrameHeaderSize = 13;
+inline constexpr std::uint8_t kFrameVersion = 2;
 
 enum class FrameKind : std::uint8_t {
   kQuery = 0,
@@ -39,6 +44,7 @@ enum class FrameKind : std::uint8_t {
 
 struct Frame {
   FrameKind kind = FrameKind::kQuery;
+  std::uint8_t attempt = 0;
   net::Ipv4 client;
   net::Ipv4 server;
   std::span<const std::uint8_t> payload;  ///< view into the datagram
@@ -47,7 +53,13 @@ struct Frame {
 /// Renders header + payload into one datagram buffer.
 std::vector<std::uint8_t> encode_frame(FrameKind kind, net::Ipv4 client,
                                        net::Ipv4 server,
-                                       std::span<const std::uint8_t> payload);
+                                       std::span<const std::uint8_t> payload,
+                                       std::uint8_t attempt = 0);
+
+/// Overwrites an encoded frame's attempt byte in place (a retransmit
+/// resends the same frame under the next index).
+void set_frame_attempt(std::span<std::uint8_t> datagram,
+                       std::uint8_t attempt);
 
 /// Parses a datagram; nullopt on short input, bad magic, unknown version,
 /// or unknown kind. The payload span aliases `datagram`.
@@ -61,5 +73,44 @@ std::optional<std::uint16_t> dns_id(std::span<const std::uint8_t> payload);
 /// query-ID multiplexing rewrites outbound IDs to its own in-flight slot
 /// and restores the resolver's original ID on the way back.
 void rewrite_dns_id(std::span<std::uint8_t> payload, std::uint16_t id);
+
+/// Counts one executed wire decision in the fault.wire.* counters.
+void count_wire_decision(const fault::WireDecision& decision);
+
+/// Sends one outgoing datagram through the active plan's wire decision
+/// for (direction, key, attempt). With no plan, or one without wire
+/// kinds, this is a plain `send(datagram)`. Otherwise a dropped datagram
+/// is never sent, a corrupted one goes out as a flipped copy, and held
+/// copies go out on `reactor`'s timer wheel, so `send` must stay valid
+/// until that reactor stops and must not take a lock the reactor's
+/// callbacks could contend on.
+template <typename Send>
+void send_impaired(Reactor& reactor, fault::Direction direction,
+                   std::uint64_t key, std::uint32_t attempt,
+                   std::span<const std::uint8_t> datagram, Send send) {
+  const auto* plan = fault::active_plan();
+  if (!plan || !plan->spec().wire()) [[likely]] {
+    send(datagram);
+    return;
+  }
+  const auto decision = plan->wire(direction, key, attempt, datagram.size());
+  count_wire_decision(decision);
+  if (decision.drop) return;
+  std::vector<std::uint8_t> bytes{datagram.begin(), datagram.end()};
+  if (decision.corrupt_mask != 0)
+    bytes[decision.corrupt_offset] ^= decision.corrupt_mask;
+  const auto emit = [&](std::vector<std::uint8_t> copy,
+                        std::uint64_t delay_us) {
+    if (delay_us == 0) {
+      send(std::span<const std::uint8_t>{copy});
+      return;
+    }
+    reactor.run_after(delay_us, [send, copy = std::move(copy)] {
+      send(std::span<const std::uint8_t>{copy});
+    });
+  };
+  if (decision.duplicate) emit(bytes, decision.duplicate_delay_us);
+  emit(std::move(bytes), decision.delay_us);
+}
 
 }  // namespace cs::netio

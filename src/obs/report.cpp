@@ -155,7 +155,7 @@ std::string RunReport::to_json() const {
   // The socket client's resilience behaviour rides the perf manifests so
   // a trajectory regression can be told apart from a wire that got sick:
   // retransmit/expiry volume, breaker and budget activity, and the
-  // adaptive RTO's percentiles.
+  // adaptive RTO's percentiles. The wire's impairments ride "fault".
   {
     double rto_p50 = 0.0;
     double rto_p99 = 0.0;
@@ -169,20 +169,14 @@ std::string RunReport::to_json() const {
     out += util::fmt(
         ",\n  \"resilience\": {{\"retransmits\": {}, \"expirations\": {}, "
         "\"breaker_trips\": {}, \"breaker_fastfails\": {}, "
-        "\"retry_budget_rejections\": {}, \"chaos_drops\": {}, "
-        "\"chaos_dups\": {}, \"chaos_corrupts\": {}, "
-        "\"chaos_forced_deliveries\": {}, "
+        "\"retry_budget_rejections\": {}, "
         "\"rto_us\": {{\"count\": {}, \"p50\": {:.3f}, \"p99\": {:.3f}}}}}",
         metrics.counter("netio.client.retransmits"),
         metrics.counter("netio.client.expirations"),
         metrics.counter("netio.client.breaker_trips"),
         metrics.counter("netio.client.breaker_fastfails"),
-        metrics.counter("netio.client.retry_budget_rejections"),
-        metrics.counter("netio.chaos.drops"),
-        metrics.counter("netio.chaos.dups"),
-        metrics.counter("netio.chaos.corrupts"),
-        metrics.counter("netio.chaos.forced_deliveries"), rto_count, rto_p50,
-        rto_p99);
+        metrics.counter("netio.client.retry_budget_rejections"), rto_count,
+        rto_p50, rto_p99);
   }
   out += ",\n  \"stages\": [";
   bool first = true;

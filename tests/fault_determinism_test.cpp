@@ -4,17 +4,29 @@
 // bytes, record index, vantage index), never by thread schedule, so the
 // injected damage — and the data-quality accounting of it — must not move
 // when the thread count does.
+//
+// A survivable wire spec is one more input: on the simulated wire a
+// dropped first attempt is retransmitted in simulated time, so the
+// dataset artifact must equal the unimpaired one at CS_THREADS 1 and 8,
+// with equal, nonzero wire counters. The socket transport's copy of this
+// proof (netio_chaos_determinism_test) waits out real RTOs, so it runs
+// only at CS_THREADS=8.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "analysis/snapshot.h"
 #include "analysis/widearea.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "exec/config.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
+#include "snap/codec.h"
 
 namespace cs::core {
 namespace {
@@ -66,6 +78,53 @@ TEST_P(FaultDeterminism, EightThreadsMatchesOneThreadUnderFaults) {
   EXPECT_EQ(sequential.table3, parallel.table3);
   EXPECT_EQ(sequential.fig12, parallel.fig12);
   EXPECT_EQ(sequential.quality, parallel.quality);
+}
+
+/// The wire kinds the first-attempt rule makes survivable, at the rates
+/// the socket survivability case uses.
+constexpr std::string_view kSurvivableWireSpec =
+    "drop=0.06,dup=0.05,reorder=0.08,delay_us=300,jitter_us=200,seed=7";
+
+constexpr std::array<const char*, 5> kWireCounters = {
+    "fault.wire.drop", "fault.wire.dup", "fault.wire.reorder",
+    "fault.wire.delay", "fault.wire.corrupt"};
+
+struct WireRun {
+  std::vector<std::uint8_t> dataset;  ///< the encoded dataset artifact
+  std::vector<std::uint64_t> counters;  ///< kWireCounters, in order
+};
+
+WireRun dataset_with_threads(std::uint64_t seed, unsigned threads) {
+  obs::MetricsRegistry::instance().reset_values();
+  exec::ScopedThreads guard{threads};
+  Study study{small_config(seed)};
+  snap::Writer writer;
+  snap::encode_artifact(writer, study.dataset());
+  const auto bytes = writer.bytes();
+  WireRun run{{bytes.begin(), bytes.end()}, {}};
+  const auto snapshot = obs::MetricsRegistry::instance().snapshot();
+  for (const char* name : kWireCounters)
+    run.counters.push_back(snapshot.counter(name));
+  return run;
+}
+
+TEST_P(FaultDeterminism, SurvivableWireKeepsDatasetByteIdentical) {
+  std::vector<std::uint8_t> clean;
+  {
+    fault::ScopedPlan unimpaired{fault::Spec{}};
+    clean = dataset_with_threads(GetParam(), 1).dataset;
+  }
+  ASSERT_FALSE(clean.empty());
+  fault::ScopedPlan plan{kSurvivableWireSpec};
+  const auto sequential = dataset_with_threads(GetParam(), 1);
+  const auto parallel = dataset_with_threads(GetParam(), 8);
+  EXPECT_EQ(clean, sequential.dataset) << "CS_THREADS=1";
+  EXPECT_EQ(clean, parallel.dataset) << "CS_THREADS=8";
+  EXPECT_EQ(sequential.counters, parallel.counters);
+  // Drop is the kind the simulated wire executes; the timing-only kinds
+  // cannot act on a synchronous exchange, and corrupt acts on sockets.
+  EXPECT_GT(sequential.counters[0], 0u)
+      << "plan dropped nothing; the identity proves nothing";
 }
 
 INSTANTIATE_TEST_SUITE_P(TwoSeeds, FaultDeterminism,

@@ -1,14 +1,16 @@
-// The chaos layer's headline promise, split by survivability.
+// The fault plan's wire kinds on real datagrams, split by survivability.
 //
-// Survivable profiles (loss/dup/reorder/delay, no corruption): the drop
-// clamp guarantees every exchange still completes with unchanged answer
-// bytes, so a study's dataset artifact is byte-identical chaos-on vs
-// chaos-off at any CS_THREADS — the resilience machinery absorbs the
-// pressure without ever reaching a terminal state. Checked against the
-// sim artifact (which the socket determinism test already pins equal to
-// the chaos-off socket artifact), two seeds x CS_THREADS {1, 8}.
+// Survivable plans (drop/dup/reorder/delay, no corruption): only an
+// exchange's first attempt may drop, so every exchange still completes
+// with unchanged answer bytes, and a study's dataset artifact is
+// byte-identical impaired vs unimpaired — the resilience machinery
+// absorbs the pressure without ever reaching a terminal state. Checked
+// against the sim artifact (which the socket determinism test already
+// pins equal to the unimpaired socket artifact), two seeds at
+// CS_THREADS=8. The CS_THREADS 1 and 8 proof runs on the simulated wire,
+// in fault_determinism_test.
 //
-// Unsurvivable profiles (corrupt > 0): the run must degrade gracefully —
+// Unsurvivable plans (corrupt > 0): the run must degrade gracefully —
 // complete without hangs, with every failed exchange accounted to
 // exactly one cause. Exercised twice, once tuned to trip the circuit
 // breaker and once to exhaust the retry budget.
@@ -20,6 +22,7 @@
 
 #include "core/study.h"
 #include "exec/config.h"
+#include "fault/fault.h"
 #include "netio/loopback.h"
 #include "obs/metrics.h"
 #include "analysis/snapshot.h"
@@ -40,16 +43,14 @@ StudyConfig small_config(std::uint64_t seed, netio::TransportMode mode) {
 }
 
 /// Loss, duplication, reordering, and sub-RTO delay — everything the
-/// clamp makes survivable — at rates high enough to exercise every
-/// impairment across a 60-domain study.
-netio::LoopbackDns::Options survivable_chaos() {
+/// first-attempt rule makes survivable — at rates high enough to exercise
+/// every impairment across a 60-domain study.
+constexpr const char* kSurvivableWire =
+    "drop=0.06,dup=0.05,reorder=0.08,delay_us=300,jitter_us=200";
+
+netio::LoopbackDns::Options survivable_netio() {
   netio::LoopbackDns::Options options;
   options.rto_us = 20'000;  // adaptive band [5ms, 2s] brackets this
-  options.chaos.drop = 0.06;
-  options.chaos.dup = 0.05;
-  options.chaos.reorder = 0.08;
-  options.chaos.delay_us = 300;
-  options.chaos.jitter_us = 200;
   return options;
 }
 
@@ -68,41 +69,46 @@ class ChaosDeterminism : public testing::TestWithParam<unsigned> {};
 TEST_P(ChaosDeterminism, SurvivableProfileKeepsArtifactByteIdentical) {
   const unsigned threads = GetParam();
   for (const std::uint64_t seed : {2013ull, 5077ull}) {
-    const auto clean = dataset_bytes(
-        small_config(seed, netio::TransportMode::kSim), threads);
+    std::vector<std::uint8_t> clean;
+    {
+      fault::ScopedPlan unimpaired{fault::Spec{}};
+      clean = dataset_bytes(small_config(seed, netio::TransportMode::kSim),
+                            threads);
+    }
     ASSERT_FALSE(clean.empty());
 
+    fault::ScopedPlan wire{kSurvivableWire};
     const auto before = obs::MetricsRegistry::instance().snapshot();
     auto config = small_config(seed, netio::TransportMode::kSocket);
-    config.netio = survivable_chaos();
+    config.netio = survivable_netio();
     const auto chaotic = dataset_bytes(std::move(config), threads);
     const auto after = obs::MetricsRegistry::instance().snapshot();
 
     EXPECT_EQ(clean, chaotic)
-        << "survivable chaos changed the artifact at seed " << seed
+        << "survivable wire plan changed the artifact at seed " << seed
         << ", CS_THREADS=" << threads;
 
     // The wire really was hostile...
     const auto impairments = [&](const char* name) {
       return after.counter(name) - before.counter(name);
     };
-    EXPECT_GT(impairments("netio.chaos.drops") +
-                  impairments("netio.chaos.dups") +
-                  impairments("netio.chaos.reorders") +
-                  impairments("netio.chaos.delays"),
+    EXPECT_GT(impairments("fault.wire.drop") + impairments("fault.wire.dup") +
+                  impairments("fault.wire.reorder") +
+                  impairments("fault.wire.delay"),
               0u)
-        << "profile injected nothing; the identity proves nothing";
+        << "plan injected nothing; the identity proves nothing";
     // ...yet no exchange ever reached a terminal resilience state: the
-    // clamp turns every impairment into pressure, never failure.
+    // first-attempt rule turns every impairment into pressure, never
+    // failure.
     EXPECT_EQ(impairments("netio.client.expirations"), 0u);
     EXPECT_EQ(impairments("netio.client.breaker_fastfails"), 0u);
     EXPECT_EQ(impairments("netio.client.retry_budget_rejections"), 0u);
     EXPECT_EQ(impairments("netio.client.hang_guard_trips"), 0u);
-    EXPECT_EQ(impairments("netio.chaos.corrupts"), 0u);
+    EXPECT_EQ(impairments("fault.wire.corrupt"), 0u);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ChaosDeterminism, testing::Values(1u, 8u));
+INSTANTIATE_TEST_SUITE_P(Threads, ChaosDeterminism, testing::Values(8u));
 
 // --- unsurvivable profiles: graceful degradation --------------------------
 
@@ -120,11 +126,12 @@ StudyConfig tiny_config(std::uint64_t seed) {
 /// corrupt=1 flips one bit in every datagram, both directions: answers
 /// die in flight (bad frame, bad mux ID, undecodable DNS bytes), and the
 /// resilience machinery must carry the run to completion.
-netio::LoopbackDns::Options corrupting_chaos() {
+constexpr const char* kCorruptingWire = "corrupt=1";
+
+netio::LoopbackDns::Options corrupting_netio() {
   netio::LoopbackDns::Options options;
   options.rto_us = 5'000;
   options.max_rto_us = 20'000;  // keep the backoff schedule test-sized
-  options.chaos.corrupt = 1.0;
   return options;
 }
 
@@ -143,13 +150,14 @@ void expect_exact_accounting(const obs::MetricsSnapshot& before,
                 delta("netio.client.retry_budget_rejections") +
                 delta("netio.client.breaker_fastfails") +
                 delta("netio.client.hang_guard_trips"));
-  EXPECT_GT(delta("netio.chaos.corrupts"), 0u);
+  EXPECT_GT(delta("fault.wire.corrupt"), 0u);
   EXPECT_EQ(delta("netio.client.hang_guard_trips"), 0u) << "run hung";
 }
 
 TEST(ChaosDegradation, CorruptingWireTripsBreakersAndStillCompletes) {
+  fault::ScopedPlan wire{kCorruptingWire};
   auto config = tiny_config(911);
-  config.netio = corrupting_chaos();
+  config.netio = corrupting_netio();
   // A hair-trigger breaker with an hour-long cooldown: one silent expiry
   // opens a server's breaker and everything else to it fast-fails — the
   // run finishes on fast failures, not timeouts. Threshold 1 because a
@@ -177,8 +185,9 @@ TEST(ChaosDegradation, CorruptingWireTripsBreakersAndStillCompletes) {
 }
 
 TEST(ChaosDegradation, CorruptingWireExhaustsRetryBudgetAndStillCompletes) {
+  fault::ScopedPlan wire{kCorruptingWire};
   auto config = tiny_config(912);
-  config.netio = corrupting_chaos();
+  config.netio = corrupting_netio();
   // No breaker (threshold out of reach), a five-token budget that never
   // refills: once it drains, every exchange fails at its first deadline
   // with a budget rejection instead of feeding a retry storm.

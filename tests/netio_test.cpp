@@ -3,8 +3,9 @@
 // SocketDnsTransport end to end over real localhost UDP — byte-equality
 // against the in-process backend, unreachable fast-fail, retransmit
 // expiry under injected loss, pipelined multi-threaded exchanges under a
-// tiny in-flight cap, and a malformed-datagram corpus the server must
-// survive. Runs under ASan/TSan in CI (socket-smoke and tsan jobs).
+// tiny in-flight cap, a malformed-datagram corpus the server must
+// survive, and the fault plan's wire decisions executed on real
+// datagrams. Runs under ASan/TSan in CI (socket-smoke and tsan jobs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include "dns/resolver.h"
 #include "dns/transport.h"
 #include "fault/fault.h"
-#include "netio/chaos.h"
 #include "netio/loopback.h"
 #include "netio/reactor.h"
 #include "netio/server.h"
@@ -323,6 +323,10 @@ class SocketBackendTest : public ::testing::Test {
     return options;
   }
 
+  /// An unimpaired plan, so an ambient CS_FAULT (the chaos-smoke CI job
+  /// exports one) cannot reach these exact-count cases; a test that wants
+  /// impairment installs its own plan on top.
+  fault::ScopedPlan unimpaired{fault::Spec{}};
   dns::SimulatedDnsNetwork network;
 };
 
@@ -366,14 +370,15 @@ TEST_F(SocketBackendTest, DownServerFailsFastAsUnreachable) {
 TEST_F(SocketBackendTest, InjectedLossExpiresAfterRetransmits) {
   auto options = tight_options();
   options.rto_us = 2'000;  // keep attempts * rto tiny
+  // The server's reactor threads read the plan, so it must outlive the
+  // backend; the loss is lifted below by uninstalling it, not deleting it.
+  fault::ScopedPlan plan{"loss=1"};
   LoopbackDns loopback{network, options};
   ASSERT_TRUE(loopback.start());
   const auto snapshot_before = obs::MetricsRegistry::instance().snapshot();
-  {
-    fault::ScopedPlan plan{"loss=1"};
-    EXPECT_FALSE(
-        loopback.transport().exchange(kClient, kRoot, query_bytes(10)));
-  }
+  EXPECT_FALSE(
+      loopback.transport().exchange(kClient, kRoot, query_bytes(10)));
+  fault::set_plan(nullptr);
   const auto snapshot = obs::MetricsRegistry::instance().snapshot();
   // All three attempts reached the server (loss re-decided identically),
   // the client retransmitted twice, then the exchange expired.
@@ -499,7 +504,7 @@ TEST_F(SocketBackendTest, ServerSurvivesMalformedDatagramCorpus) {
   }
 }
 
-// --- chaos link on the live path ------------------------------------------
+// --- the plan's wire decisions on the live path ---------------------------
 
 TEST_F(SocketBackendTest, ChaosDuplicatesAnswerOnceAndLandAsStrays) {
   // dup=1 doubles every datagram in both directions; the held-back copies
@@ -507,11 +512,9 @@ TEST_F(SocketBackendTest, ChaosDuplicatesAnswerOnceAndLandAsStrays) {
   // ID that is now stale. The FIFO free-list keeps released IDs cold and
   // the server check catches immediate reuse, so every late copy must be
   // counted a stray — never delivered, never corrupting a later answer.
-  auto options = tight_options();
-  options.chaos.dup = 1.0;
-  options.chaos.delay_us = 500;
-  options.chaos.jitter_us = 200;
-  LoopbackDns loopback{network, options};
+  // Installed before the backend so it outlives every reactor callback.
+  fault::ScopedPlan plan{"dup=1,delay_us=500,jitter_us=200"};
+  LoopbackDns loopback{network, tight_options()};
   ASSERT_TRUE(loopback.start());
   const auto want = network.exchange(kClient, kRoot, query_bytes(0));
   ASSERT_TRUE(want.has_value());
@@ -532,8 +535,7 @@ TEST_F(SocketBackendTest, ChaosDuplicatesAnswerOnceAndLandAsStrays) {
   // Let the held-back duplicates land before reading the counters.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const auto after = obs::MetricsRegistry::instance().snapshot();
-  EXPECT_GT(after.counter("netio.chaos.dups"),
-            before.counter("netio.chaos.dups"));
+  EXPECT_GT(after.counter("fault.wire.dup"), before.counter("fault.wire.dup"));
   EXPECT_GT(after.counter("netio.client.strays"),
             before.counter("netio.client.strays"));
   // Exactly one response settled each exchange: duplicates never matched
@@ -544,30 +546,61 @@ TEST_F(SocketBackendTest, ChaosDuplicatesAnswerOnceAndLandAsStrays) {
 }
 
 TEST_F(SocketBackendTest, ChaosDropClampForcesEventualDelivery) {
-  // drop=1 discards every datagram until the per-key budget
-  // (max_attempts - 1, shared by both directions) is spent, then
-  // force-delivers: the final attempt must get through and the answer
-  // must be byte-identical to the sim — the survivability contract.
+  // drop=1 loses every first attempt and nothing after it: the query's
+  // first send vanishes, the retransmit gets through, and the answer is
+  // byte-identical to the sim — the survivability contract.
   auto options = tight_options();
-  options.rto_us = 2'000;  // keep the forced retransmit schedule quick
-  options.chaos.drop = 1.0;
+  options.rto_us = 2'000;  // keep the retransmit schedule quick
+  fault::ScopedPlan plan{"drop=1"};
   LoopbackDns loopback{network, options};
   ASSERT_TRUE(loopback.start());
-  const auto before = obs::MetricsRegistry::instance().snapshot();
   const auto want = network.exchange(kClient, kRoot, query_bytes(0x99));
+  ASSERT_TRUE(want.has_value());
+  const auto before = obs::MetricsRegistry::instance().snapshot();
   const auto got =
       loopback.transport().exchange(kClient, kRoot, query_bytes(0x99));
-  ASSERT_TRUE(want.has_value());
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, *want);
   const auto after = obs::MetricsRegistry::instance().snapshot();
-  EXPECT_GE(after.counter("netio.chaos.drops") -
-                before.counter("netio.chaos.drops"),
-            2u);
-  EXPECT_GT(after.counter("netio.chaos.forced_deliveries"),
-            before.counter("netio.chaos.forced_deliveries"));
+  EXPECT_EQ(after.counter("fault.wire.drop") -
+                before.counter("fault.wire.drop"),
+            1u);
+  EXPECT_GE(after.counter("netio.client.retransmits") -
+                before.counter("netio.client.retransmits"),
+            1u);
   EXPECT_EQ(after.counter("netio.client.expirations"),
             before.counter("netio.client.expirations"));
+}
+
+TEST_F(SocketBackendTest, RepeatedExchangeIsDroppedOnEveryRepeat) {
+  // Regression: the configured drop rate used to decay over a run. The
+  // wire kept one attempt counter and one drop budget per exchange key
+  // for the whole process, so an exchange that recurs (every NS-address
+  // lookup after flush_cache() does) stopped being impaired once earlier
+  // repeats had spent max_attempts - 1 drops. A decision is now a pure
+  // function of the attempt index, so each repeat loses its first send.
+  auto options = tight_options();
+  options.rto_us = 2'000;
+  fault::ScopedPlan plan{"drop=1"};
+  LoopbackDns loopback{network, options};
+  ASSERT_TRUE(loopback.start());
+  const auto want = network.exchange(kClient, kRoot, query_bytes(0x5A));
+  ASSERT_TRUE(want.has_value());
+  const auto before = obs::MetricsRegistry::instance().snapshot();
+  constexpr std::uint64_t kRepeats = 8;
+  for (std::uint64_t i = 0; i < kRepeats; ++i) {
+    const auto got =
+        loopback.transport().exchange(kClient, kRoot, query_bytes(0x5A));
+    ASSERT_TRUE(got.has_value()) << "repeat " << i;
+    EXPECT_EQ(*got, *want) << "repeat " << i;
+  }
+  const auto after = obs::MetricsRegistry::instance().snapshot();
+  const auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  EXPECT_EQ(delta("fault.wire.drop"), kRepeats);
+  EXPECT_GE(delta("netio.client.retransmits"), kRepeats);
+  EXPECT_EQ(delta("netio.client.expirations"), 0u);
 }
 
 TEST_F(SocketBackendTest, RunningFlagGatesExchangeAcrossTheLifecycle) {
