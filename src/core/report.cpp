@@ -516,18 +516,12 @@ std::string render_data_quality(Study& study) {
   t.add("Unresolved subdomains", dataset.unresolved_subdomain_count());
   t.add("Resolver retries", snapshot.counter("dns.resolver.retries"));
   t.add("Resolver timeouts", snapshot.counter("dns.resolver.timeouts"));
-  // The socket client's degradation ledger: every fast-fail path is a
-  // named row, so an unsurvivable wire plan (or a genuinely sick wire)
-  // shows up as accounted failure, never silent data loss.
+  // The socket client's degradation ledger: an unsurvivable wire plan
+  // (or a genuinely sick wire) shows up as accounted expirations, never
+  // silent data loss.
   t.add("Socket retransmits", snapshot.counter("netio.client.retransmits"));
   t.add("Socket exchange expirations",
         snapshot.counter("netio.client.expirations"));
-  t.add("Retry budget rejections",
-        snapshot.counter("netio.client.retry_budget_rejections"));
-  t.add("Circuit breaker trips",
-        snapshot.counter("netio.client.breaker_trips"));
-  t.add("Circuit breaker fast-fails",
-        snapshot.counter("netio.client.breaker_fastfails"));
   t.add("Wire datagrams dropped", snapshot.counter("fault.wire.drop"));
   t.add("Wire datagrams duplicated", snapshot.counter("fault.wire.dup"));
   t.add("Wire datagrams corrupted", snapshot.counter("fault.wire.corrupt"));

@@ -68,7 +68,7 @@ struct StudyConfig {
   /// dataset is byte-identical over either backend at the same seed, so
   /// switching transports must not invalidate snapshots.
   std::optional<netio::TransportMode> transport;
-  /// Socket-backend sizing and resilience thresholds. nullopt defers to
+  /// Socket-backend sizing and retransmit schedule. nullopt defers to
   /// the CS_NETIO_* knobs; a set value (even the defaults) overrides them.
   /// Wire impairment is not configured here: it is the process-wide fault
   /// plan (CS_FAULT, or fault::ScopedPlan in tests). Excluded from the

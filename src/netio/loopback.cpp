@@ -42,21 +42,10 @@ LoopbackDns::Options LoopbackDns::options_from_env() {
                         "in-flight query cap >= 1");
   options.rto_us = env_unsigned_knob(
       util::Knob::kNetioRtoUs, static_cast<unsigned>(options.rto_us),
-      "initial retransmit timeout in us >= 1");
+      "first attempt's retransmit timeout in us >= 1");
   options.max_attempts =
       env_unsigned_knob(util::Knob::kNetioMaxAttempts, options.max_attempts,
                         "send attempts per exchange >= 1");
-  options.retry_budget_cap = env_unsigned_knob(
-      util::Knob::kNetioRetryBudget,
-      static_cast<unsigned>(options.retry_budget_cap),
-      "retry token bucket capacity >= 1");
-  options.breaker_threshold = env_unsigned_knob(
-      util::Knob::kNetioBreakerFails, options.breaker_threshold,
-      "consecutive expiries to open the breaker >= 1");
-  options.breaker_cooldown_us = env_unsigned_knob(
-      util::Knob::kNetioBreakerCooldownUs,
-      static_cast<unsigned>(options.breaker_cooldown_us),
-      "breaker open->half-open delay in us >= 1");
   return options;
 }
 
@@ -72,21 +61,7 @@ LoopbackDns::~LoopbackDns() { stop(); }
 bool LoopbackDns::start() {
   if (running()) return true;
   if (!server_.start()) return false;
-  SocketDnsTransport::Options client;
-  client.server_port = server_.port();
-  client.max_in_flight = options_.max_in_flight;
-  client.client_sockets = options_.client_sockets
-                              ? options_.client_sockets
-                              : server_.thread_count();
-  client.rto_us = options_.rto_us;
-  client.max_attempts = options_.max_attempts;
-  client.min_rto_us = options_.min_rto_us;
-  client.max_rto_us = options_.max_rto_us;
-  client.retry_budget_credit = options_.retry_budget_credit;
-  client.retry_budget_cap = options_.retry_budget_cap;
-  client.breaker_threshold = options_.breaker_threshold;
-  client.breaker_cooldown_us = options_.breaker_cooldown_us;
-  transport_ = std::make_unique<SocketDnsTransport>(client);
+  transport_ = std::make_unique<SocketDnsTransport>(server_.port(), options_);
   if (!transport_->start()) {
     transport_.reset();
     server_.stop();

@@ -13,11 +13,8 @@
 ///   CS_TRANSPORT                sim (default) | socket
 ///   CS_NETIO_THREADS            server reactor threads (default 2)
 ///   CS_NETIO_INFLIGHT           client in-flight cap (default 256)
-///   CS_NETIO_RTO_US             initial retransmit timeout (default 100000)
+///   CS_NETIO_RTO_US             first attempt's wait in us (default 100000)
 ///   CS_NETIO_MAX_ATTEMPTS       sends before an exchange expires (default 3)
-///   CS_NETIO_RETRY_BUDGET       retry token-bucket capacity (default 1000)
-///   CS_NETIO_BREAKER_FAILS      expiries that open a breaker (default 16)
-///   CS_NETIO_BREAKER_COOLDOWN_US open -> half-open delay (default 250000)
 ///
 /// core::Study consults transport_mode_from_env() and, in socket mode,
 /// stands up a LoopbackDns over the world's SimulatedDnsNetwork and
@@ -36,19 +33,7 @@ TransportMode transport_mode_from_env();
 
 class LoopbackDns {
  public:
-  struct Options {
-    unsigned server_threads = 2;   ///< CS_NETIO_THREADS
-    unsigned max_in_flight = 256;  ///< CS_NETIO_INFLIGHT
-    unsigned client_sockets = 0;   ///< 0 = match server_threads
-    std::uint64_t rto_us = 100'000;         ///< CS_NETIO_RTO_US
-    unsigned max_attempts = 3;              ///< CS_NETIO_MAX_ATTEMPTS
-    std::uint64_t min_rto_us = 5'000;       ///< adaptive-RTO floor
-    std::uint64_t max_rto_us = 2'000'000;   ///< adaptive-RTO/backoff cap
-    double retry_budget_credit = 0.2;       ///< earned per first send
-    double retry_budget_cap = 1000.0;       ///< CS_NETIO_RETRY_BUDGET
-    unsigned breaker_threshold = 16;        ///< CS_NETIO_BREAKER_FAILS
-    std::uint64_t breaker_cooldown_us = 250'000;  ///< ..._COOLDOWN_US
-  };
+  using Options = netio::Options;
 
   /// Options with the CS_NETIO_* knobs applied (strict parses; malformed
   /// values warn and keep the defaults).

@@ -28,63 +28,49 @@ obs::Histogram& exchange_histogram() {
   return h;
 }
 
-obs::Histogram& rto_histogram() {
-  static auto& h = obs::histogram(
-      "netio.client.rto_us",
-      {1000, 2000, 5000, 10000, 25000, 50000, 100000, 250000, 500000,
-       1000000, 2000000});
-  return h;
-}
+}  // namespace
 
-/// Decorrelated jitter over the backed-off RTO: delay in [rto, 1.5*rto),
-/// drawn from a stream keyed only by (exchange key, attempt) so the
-/// schedule is a property of the exchange, not of scheduler timing.
-std::uint64_t jittered_delay(std::uint64_t rto_us, std::uint64_t exchange_key,
-                             unsigned attempt) noexcept {
+std::uint64_t retransmit_delay_us(std::uint64_t rto_us,
+                                  std::uint64_t exchange_key,
+                                  unsigned attempt) noexcept {
+  // Doubling stops at the cap, so no attempt index can overflow it.
+  std::uint64_t d = std::min(std::max<std::uint64_t>(rto_us, 1),
+                             kMaxRetransmitDelayUs);
+  for (unsigned k = 1; k < attempt && d < kMaxRetransmitDelayUs; ++k)
+    d = std::min(d * 2, kMaxRetransmitDelayUs);
   util::Rng rng{exchange_key ^ kBackoffSalt ^
                 (static_cast<std::uint64_t>(attempt) *
                  0x9E3779B97F4A7C15ULL)};
-  return rto_us + static_cast<std::uint64_t>(0.5 * static_cast<double>(rto_us) *
-                                             rng.uniform01());
+  return d + static_cast<std::uint64_t>(0.5 * static_cast<double>(d) *
+                                        rng.uniform01());
 }
 
-}  // namespace
-
-SocketDnsTransport::SocketDnsTransport(Options options)
-    : options_(options),
-      budget_(RetryBudget::Options{options.retry_budget_credit,
-                                   options.retry_budget_cap}) {
+SocketDnsTransport::SocketDnsTransport(std::uint16_t server_port,
+                                       Options options)
+    : server_port_(server_port), options_(options) {
+  if (options_.server_threads == 0) options_.server_threads = 1;
   if (options_.max_in_flight == 0) options_.max_in_flight = 1;
   if (options_.max_in_flight > kMuxIds)
     options_.max_in_flight = static_cast<unsigned>(kMuxIds);
-  if (options_.client_sockets == 0) options_.client_sockets = 1;
   if (options_.max_attempts == 0) options_.max_attempts = 1;
-  if (options_.rto_us == 0) options_.rto_us = 1;
-  // The adaptive band must bracket the initial RTO: tests that pin a tiny
-  // rto_us get a floor below it, and the backoff cap never undercuts it.
-  if (options_.min_rto_us > options_.rto_us)
-    options_.min_rto_us = options_.rto_us;
-  if (options_.min_rto_us == 0) options_.min_rto_us = 1;
-  if (options_.max_rto_us < options_.rto_us)
-    options_.max_rto_us = options_.rto_us;
 }
 
 SocketDnsTransport::~SocketDnsTransport() { stop(); }
 
 bool SocketDnsTransport::start() {
   if (running()) return true;
-  if (options_.server_port == 0) {
+  if (server_port_ == 0) {
     obs::log_error("netio.client", "no server port configured");
     return false;
   }
   sockets_.clear();
-  sockets_.resize(options_.client_sockets);
+  sockets_.resize(options_.server_threads);
   for (std::size_t i = 0; i < sockets_.size(); ++i) {
     std::string error;
     // Each socket binds its own ephemeral source port, so the server's
     // SO_REUSEPORT hash spreads this client across its reactor workers.
     if (!sockets_[i].open_loopback(0, /*reuse_port=*/false, &error) ||
-        !sockets_[i].connect_loopback(options_.server_port, &error)) {
+        !sockets_[i].connect_loopback(server_port_, &error)) {
       obs::log_error("netio.client", "client socket {} failed: {}", i, error);
       sockets_.clear();
       return false;
@@ -105,10 +91,9 @@ bool SocketDnsTransport::start() {
   reactor_.start();
   obs::log_info("netio.client",
                 "connected {} sockets to 127.0.0.1:{} (in-flight cap {}, "
-                "rto {} us x{}, adaptive band [{}, {}] us)",
-                sockets_.size(), options_.server_port, options_.max_in_flight,
-                options_.rto_us, options_.max_attempts, options_.min_rto_us,
-                options_.max_rto_us);
+                "rto {} us x{})",
+                sockets_.size(), server_port_, options_.max_in_flight,
+                options_.rto_us, options_.max_attempts);
   return true;
 }
 
@@ -121,49 +106,15 @@ void SocketDnsTransport::stop() {
     std::vector<std::uint16_t> live;
     live.reserve(pending_.size());
     for (const auto& [mux_id, p] : pending_) live.push_back(mux_id);
-    for (const auto mux_id : live) {
-      // No verdict on the server either way; free any half-open probe.
-      server_state_locked(pending_[mux_id]->server.value())
-          .breaker.on_abandon();
-      settle_locked(mux_id, std::nullopt);
-    }
+    for (const auto mux_id : live) settle_locked(mux_id, std::nullopt);
   }
   slot_free_.notify_all();
   reactor_.stop();
   sockets_.clear();
 }
 
-SocketDnsTransport::ServerState& SocketDnsTransport::server_state_locked(
-    std::uint32_t server) {
-  auto it = servers_.find(server);
-  if (it == servers_.end())
-    it = servers_.emplace(server, ServerState{options_}).first;
-  return it->second;
-}
-
-void SocketDnsTransport::breaker_failure_locked(ServerState& state) {
-  static auto& trips = obs::counter("netio.client.breaker_trips");
-  static auto& open_gauge = obs::gauge("netio.client.breakers_open");
-  const bool was_open = state.breaker.state() == CircuitBreaker::State::kOpen;
-  const bool was_tripped =
-      state.breaker.state() != CircuitBreaker::State::kClosed;
-  state.breaker.on_failure(Reactor::now_us());
-  if (!was_open && state.breaker.state() == CircuitBreaker::State::kOpen)
-    trips.inc();
-  if (!was_tripped &&
-      state.breaker.state() != CircuitBreaker::State::kClosed)
-    open_gauge.set(++breakers_open_);
-}
-
-void SocketDnsTransport::breaker_success_locked(ServerState& state) {
-  static auto& open_gauge = obs::gauge("netio.client.breakers_open");
-  const bool was_tripped =
-      state.breaker.state() != CircuitBreaker::State::kClosed;
-  state.breaker.on_success();
-  if (was_tripped && breakers_open_ > 0) open_gauge.set(--breakers_open_);
-}
-
-void SocketDnsTransport::send_query_locked(Pending& p) {
+void SocketDnsTransport::send_attempt_locked(std::uint16_t mux_id,
+                                             Pending& p) {
   const auto attempt = p.attempts - 1;
   set_frame_attempt(p.datagram,
                     static_cast<std::uint8_t>(std::min(attempt, 255u)));
@@ -180,14 +131,15 @@ void SocketDnsTransport::send_query_locked(Pending& p) {
                   if (running_.load(std::memory_order_acquire))
                     sockets_[index].send(bytes);
                 });
+  p.timer = reactor_.run_after(
+      retransmit_delay_us(options_.rto_us, p.exchange_key, p.attempts),
+      [this, mux_id] { on_retransmit_deadline(mux_id); });
 }
 
 std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
     net::Ipv4 client, net::Ipv4 server, std::span<const std::uint8_t> query) {
   static auto& exchanges = obs::counter("netio.client.exchanges");
-  static auto& fastfails = obs::counter("netio.client.breaker_fastfails");
   static auto& in_flight_gauge = obs::gauge("netio.client.in_flight");
-  static auto& budget_gauge = obs::gauge("netio.client.retry_budget_tokens");
   static auto& guard_trips = obs::counter("netio.client.hang_guard_trips");
 
   std::shared_ptr<Pending> p;
@@ -200,14 +152,6 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
       slot_free_.wait(mutex_);
     if (!running_.load(std::memory_order_relaxed)) return std::nullopt;
     exchanges.inc();
-    // Fail fast while the server's breaker is open: no slot, no send, no
-    // retransmit schedule — the caller sees the same nullopt a timeout
-    // would produce, a few RTOs sooner and without wire pressure.
-    if (!server_state_locked(server.value())
-             .breaker.allow(Reactor::now_us())) {
-      fastfails.inc();
-      return std::nullopt;
-    }
     ++in_flight_;
     in_flight_gauge.set(in_flight_);
     mux_id = free_ids_.front();
@@ -224,26 +168,17 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
     p->sent_us = Reactor::now_us();
     p->attempts = 1;
     pending_.emplace(mux_id, p);
-
-    auto& state = server_state_locked(server.value());
-    const auto rto_us = state.rto.rto_us();
-    rto_histogram().observe(static_cast<double>(rto_us));
-    budget_.on_send();
-    budget_gauge.set(static_cast<std::int64_t>(budget_.tokens()));
-    send_query_locked(*p);
-    p->timer = reactor_.run_after(
-        rto_us, [this, mux_id] { on_retransmit_deadline(mux_id); });
+    send_attempt_locked(mux_id, *p);
   }
 
   // Hang guard: the retransmit schedule bounds every exchange, so waiting
   // past it (a lost timer would be a netio bug, not an injected fault)
   // must not deadlock the resolver; reclaim the slot and fail the lookup.
-  // The bound uses the adaptive cap: every armed delay is <= 1.5 *
-  // max_rto_us.
+  // Every armed delay is < 1.5 * kMaxRetransmitDelayUs.
   // cslint:allow(D1): hang-guard deadline needs the raw monotonic clock for cv::wait_until; transport timing never shapes artifacts
   const auto guard_deadline = std::chrono::steady_clock::now() +
       std::chrono::microseconds(
-          options_.max_rto_us * 2 * options_.max_attempts + 1'000'000);
+          kMaxRetransmitDelayUs * 2 * options_.max_attempts + 1'000'000);
   bool done = false;
   {
     util::LockGuard pl{p->m};
@@ -259,8 +194,6 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
       guard_trips.inc();
       obs::log_warn("netio.client",
                     "exchange hang guard tripped (mux id {})", mux_id);
-      // A wedged exchange says nothing about the server; free the probe.
-      server_state_locked(p->server.value()).breaker.on_abandon();
       settle_locked(mux_id, std::nullopt);
     }
   }
@@ -301,21 +234,13 @@ void SocketDnsTransport::on_frame(std::span<const std::uint8_t> datagram) {
     strays.inc();
     return;
   }
-  auto& state = server_state_locked(it->second->server.value());
   if (frame->kind == FrameKind::kUnreachable) {
+    // The path answered — the *server* is down: fail now, as the sim does.
     unreachable.inc();
-    // The path answered — the *server* is down. Breaker success keeps
-    // set_down semantics identical between the sim and socket backends.
-    breaker_success_locked(state);
     settle_locked(*mux_id, std::nullopt);
     return;
   }
   responses.inc();
-  // Karn's rule: only a never-retransmitted exchange yields a clean RTT
-  // sample (a retransmitted one cannot tell which send was answered).
-  if (!it->second->retransmitted)
-    state.rto.observe_rtt(Reactor::now_us() - it->second->sent_us);
-  breaker_success_locked(state);
   std::vector<std::uint8_t> bytes{frame->payload.begin(),
                                   frame->payload.end()};
   // Hand the resolver back its own DNS ID; the mux ID was transport-local.
@@ -326,48 +251,23 @@ void SocketDnsTransport::on_frame(std::span<const std::uint8_t> datagram) {
 void SocketDnsTransport::on_retransmit_deadline(std::uint16_t mux_id) {
   static auto& retransmits = obs::counter("netio.client.retransmits");
   static auto& expirations = obs::counter("netio.client.expirations");
-  static auto& rejections = obs::counter("netio.client.retry_budget_rejections");
-  static auto& budget_gauge = obs::gauge("netio.client.retry_budget_tokens");
 
   util::LockGuard lock{mutex_};
   const auto it = pending_.find(mux_id);
   if (it == pending_.end()) return;  // settled while the timer fired
   auto& p = *it->second;
-  auto& state = server_state_locked(p.server.value());
-  // Karn backoff: every expiry doubles this server's RTO (capped); the
-  // next clean sample resets it.
-  state.rto.on_timeout();
   if (p.attempts >= options_.max_attempts) {
     expirations.inc();
-    breaker_failure_locked(state);
     settle_locked(mux_id, std::nullopt);
     return;
   }
-  if (!budget_.try_spend()) {
-    // Correlated loss has drained the retry budget: refuse the retransmit
-    // and fail the exchange now — a storm of retries into a lossy path
-    // only feeds the loss. Counted, and no server verdict (the breaker
-    // only trusts full expiries).
-    rejections.inc();
-    budget_gauge.set(static_cast<std::int64_t>(budget_.tokens()));
-    state.breaker.on_abandon();
-    settle_locked(mux_id, std::nullopt);
-    return;
-  }
-  budget_gauge.set(static_cast<std::int64_t>(budget_.tokens()));
   ++p.attempts;
-  p.retransmitted = true;
   retransmits.inc();
   // Same DNS bytes, same mux ID: the server replays the same seeded
   // loss/timeout decision, so an injected loss stays lost across every
   // attempt. Only the frame's attempt index moves, and with it the
-  // wire's per-datagram decisions.
-  send_query_locked(p);
-  const auto delay_us =
-      jittered_delay(state.rto.rto_us(), p.exchange_key, p.attempts);
-  rto_histogram().observe(static_cast<double>(delay_us));
-  p.timer = reactor_.run_after(
-      delay_us, [this, mux_id] { on_retransmit_deadline(mux_id); });
+  // wire's per-datagram decisions and this attempt's wait.
+  send_attempt_locked(mux_id, p);
 }
 
 void SocketDnsTransport::settle_locked(

@@ -10,7 +10,6 @@
 
 #include "dns/transport.h"
 #include "netio/reactor.h"
-#include "netio/resilience.h"
 #include "netio/socket.h"
 #include "util/sync.h"
 
@@ -29,16 +28,12 @@
 /// exchange almost always finds its slot empty (and is counted, not
 /// misdelivered — the slot also pins the expected server address).
 ///
-/// Loss recovery is adaptive (resilience.h): each server gets an RFC 6298
-/// RTO estimator fed only by clean samples (Karn's rule), retransmits
-/// back off exponentially with deterministic decorrelated jitter keyed by
-/// the exchange, a global token-bucket retry budget refuses retransmits
-/// under correlated loss, and a per-server circuit breaker fails new
-/// exchanges fast once a server has expired enough exchanges in a row.
-/// Every fast-fail path is a named counter surfaced in the data-quality
-/// report — degradation is accounted, never silent. A kUnreachable
-/// control frame from the server settles the exchange immediately and
-/// counts as breaker *success*: the path answered, the server said no.
+/// Loss recovery is a pure function of the exchange (retransmit_delay_us):
+/// attempt k waits rto_us * 2^(k-1), capped at 2 s, plus jitter keyed by
+/// (exchange key, attempt), and the exchange expires after max_attempts
+/// sends. The client keeps no per-server state, so one exchange's fate
+/// never depends on how its neighbours fared. A kUnreachable control
+/// frame from the server settles the exchange immediately.
 ///
 /// Backpressure: at most max_in_flight exchanges may hold the wire; the
 /// next caller blocks until a slot frees, bounding socket-buffer pressure
@@ -51,23 +46,33 @@
 /// server decides the response direction without per-exchange state.
 namespace cs::netio {
 
+/// The socket backend's sizing and retransmit schedule, shared by the
+/// server/client harness (LoopbackDns) and the client itself.
+struct Options {
+  /// Server reactor threads (CS_NETIO_THREADS); the client opens as many
+  /// sockets, so its source ports spread over every SO_REUSEPORT worker.
+  unsigned server_threads = 2;
+  unsigned max_in_flight = 256;    ///< CS_NETIO_INFLIGHT
+  std::uint64_t rto_us = 100'000;  ///< first attempt's wait (CS_NETIO_RTO_US)
+  unsigned max_attempts = 3;       ///< CS_NETIO_MAX_ATTEMPTS
+};
+
+/// Longest wait any one attempt can be given before jitter.
+inline constexpr std::uint64_t kMaxRetransmitDelayUs = 2'000'000;
+
+/// How long attempt `attempt` (1-based) of the exchange keyed
+/// `exchange_key` waits for its answer: d = min(rto_us * 2^(attempt-1),
+/// kMaxRetransmitDelayUs), plus jitter drawn from [d, 1.5*d) by a stream
+/// keyed only by (exchange key, attempt) — a property of the exchange,
+/// never of scheduler timing or of other exchanges.
+std::uint64_t retransmit_delay_us(std::uint64_t rto_us,
+                                  std::uint64_t exchange_key,
+                                  unsigned attempt) noexcept;
+
 class SocketDnsTransport final : public dns::DnsTransport {
  public:
-  struct Options {
-    std::uint16_t server_port = 0;    ///< DnsSocketServer::port()
-    unsigned max_in_flight = 256;     ///< CS_NETIO_INFLIGHT
-    unsigned client_sockets = 2;      ///< spread over SO_REUSEPORT workers
-    std::uint64_t rto_us = 100'000;   ///< initial RTO (CS_NETIO_RTO_US)
-    unsigned max_attempts = 3;        ///< CS_NETIO_MAX_ATTEMPTS
-    std::uint64_t min_rto_us = 5'000;     ///< adaptive-RTO floor
-    std::uint64_t max_rto_us = 2'000'000;  ///< adaptive-RTO + backoff cap
-    double retry_budget_credit = 0.2;  ///< earned per first send
-    double retry_budget_cap = 1000.0;  ///< CS_NETIO_RETRY_BUDGET
-    unsigned breaker_threshold = 16;   ///< CS_NETIO_BREAKER_FAILS
-    std::uint64_t breaker_cooldown_us = 250'000;  ///< open -> half-open
-  };
-
-  explicit SocketDnsTransport(Options options);
+  /// `server_port` is the DnsSocketServer::port() to connect to.
+  SocketDnsTransport(std::uint16_t server_port, Options options);
   ~SocketDnsTransport() override;
 
   SocketDnsTransport(const SocketDnsTransport&) = delete;
@@ -106,19 +111,6 @@ class SocketDnsTransport final : public dns::DnsTransport {
     /// fault::query_key of the exchange: the wire-decision and
     /// backoff-jitter key, invariant across mux rewrites/retransmits.
     std::uint64_t exchange_key = 0;
-    /// Karn's rule: once true, this exchange's RTT never feeds SRTT.
-    bool retransmitted = false;
-  };
-
-  /// Per-server adaptive state, keyed by the simulated server address.
-  struct ServerState {
-    RtoEstimator rto;
-    CircuitBreaker breaker;
-    explicit ServerState(const Options& options)
-        : rto(RtoEstimator::Options{options.rto_us, options.min_rto_us,
-                                    options.max_rto_us}),
-          breaker(CircuitBreaker::Options{options.breaker_threshold,
-                                          options.breaker_cooldown_us}) {}
   };
 
   void drain(std::size_t socket_index);
@@ -128,14 +120,12 @@ class SocketDnsTransport final : public dns::DnsTransport {
   void settle_locked(std::uint16_t mux_id,
                      std::optional<std::vector<std::uint8_t>> result)
       CS_REQUIRES(mutex_);
-  /// Sends one copy of the pending query's datagram through the plan's
-  /// wire decision for its current attempt.
-  void send_query_locked(Pending& p) CS_REQUIRES(mutex_);
-  ServerState& server_state_locked(std::uint32_t server) CS_REQUIRES(mutex_);
-  /// Breaker failure with trip/open accounting.
-  void breaker_failure_locked(ServerState& state) CS_REQUIRES(mutex_);
-  void breaker_success_locked(ServerState& state) CS_REQUIRES(mutex_);
+  /// Sends the pending query's datagram for its current attempt, through
+  /// the plan's wire decision, and arms that attempt's deadline.
+  void send_attempt_locked(std::uint16_t mux_id, Pending& p)
+      CS_REQUIRES(mutex_);
 
+  std::uint16_t server_port_;
   Options options_;
   Reactor reactor_{"netio-client"};
   std::vector<UdpSocket> sockets_;
@@ -149,11 +139,7 @@ class SocketDnsTransport final : public dns::DnsTransport {
   std::deque<std::uint16_t> free_ids_ CS_GUARDED_BY(mutex_);
   std::unordered_map<std::uint16_t, std::shared_ptr<Pending>> pending_
       CS_GUARDED_BY(mutex_);
-  std::unordered_map<std::uint32_t, ServerState> servers_
-      CS_GUARDED_BY(mutex_);
-  RetryBudget budget_ CS_GUARDED_BY(mutex_);
   unsigned in_flight_ CS_GUARDED_BY(mutex_) = 0;
-  unsigned breakers_open_ CS_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace cs::netio

@@ -152,32 +152,13 @@ std::string RunReport::to_json() const {
     }
     out += util::fmt(",\n  \"fault\": {{\"total\": {}{}}}", total, events);
   }
-  // The socket client's resilience behaviour rides the perf manifests so
-  // a trajectory regression can be told apart from a wire that got sick:
-  // retransmit/expiry volume, breaker and budget activity, and the
-  // adaptive RTO's percentiles. The wire's impairments ride "fault".
-  {
-    double rto_p50 = 0.0;
-    double rto_p99 = 0.0;
-    std::uint64_t rto_count = 0;
-    for (const auto& h : metrics.histograms)
-      if (h.name == "netio.client.rto_us") {
-        rto_count = h.count;
-        rto_p50 = h.quantile(0.50);
-        rto_p99 = h.quantile(0.99);
-      }
-    out += util::fmt(
-        ",\n  \"resilience\": {{\"retransmits\": {}, \"expirations\": {}, "
-        "\"breaker_trips\": {}, \"breaker_fastfails\": {}, "
-        "\"retry_budget_rejections\": {}, "
-        "\"rto_us\": {{\"count\": {}, \"p50\": {:.3f}, \"p99\": {:.3f}}}}}",
-        metrics.counter("netio.client.retransmits"),
-        metrics.counter("netio.client.expirations"),
-        metrics.counter("netio.client.breaker_trips"),
-        metrics.counter("netio.client.breaker_fastfails"),
-        metrics.counter("netio.client.retry_budget_rejections"), rto_count,
-        rto_p50, rto_p99);
-  }
+  // The socket client's loss recovery rides the perf manifests so a
+  // trajectory regression can be told apart from a wire that got sick;
+  // the wire's impairments ride "fault".
+  out += util::fmt(
+      ",\n  \"resilience\": {{\"retransmits\": {}, \"expirations\": {}}}",
+      metrics.counter("netio.client.retransmits"),
+      metrics.counter("netio.client.expirations"));
   out += ",\n  \"stages\": [";
   bool first = true;
   for (const auto& stage : stages) {

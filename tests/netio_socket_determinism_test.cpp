@@ -3,7 +3,9 @@
 // simulated network or real localhost UDP sockets. Answer content is a
 // pure function of the world seed; the transport only changes timing.
 // Exercised at CS_THREADS 1 and 8 so the socket path also holds under
-// the exec pool's fan-out (and under TSan in CI).
+// the exec pool's fan-out (and under TSan in CI), and under an
+// exchange-level fault plan, where the socket client must expire exactly
+// the exchanges the sim loses.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +14,9 @@
 
 #include "core/study.h"
 #include "exec/config.h"
+#include "fault/fault.h"
 #include "netio/loopback.h"
+#include "obs/metrics.h"
 #include "analysis/snapshot.h"
 #include "snap/codec.h"
 
@@ -32,15 +36,20 @@ StudyConfig small_config(std::uint64_t seed, netio::TransportMode mode) {
   return config;
 }
 
-std::vector<std::uint8_t> dataset_bytes(std::uint64_t seed,
-                                        netio::TransportMode mode,
+std::vector<std::uint8_t> dataset_bytes(StudyConfig config,
                                         unsigned threads) {
   exec::ScopedThreads guard{threads};
-  Study study{small_config(seed, mode)};
+  Study study{std::move(config)};
   snap::Writer writer;
   snap::encode_artifact(writer, study.dataset());
   const auto bytes = writer.bytes();
   return {bytes.begin(), bytes.end()};
+}
+
+std::vector<std::uint8_t> dataset_bytes(std::uint64_t seed,
+                                        netio::TransportMode mode,
+                                        unsigned threads) {
+  return dataset_bytes(small_config(seed, mode), threads);
 }
 
 class SocketDeterminism : public testing::TestWithParam<unsigned> {};
@@ -60,6 +69,26 @@ TEST_P(SocketDeterminism, DatasetArtifactMatchesSimByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, SocketDeterminism,
                          testing::Values(1u, 8u));
+
+TEST(SocketDeterminism, ExchangeTimeoutsMatchSimByteForByte) {
+  // timeout=0.3 silences 30% of exchanges at the server on every attempt.
+  // The sim fails them at once; the socket client must expire exactly
+  // those after its retransmit schedule, and answer every other one.
+  fault::ScopedPlan plan{"timeout=0.3"};
+  const std::uint64_t seed = 2013;
+  const auto sim = dataset_bytes(seed, netio::TransportMode::kSim, 8);
+  auto config = small_config(seed, netio::TransportMode::kSocket);
+  config.netio.emplace();
+  config.netio->rto_us = 2'000;  // each lost exchange waits 2 + 4 + 8 ms
+  const auto before = obs::MetricsRegistry::instance().snapshot();
+  const auto socket = dataset_bytes(std::move(config), 8);
+  const auto after = obs::MetricsRegistry::instance().snapshot();
+  ASSERT_FALSE(sim.empty());
+  EXPECT_EQ(sim, socket) << "timeout plan altered the socket artifact";
+  EXPECT_GT(after.counter("fault.dns.timeout"),
+            before.counter("fault.dns.timeout"))
+      << "plan injected nothing; the identity proves nothing";
+}
 
 TEST(SocketDeterminism, SocketRunsAreReproducible) {
   // Same seed, same artifact, run to run — over real sockets.

@@ -1,5 +1,5 @@
-// The live-socket DNS backend, bottom up: timing wheel and frame codec
-// units, reactor timer/fd dispatch, then DnsSocketServer +
+// The live-socket DNS backend, bottom up: timing wheel, frame codec and
+// retransmit schedule units, reactor timer/fd dispatch, then DnsSocketServer +
 // SocketDnsTransport end to end over real localhost UDP — byte-equality
 // against the in-process backend, unreachable fast-fail, retransmit
 // expiry under injected loss, pipelined multi-threaded exchanges under a
@@ -226,6 +226,30 @@ TEST(Wire, DnsIdRewriteRoundTrips) {
 }
 
 // --- reactor --------------------------------------------------------------
+
+// --- retransmit schedule -------------------------------------------------
+
+TEST(RetransmitSchedule, DoublesPerAttemptUnderACapWithKeyedJitter) {
+  constexpr std::uint64_t kRto = 5'000;
+  for (const std::uint64_t key : {0ull, 0x5EEDull, ~0ull}) {
+    for (unsigned attempt = 1; attempt <= 255; ++attempt) {
+      // 5 ms doubles past the 2 s cap at attempt 10.
+      const std::uint64_t d =
+          attempt < 10 ? kRto << (attempt - 1) : kMaxRetransmitDelayUs;
+      const auto delay = retransmit_delay_us(kRto, key, attempt);
+      EXPECT_GE(delay, d) << "attempt " << attempt;
+      EXPECT_LT(2 * delay, 3 * d) << "attempt " << attempt;
+      // A pure function: the same (key, attempt) always waits the same.
+      EXPECT_EQ(delay, retransmit_delay_us(kRto, key, attempt));
+    }
+  }
+  // No doubling overflows, however large the RTO or the attempt index.
+  const auto huge = retransmit_delay_us(~0ull, 7, 255);
+  EXPECT_GE(huge, kMaxRetransmitDelayUs);
+  EXPECT_LT(2 * huge, 3 * kMaxRetransmitDelayUs);
+  // The jitter is keyed: two exchanges wait different times.
+  EXPECT_NE(retransmit_delay_us(kRto, 1, 1), retransmit_delay_us(kRto, 2, 1));
+}
 
 TEST(Reactor, RunAfterFiresOnLoopThread) {
   Reactor reactor{"netio-test"};
@@ -608,9 +632,7 @@ TEST_F(SocketBackendTest, RunningFlagGatesExchangeAcrossTheLifecycle) {
   // under the transport mutex — a racy read for callers probing the
   // lifecycle from other threads. It is atomic now, and exchange() must
   // refuse (not crash, not touch the wire) outside the start/stop window.
-  SocketDnsTransport::Options options;
-  options.server_port = 1;  // never actually contacted
-  SocketDnsTransport transport{options};
+  SocketDnsTransport transport{/*server_port=*/1, Options{}};  // never used
   EXPECT_FALSE(transport.running());
   EXPECT_FALSE(transport.exchange(kClient, kRoot, query_bytes(31)));
   ASSERT_TRUE(transport.start());
