@@ -10,9 +10,11 @@
 // queue-depth counter lanes sampled at stage boundaries render there
 // too), and CS_BENCH_JSON=out.json to write the full obs::RunReport
 // sidecar, the same shape the bench binaries feed into csbench.
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/study.h"
 #include "exec/config.h"
@@ -51,25 +53,54 @@ int main(int argc, char** argv) {
   study.isp_study();
 
   // ---- span tree (events are recorded in open order = pre-order).
-  // Repeated same-name siblings (one dns.enumerate per domain) collapse
-  // into one line with a count.
+  // Every same-name sibling under one parent folds into one line with its
+  // count, total and max (one dns.enumerate per domain), and so do their
+  // children: a line stands for one path of span names from the root.
+  struct Folded {
+    std::string name;
+    std::size_t count = 0;
+    std::uint64_t total_us = 0;
+    std::uint64_t max_us = 0;
+    std::vector<std::size_t> children{};
+  };
   const auto events = obs::Tracer::instance().events();
-  std::cout << "Span tree:\n";
+  std::vector<Folded> folded;
+  std::vector<std::size_t> roots;
+  std::vector<std::size_t> folded_of(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     const auto& event = events[i];
-    std::uint64_t total_us = event.dur_us;
-    std::size_t repeats = 1;
-    while (i + 1 < events.size() &&
-           events[i + 1].name == event.name &&
-           events[i + 1].parent == event.parent) {
-      total_us += events[++i].dur_us;
-      ++repeats;
+    auto& siblings = event.parent < 0
+                         ? roots
+                         : folded[folded_of[event.parent]].children;
+    const auto it = std::find_if(
+        siblings.begin(), siblings.end(),
+        [&](std::size_t f) { return folded[f].name == event.name; });
+    std::size_t f = folded.size();
+    if (it != siblings.end()) {
+      f = *it;
+    } else {
+      siblings.push_back(f);  // before push_back below may move `siblings`
+      folded.push_back(Folded{.name = event.name});
     }
-    std::cout << util::fmt("{}{}{}  {:.1f} ms\n",
-                           std::string(2 * event.depth, ' '), event.name,
-                           repeats > 1 ? util::fmt(" x{}", repeats) : "",
-                           total_us / 1000.0);
+    folded_of[i] = f;
+    auto& line = folded[f];
+    ++line.count;
+    line.total_us += event.dur_us;
+    line.max_us = std::max(line.max_us, event.dur_us);
   }
+  std::cout << "Span tree:\n";
+  const auto print = [&](const auto& self, std::size_t f,
+                         std::size_t depth) -> void {
+    const auto& line = folded[f];
+    std::cout << util::fmt(
+        "{}{}{}  {:.1f} ms{}\n", std::string(2 * depth, ' '), line.name,
+        line.count > 1 ? util::fmt(" x{}", line.count) : "",
+        line.total_us / 1000.0,
+        line.count > 1 ? util::fmt(" (max {:.1f})", line.max_us / 1000.0)
+                       : "");
+    for (const auto child : line.children) self(self, child, depth + 1);
+  };
+  for (const auto root : roots) print(print, root, 0);
 
   std::cout << "\n" << obs::Tracer::instance().render_summary() << "\n";
 
@@ -113,6 +144,14 @@ int main(int argc, char** argv) {
         queries, 100.0 * nxdomain / queries,
         snapshot.counter("dns.server.axfr_granted"),
         snapshot.counter("dns.server.axfr_refused"));
+  const auto lookups = snapshot.counter("analysis.dataset.vantage_lookups");
+  if (lookups > 0) {
+    const auto exchanges =
+        snapshot.counter("analysis.dataset.vantage_exchanges");
+    std::cout << util::fmt(
+        "Vantage lookups: {} lookups, {} exchanges ({:.2f} per lookup).\n",
+        lookups, exchanges, static_cast<double>(exchanges) / lookups);
+  }
   std::cout << util::fmt(
       "pcap: {} packets decoded ({} bytes), {} truncated, {} flows "
       "assembled.\n",

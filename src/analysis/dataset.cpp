@@ -1,12 +1,11 @@
 #include "analysis/dataset.h"
 
 #include <algorithm>
-#include <set>
 
 #include "dns/wordlist.h"
 #include "exec/parallel.h"
-#include "internet/vantage.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/env.h"
 
@@ -22,6 +21,36 @@ constexpr net::Ipv4 kProbeClient{199, 16, 0, 10};
 constexpr std::size_t kDefaultChunkDomains = 4096;
 
 }  // namespace
+
+VantageLookups lookup_from_vantages(
+    dns::Resolver& resolver, const dns::Name& name,
+    const std::vector<internet::VantagePoint>& vantages, bool keep_records) {
+  obs::Span span{"analysis.dataset.vantage_lookups"};
+  VantageLookups seen;
+  const std::uint64_t queries_before = resolver.upstream_queries();
+  for (std::size_t v = 0; v < vantages.size(); ++v) {
+    resolver.flush_answers();
+    resolver.set_client_address(vantages[v].address);
+    const auto result = resolver.resolve(name, dns::RrType::kA);
+    if (!result.ok()) {
+      seen.failed.record(result.rcode);
+      continue;
+    }
+    ++seen.ok;
+    if (keep_records)
+      seen.records.insert(seen.records.end(), result.records.begin(),
+                          result.records.end());
+    const auto addresses = result.addresses();
+    const auto chain = result.cname_chain();
+    seen.addresses.insert(addresses.begin(), addresses.end());
+    seen.cnames.insert(chain.begin(), chain.end());
+    if (v == 0 && chain.empty() && !addresses.empty())
+      seen.direct_a_record = true;
+  }
+  resolver.flush_answers();
+  seen.exchanges = resolver.upstream_queries() - queries_before;
+  return seen;
+}
 
 DatasetBuilder::DatasetBuilder(const synth::World& world, Options options)
     : world_(world),
@@ -122,51 +151,33 @@ DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(
   const auto vantages = internet::planetlab_vantages(
       std::max<std::size_t>(1, options_.lookup_vantages));
 
+  // Exact work tally for the vantage loop, pushed to obs once per domain
+  // rather than once per lookup.
+  std::uint64_t vantage_exchanges = 0;
+
   for (const auto& subdomain : enumerated.subdomains) {
     SubdomainObservation obs;
     obs.name = subdomain;
     obs.domain = domain_truth.name;
     obs.domain_rank = domain_truth.rank;
 
-    std::set<net::Ipv4> addresses;
-    std::set<dns::Name> cnames;
-    // First a single-vantage lookup (the filtering query), then the
-    // distributed lookups from every vantage to capture geo-specific
-    // records; caches are flushed between vantages, as the paper did.
-    std::size_t lookups_ok = 0;
-    {
-      obs::Span lookups_span{"analysis.dataset.vantage_lookups"};
-      for (std::size_t v = 0; v < vantages.size(); ++v) {
-        resolver.flush_cache();
-        resolver.set_client_address(vantages[v].address);
-        const auto result = resolver.resolve(subdomain, dns::RrType::kA);
-        if (!result.ok()) {
-          domain_obs.failed_lookups.record(result.rcode);
-          continue;
-        }
-        ++lookups_ok;
-        if (options_.keep_records)
-          for (const auto& rr : result.records) obs.records.push_back(rr);
-        const auto result_addresses = result.addresses();
-        const auto chain = result.cname_chain();
-        addresses.insert(result_addresses.begin(), result_addresses.end());
-        cnames.insert(chain.begin(), chain.end());
-        if (v == 0 && chain.empty() && !result_addresses.empty())
-          obs.direct_a_record = true;
-      }
-      resolver.flush_cache();
-    }
+    auto seen = lookup_from_vantages(resolver, subdomain, vantages,
+                                     options_.keep_records);
+    vantage_exchanges += seen.exchanges;
+    domain_obs.failed_lookups.merge(seen.failed);
 
     // A name every vantage failed to resolve is missing data — recording
     // it as "other hosting" would corrupt the §3 aggregates, so it goes
     // to the unresolved ledger instead.
-    if (lookups_ok == 0) {
+    if (seen.ok == 0) {
       ++domain_obs.unresolved_subdomains;
       continue;
     }
+    obs.records = std::move(seen.records);
+    obs.direct_a_record = seen.direct_a_record;
 
     bool any_cloud = false;
-    for (const auto addr : addresses) {
+    for (const auto addr : seen.addresses) {
       const auto c = ranges_.classify(addr);
       switch (c.kind) {
         case IpClassification::Kind::kEc2:
@@ -191,8 +202,8 @@ DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(
       continue;
     }
 
-    obs.addresses.assign(addresses.begin(), addresses.end());
-    obs.cnames.assign(cnames.begin(), cnames.end());
+    obs.addresses.assign(seen.addresses.begin(), seen.addresses.end());
+    obs.cnames.assign(seen.cnames.begin(), seen.cnames.end());
 
     if (options_.collect_name_servers) {
       obs::Span ns_span{"analysis.dataset.name_servers"};
@@ -201,7 +212,7 @@ DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(
       for (const auto& rr : ns_result.records) {
         const auto* ns = std::get_if<dns::NsRecord>(&rr.data);
         if (!ns) continue;
-        resolver.flush_cache();
+        resolver.flush_answers();
         const auto addr_result =
             resolver.resolve(ns->nameserver, dns::RrType::kA);
         obs.name_servers.emplace_back(ns->nameserver,
@@ -212,6 +223,12 @@ DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(
     probe.cloud_subdomains.push_back(std::move(obs));
   }
   probe.queries_spent += resolver.upstream_queries() - queries_before;
+  static auto& lookups_metric =
+      obs::counter("analysis.dataset.vantage_lookups");
+  static auto& exchanges_metric =
+      obs::counter("analysis.dataset.vantage_exchanges");
+  lookups_metric.inc(enumerated.subdomains.size() * vantages.size());
+  exchanges_metric.inc(vantage_exchanges);
   return probe;
 }
 

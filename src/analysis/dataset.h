@@ -3,11 +3,13 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/ranges.h"
 #include "dns/enumerate.h"
+#include "internet/vantage.h"
 #include "synth/world.h"
 
 /// The Alexa subdomains dataset (§2.1): the product of AXFR attempts,
@@ -149,6 +151,31 @@ struct AlexaDataset {
     return n;
   }
 };
+
+/// What one name's distributed lookups saw.
+struct VantageLookups {
+  std::set<net::Ipv4> addresses;
+  std::set<dns::Name> cnames;
+  /// Every successful vantage's record chain, in vantage order; left
+  /// empty unless asked for.
+  std::vector<dns::ResourceRecord> records;
+  std::size_t ok = 0;  ///< vantages whose lookup succeeded
+  /// The first vantage got an address with no CNAME indirection.
+  bool direct_a_record = false;
+  FailedLookups failed;
+  std::uint64_t exchanges = 0;  ///< upstream queries the lookups spent
+};
+
+/// §2.1's distributed lookups of `name`: one A resolution from each
+/// vantage, with the answer cache flushed before each and once more at
+/// the end, as the paper flushed between PlanetLab nodes. The zone cuts
+/// stay: each node ran its own resolver, which kept its own cuts, and a
+/// referral never depends on the client. So a vantage after the first
+/// asks each zone on the chain once, while a client-dependent answer (a
+/// Traffic Manager member pick) is still asked afresh from every vantage.
+VantageLookups lookup_from_vantages(
+    dns::Resolver& resolver, const dns::Name& name,
+    const std::vector<internet::VantagePoint>& vantages, bool keep_records);
 
 class DatasetBuilder {
  public:

@@ -332,9 +332,11 @@ std::optional<std::vector<ResourceRecord>> Resolver::try_axfr(
 }
 
 void Resolver::flush_cache() {
-  cache_.clear();
+  flush_answers();
   cuts_.clear();
 }
+
+void Resolver::flush_answers() { cache_.clear(); }
 
 void Resolver::advance_time(std::uint32_t seconds) {
   now_ += seconds;

@@ -91,9 +91,15 @@ class Resolver {
     options_.client_address = address;
   }
 
-  /// Drops all cached answers and zone cuts (the paper flushed caches
-  /// between NS probes).
+  /// Drops all cached answers and zone cuts: the next walk starts at the
+  /// roots, as a freshly started resolver's would.
   void flush_cache();
+
+  /// Drops cached answers but keeps the zone cuts: the next lookup asks
+  /// afresh for answers that may depend on the client (a Traffic Manager
+  /// member pick) yet still starts at the deepest known cut, since a
+  /// referral never depends on the client.
+  void flush_answers();
 
   /// Advances the simulated clock, expiring cache entries whose TTL passed.
   void advance_time(std::uint32_t seconds);

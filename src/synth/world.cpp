@@ -236,14 +236,19 @@ class World::Builder {
     tm_zone_ = host_infra("trafficmanager.net");
     // Traffic Manager's client-dependent answers (see deploy_traffic_manager).
     tm_members_ = std::make_shared<std::map<Name, std::vector<Name>>>();
+    world_.tm_members_ = tm_members_;
     infra_server_->set_dynamic_answer(
         [members = tm_members_](net::Ipv4 client, const Name& qname)
             -> std::optional<ResourceRecord> {
           const auto it = members->find(qname);
           if (it == members->end() || it->second.empty())
             return std::nullopt;
+          // Keyed by the client's /24 network, not its whole address:
+          // every PlanetLab vantage is host .10 of its own /24, so keying
+          // by the address handed all of them the same member of a
+          // two-member profile.
           const auto& pick =
-              it->second[client.value() % it->second.size()];
+              it->second[(client.value() >> 8) % it->second.size()];
           return ResourceRecord::cname(qname, pick, 30);
         });
     msecnd_zone_ = host_infra("msecnd.net");
@@ -1084,6 +1089,12 @@ const SubdomainTruth* World::subdomain_truth(const dns::Name& name) const {
   if (it == subdomain_index_.end()) return nullptr;
   const SubdomainTruth& truth = domains_[it->first].subdomains[it->second];
   return truth.name == name ? &truth : nullptr;
+}
+
+const std::vector<dns::Name>* World::traffic_manager_members(
+    const dns::Name& profile) const {
+  const auto it = tm_members_->find(profile);
+  return it == tm_members_->end() ? nullptr : &it->second;
 }
 
 std::vector<const SubdomainTruth*> World::cloud_subdomains() const {

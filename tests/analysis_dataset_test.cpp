@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <utility>
+
 #include "analysis/cloud_usage.h"
+#include "dns/server.h"
 #include "dns/wordlist.h"
+#include "exec/config.h"
+#include "obs/metrics.h"
 
 namespace cs::analysis {
 namespace {
@@ -277,6 +284,137 @@ TEST_F(DatasetTest, KeepRecordsFalseDropsOnlyRecords) {
     baseline_records += obs.records.size();
   EXPECT_GT(baseline_records, 0u);  // the default build does keep them
   expect_same_dataset(trimmed, *dataset_, /*compare_records=*/false);
+}
+
+// Traffic Manager picks a member per client network, so every vantage
+// must ask for the profile afresh. Traffic Manager is rare (1.5% of Azure
+// subdomains); seed 127's 250-domain world holds a two-member profile,
+// m.w16site.com. With as many vantages as members, the lookups must see
+// every member the world deployed.
+TEST(DatasetTrafficManagerTest, LookupsSeeEveryMember) {
+  synth::WorldConfig config;
+  config.seed = 127;
+  config.domain_count = 250;
+  const synth::World world{config};
+  constexpr std::size_t kVantages = 2;
+  const auto dataset =
+      DatasetBuilder{world, {.lookup_vantages = kVantages,
+                             .collect_name_servers = false}}
+          .build();
+  std::size_t multi_member = 0;
+  for (const auto& obs : dataset.cloud_subdomains) {
+    const auto* truth = world.subdomain_truth(obs.name);
+    ASSERT_NE(truth, nullptr);
+    if (truth->front_end != synth::FrontEnd::kTrafficManager) continue;
+    const std::vector<dns::Name>* members = nullptr;
+    for (const auto& cname : obs.cnames)
+      if (const auto* m = world.traffic_manager_members(cname)) members = m;
+    ASSERT_NE(members, nullptr) << obs.name.to_string();
+    ASSERT_LE(members->size(), kVantages) << obs.name.to_string();
+    if (members->size() > 1) ++multi_member;
+    for (const auto& member : *members) {
+      EXPECT_NE(std::find(obs.cnames.begin(), obs.cnames.end(), member),
+                obs.cnames.end())
+          << obs.name.to_string() << " never saw " << member.to_string();
+    }
+  }
+  EXPECT_GT(multi_member, 0u);
+}
+
+// The vantage-loop counters count work, not time: the same at any thread
+// count, and one lookup per (discovered subdomain, vantage).
+TEST_F(DatasetTest, VantageCountersAreIndependentOfThreadCount) {
+  const auto tally = [&](unsigned threads) {
+    exec::ScopedThreads guard{threads};
+    auto& registry = obs::MetricsRegistry::instance();
+    const auto before = registry.snapshot();
+    DatasetBuilder{*world_, {.lookup_vantages = 3}}.build();
+    const auto after = registry.snapshot();
+    const auto delta = [&](std::string_view name) {
+      return after.counter(name) - before.counter(name);
+    };
+    return std::pair{delta("analysis.dataset.vantage_lookups"),
+                     delta("analysis.dataset.vantage_exchanges")};
+  };
+  const auto one = tally(1);
+  const auto eight = tally(8);
+  EXPECT_EQ(one, eight);
+  std::uint64_t discovered = 0;
+  for (const auto& domain : dataset_->domains)
+    discovered += domain.subdomains_probed;
+  EXPECT_EQ(one.first, 3 * discovered);
+  EXPECT_GT(one.second, one.first);  // first vantages walk from the root
+}
+
+// The vantage loop's exact cost on a miniature tree:
+//   root (198.41.0.4) -> com -> example.com, holding www (A) and ext
+//   (CNAME to cdn.other.net, a zone under net).
+class VantageLookupTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    using dns::Name;
+    using dns::ResourceRecord;
+    const auto zone_at = [&](net::Ipv4 address, const char* origin) {
+      auto server = std::make_shared<dns::AuthoritativeServer>();
+      dns::SoaRecord soa;
+      soa.mname = soa.rname = Name::must_parse(origin);
+      network_.attach(address, server);
+      return &server->add_zone(Name::must_parse(origin), soa);
+    };
+    const auto delegate = [](dns::Zone* parent, const char* child,
+                             const char* ns, net::Ipv4 glue) {
+      parent->add(ResourceRecord::ns(Name::must_parse(child),
+                                     Name::must_parse(ns)));
+      parent->add(ResourceRecord::a(Name::must_parse(ns), glue));
+    };
+    const net::Ipv4 com_ip{192, 5, 6, 30}, net_ip{192, 5, 6, 31};
+    const net::Ipv4 example_ip{192, 0, 2, 53}, other_ip{192, 0, 2, 54};
+    auto* root = zone_at(kRoot, ".");
+    delegate(root, "com", "a.gtld.net", com_ip);
+    delegate(root, "net", "b.gtld.net", net_ip);
+    delegate(zone_at(com_ip, "com"), "example.com", "ns1.example.com",
+             example_ip);
+    delegate(zone_at(net_ip, "net"), "other.net", "ns1.other.net", other_ip);
+    auto* example = zone_at(example_ip, "example.com");
+    example->add(ResourceRecord::a(Name::must_parse("www.example.com"),
+                                   net::Ipv4{203, 0, 113, 80}));
+    example->add(ResourceRecord::cname(Name::must_parse("ext.example.com"),
+                                       Name::must_parse("cdn.other.net")));
+    zone_at(other_ip, "other.net")
+        ->add(ResourceRecord::a(Name::must_parse("cdn.other.net"),
+                                net::Ipv4{198, 18, 0, 1}));
+  }
+
+  /// Resolves `name` from the first `vantages` PlanetLab nodes with a
+  /// fresh resolver and returns the upstream queries it spent.
+  std::uint64_t cost(const char* name, std::size_t vantages) {
+    dns::Resolver resolver{network_, {.root_servers = {kRoot}}};
+    const auto seen =
+        lookup_from_vantages(resolver, dns::Name::must_parse(name),
+                             internet::planetlab_vantages(vantages), false);
+    EXPECT_EQ(seen.ok, vantages);
+    EXPECT_EQ(seen.addresses.size(), 1u);
+    EXPECT_EQ(seen.exchanges, resolver.upstream_queries());
+    return resolver.upstream_queries();
+  }
+
+  static constexpr net::Ipv4 kRoot{198, 41, 0, 4};
+  dns::SimulatedDnsNetwork network_;
+};
+
+// The first vantage walks root -> com -> example.com; every later one
+// asks example.com alone, because the cuts outlive the answer flush.
+TEST_F(VantageLookupTest, LaterVantagesAskOnlyTheZone) {
+  EXPECT_EQ(cost("www.example.com", 1), 3u);
+  EXPECT_EQ(cost("www.example.com", 2), 4u);
+  EXPECT_EQ(cost("www.example.com", 8), 10u);
+}
+
+// A cross-zone CNAME costs two walks on the first vantage (root, com,
+// example.com; root, net, other.net) and one query per zone after it.
+TEST_F(VantageLookupTest, LaterVantagesAskEachZoneOnTheChainOnce) {
+  EXPECT_EQ(cost("ext.example.com", 1), 6u);
+  EXPECT_EQ(cost("ext.example.com", 8), 20u);
 }
 
 }  // namespace

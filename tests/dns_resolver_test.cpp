@@ -224,6 +224,17 @@ TEST_F(ResolverFixture, FlushCacheDropsZoneCuts) {
   EXPECT_EQ(resolver.delegation_hits(), 0u);
 }
 
+TEST_F(ResolverFixture, FlushAnswersKeepsZoneCuts) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  resolver.flush_answers();
+  EXPECT_TRUE(
+      resolver.resolve(Name::must_parse("www.example.com"), RrType::kA).ok());
+  EXPECT_EQ(resolver.upstream_queries(), 4u);
+  EXPECT_EQ(resolver.cache_hits(), 0u);
+  EXPECT_EQ(resolver.delegation_hits(), 1u);
+}
+
 TEST_F(ResolverFixture, ZoneCutExpiresWithNsTtl) {
   Resolver resolver{network, options()};
   resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
