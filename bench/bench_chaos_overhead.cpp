@@ -1,6 +1,6 @@
 // Impairment-off must be free. Every datagram the socket transport sends
 // and every answer the server emits first asks the fault plan for a wire
-// decision (netio::send_impaired); with CS_FAULT unset that is one
+// decision (netio::wire_plan); with CS_FAULT unset that is one
 // relaxed load of the active plan and a predicted branch, the entire
 // cost of the feature. This bench prices that branch (target: around a
 // nanosecond per frame) and, for contrast, one live Plan::wire() decision
@@ -26,7 +26,7 @@ int main() {
       bench::env_size("CS_CHAOS_DECISIONS", 1'000'000);
 
   // The transports' impairment-off fast path, isolated: the branch
-  // send_impaired takes per frame when no plan is installed.
+  // wire_plan takes per frame when no plan is installed.
   fault::set_plan(nullptr);
   std::uint64_t delivered = 0;
   const auto off_start = std::chrono::steady_clock::now();

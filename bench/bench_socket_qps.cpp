@@ -1,8 +1,8 @@
 // Live-socket transport throughput: sustained queries/sec and exchange
 // latency percentiles for the netio backend (DnsSocketServer behind
-// SO_REUSEPORT listeners, SocketDnsTransport multiplexing pipelined
-// clients over real localhost UDP). The world is the usual synthetic
-// universe; every exchange is a full kernel round trip.
+// SO_REUSEPORT listeners, SocketDnsTransport with each client thread
+// waiting on its own socket over real localhost UDP). The world is the
+// usual synthetic universe; every exchange is a full kernel round trip.
 //
 // Extra knobs (on top of bench_common's):
 //   CS_QPS_CLIENTS - concurrent client threads (default 8)

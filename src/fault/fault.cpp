@@ -41,7 +41,7 @@ constexpr std::uint64_t kResponseSalt = 0x5E22E25E22E25E22ULL;
 /// attempt n-1's, so retransmit decisions are independent draws.
 constexpr std::uint64_t kAttemptStep = 0x9E3779B97F4A7C15ULL;
 /// Floor under the reorder/dup holdback so a zero-delay spec still moves
-/// the held datagram behind its successors on the timer wheel.
+/// the held datagram behind its successors on the wire.
 constexpr std::uint64_t kHoldbackFloorUs = 200;
 
 std::uint64_t wire_shard(Direction direction, std::uint64_t key,

@@ -37,9 +37,6 @@ LoopbackDns::Options LoopbackDns::options_from_env() {
   options.server_threads =
       env_unsigned_knob(util::Knob::kNetioThreads, options.server_threads,
                         "reactor thread count >= 1");
-  options.max_in_flight =
-      env_unsigned_knob(util::Knob::kNetioInflight, options.max_in_flight,
-                        "in-flight query cap >= 1");
   options.rto_us = env_unsigned_knob(
       util::Knob::kNetioRtoUs, static_cast<unsigned>(options.rto_us),
       "first attempt's retransmit timeout in us >= 1");
@@ -51,10 +48,7 @@ LoopbackDns::Options LoopbackDns::options_from_env() {
 
 LoopbackDns::LoopbackDns(const dns::SimulatedDnsNetwork& network,
                          Options options)
-    : options_(options),
-      server_(network,
-              DnsSocketServer::Options{
-                  options.server_threads ? options.server_threads : 1}) {}
+    : options_(options), server_(network, options.server_threads) {}
 
 LoopbackDns::~LoopbackDns() { stop(); }
 

@@ -12,7 +12,6 @@
 ///
 ///   CS_TRANSPORT                sim (default) | socket
 ///   CS_NETIO_THREADS            server reactor threads (default 2)
-///   CS_NETIO_INFLIGHT           client in-flight cap (default 256)
 ///   CS_NETIO_RTO_US             first attempt's wait in us (default 100000)
 ///   CS_NETIO_MAX_ATTEMPTS       sends before an exchange expires (default 3)
 ///

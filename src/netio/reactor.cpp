@@ -4,6 +4,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 
@@ -17,6 +18,14 @@ namespace {
 /// Idle sleep cap: with no timers pending the loop still wakes at this
 /// cadence to re-check the stop flag (stop() also wakes it eagerly).
 constexpr int kIdleSleepMs = 200;
+
+/// Heap order for Reactor::timers_: the root is the earliest deadline,
+/// and the earlier schedule among equal deadlines.
+template <typename Timer>
+bool fires_later(const Timer& a, const Timer& b) noexcept {
+  return a.deadline_us != b.deadline_us ? a.deadline_us > b.deadline_us
+                                        : a.sequence > b.sequence;
+}
 
 }  // namespace
 
@@ -58,23 +67,25 @@ bool Reactor::add_fd(int fd, std::function<void()> on_readable) {
   return true;
 }
 
-TimerWheel::Token Reactor::run_after(std::uint64_t delay_us,
-                                     std::function<void()> fn) {
+void Reactor::run_after(std::uint64_t delay_us, std::function<void()> fn) {
   const std::uint64_t deadline = now_us() + delay_us;
-  TimerWheel::Token token;
   {
-    util::LockGuard lock{wheel_mutex_};
-    token = wheel_.schedule(deadline, std::move(fn));
+    util::LockGuard lock{timers_mutex_};
+    timers_.push_back(Timer{deadline, next_sequence_++, std::move(fn)});
+    std::push_heap(timers_.begin(), timers_.end(), fires_later<Timer>);
   }
-  const std::uint64_t sleeping_until =
-      sleep_until_us_.load(std::memory_order_acquire);
-  if (sleeping_until == 0 || deadline < sleeping_until) wake();
-  return token;
+  wake();  // the loop may be sleeping past this deadline
 }
 
-bool Reactor::cancel_timer(TimerWheel::Token token) {
-  util::LockGuard lock{wheel_mutex_};
-  return wheel_.cancel(token);
+std::vector<std::function<void()>> Reactor::take_due_locked(
+    std::uint64_t now) {
+  std::vector<std::function<void()>> due;
+  while (!timers_.empty() && timers_.front().deadline_us <= now) {
+    std::pop_heap(timers_.begin(), timers_.end(), fires_later<Timer>);
+    due.push_back(std::move(timers_.back().fn));
+    timers_.pop_back();
+  }
+  return due;
 }
 
 void Reactor::start() {
@@ -105,22 +116,17 @@ void Reactor::loop() {
     // Sleep until the earliest timer (capped) or a readable fd/wakeup.
     int timeout_ms = kIdleSleepMs;
     {
-      util::LockGuard lock{wheel_mutex_};
-      if (const auto deadline = wheel_.next_deadline()) {
+      util::LockGuard lock{timers_mutex_};
+      if (!timers_.empty()) {
+        const std::uint64_t deadline = timers_.front().deadline_us;
         const std::uint64_t now = now_us();
-        timeout_ms = *deadline <= now
+        timeout_ms = deadline <= now
                          ? 0
-                         : static_cast<int>(
-                               std::min<std::uint64_t>(
-                                   (*deadline - now + 999) / 1000,
-                                   kIdleSleepMs));
-        sleep_until_us_.store(*deadline, std::memory_order_release);
-      } else {
-        sleep_until_us_.store(0, std::memory_order_release);
+                         : static_cast<int>(std::min<std::uint64_t>(
+                               (deadline - now + 999) / 1000, kIdleSleepMs));
       }
     }
     const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-    sleep_until_us_.store(0, std::memory_order_release);
     if (n < 0 && errno != EINTR) {
       obs::log_error("netio.reactor", "epoll_wait failed on {}: errno {}",
                      thread_name_, errno);
@@ -136,12 +142,13 @@ void Reactor::loop() {
       }
       if (idx < fds_.size()) fds_[idx].second();
     }
-    std::vector<std::function<void()>> fired;
+    // Callbacks run unlocked, so one may schedule the next timer.
+    std::vector<std::function<void()>> due;
     {
-      util::LockGuard lock{wheel_mutex_};
-      fired = wheel_.advance(now_us());
+      util::LockGuard lock{timers_mutex_};
+      due = take_due_locked(now_us());
     }
-    for (auto& fn : fired) fn();
+    for (auto& fn : due) fn();
   }
 }
 

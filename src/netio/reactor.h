@@ -8,18 +8,17 @@
 #include <utility>
 #include <vector>
 
-#include "netio/timer_wheel.h"
 #include "util/sync.h"
 
-/// Single-threaded epoll event loop: the heart of the netio subsystem.
+/// Single-threaded epoll event loop: the server half of netio.
 ///
 /// One Reactor owns one epoll instance and one loop thread. File
 /// descriptors are registered (before start) with a readable-callback;
-/// timers are scheduled from any thread onto a hashed TimerWheel and fire
-/// on the loop thread. An eventfd wakes the loop when a cross-thread
-/// schedule moves the earliest deadline closer than the loop's current
-/// sleep — in the steady state (retransmit timers far out, responses
-/// arriving promptly) schedules are lock-insert-unlock with no syscall.
+/// timers go on a min-heap ordered by (deadline, schedule sequence) and
+/// fire on the loop thread. An eventfd wakes the loop for stop() and for
+/// every schedule, so it re-reads the earliest deadline. The only timers
+/// are the server's held-back response copies under a wire fault plan, so
+/// the heap is empty in the common case.
 ///
 /// Timing here is the monotonic clock read directly (not through a seeded
 /// source): epoll timeouts and retransmit deadlines are *transport*
@@ -32,7 +31,7 @@ namespace cs::netio {
 class Reactor {
  public:
   /// `thread_name` becomes the loop thread's obs trace lane
-  /// ("netio-server-0", "netio-client", ...).
+  /// ("netio-server-0", ...).
   explicit Reactor(std::string thread_name);
   ~Reactor();
 
@@ -45,12 +44,10 @@ class Reactor {
   /// keeps the loop from spinning). Must be called before start().
   bool add_fd(int fd, std::function<void()> on_readable);
 
-  /// Schedules `fn` on the loop thread after `delay_us`. Thread-safe.
-  TimerWheel::Token run_after(std::uint64_t delay_us,
-                              std::function<void()> fn);
-
-  /// Cancels a pending timer; true if it had not fired. Thread-safe.
-  bool cancel_timer(TimerWheel::Token token);
+  /// Schedules `fn` on the loop thread after `delay_us`. Due timers fire
+  /// in deadline order, ties in schedule order; a deadline already past
+  /// fires on the loop's next turn. Thread-safe.
+  void run_after(std::uint64_t delay_us, std::function<void()> fn);
 
   /// Starts the loop thread. No-op if already running.
   void start();
@@ -63,12 +60,21 @@ class Reactor {
   }
 
   /// Monotonic microseconds, the loop's time base (exposed so server and
-  /// transport stamp latencies on the same clock).
+  /// transport stamp latencies and deadlines on the same clock).
   static std::uint64_t now_us() noexcept;
 
  private:
+  struct Timer {
+    std::uint64_t deadline_us = 0;
+    std::uint64_t sequence = 0;
+    std::function<void()> fn;
+  };
+
   void loop();
   void wake();
+  /// Pops every timer due at `now` off the heap, in firing order.
+  std::vector<std::function<void()>> take_due_locked(std::uint64_t now)
+      CS_REQUIRES(timers_mutex_);
 
   std::string thread_name_;
   int epoll_fd_ = -1;
@@ -77,11 +83,10 @@ class Reactor {
   std::thread thread_;
   std::atomic<bool> running_{false};
 
-  mutable util::Mutex wheel_mutex_;
-  TimerWheel wheel_ CS_GUARDED_BY(wheel_mutex_);
-  /// The deadline the loop is currently sleeping toward (us, 0 = none);
-  /// run_after only pays the eventfd wakeup when it beats this.
-  std::atomic<std::uint64_t> sleep_until_us_{0};
+  util::Mutex timers_mutex_;
+  /// A min-heap on (deadline_us, sequence).
+  std::vector<Timer> timers_ CS_GUARDED_BY(timers_mutex_);
+  std::uint64_t next_sequence_ CS_GUARDED_BY(timers_mutex_) = 0;
 };
 
 }  // namespace cs::netio

@@ -17,14 +17,9 @@ constexpr std::size_t kRecvBufferSize = 65536;
 
 }  // namespace
 
-DnsSocketServer::DnsSocketServer(const dns::SimulatedDnsNetwork& network)
-    : DnsSocketServer(network, Options{}) {}
-
 DnsSocketServer::DnsSocketServer(const dns::SimulatedDnsNetwork& network,
-                                 Options options)
-    : network_(network), options_(options) {
-  if (options_.threads == 0) options_.threads = 1;
-}
+                                 unsigned threads)
+    : network_(network), threads_(threads ? threads : 1) {}
 
 DnsSocketServer::~DnsSocketServer() { stop(); }
 
@@ -32,7 +27,7 @@ bool DnsSocketServer::start() {
   if (started_) return true;
   workers_.clear();
   port_ = 0;
-  for (unsigned i = 0; i < options_.threads; ++i) {
+  for (unsigned i = 0; i < threads_; ++i) {
     Worker worker;
     std::string error;
     // Every listener (including the first) opts into SO_REUSEPORT; the
@@ -107,8 +102,8 @@ void DnsSocketServer::drain(Worker& worker) {
         break;
       case dns::WireVerdict::kUnreachable: {
         unreachable.inc();
-        // Echo the query's DNS ID so the client settles the right
-        // in-flight exchange immediately (the ICMP-unreachable analog).
+        // Echo the query's DNS ID (the client's wire ID) so the client
+        // settles its exchange at once (the ICMP-unreachable analog).
         std::uint8_t echo[2] = {0, 0};
         if (frame->payload.size() >= 2) {
           echo[0] = frame->payload[0];
@@ -124,24 +119,35 @@ void DnsSocketServer::drain(Worker& worker) {
 void DnsSocketServer::send_frame(Worker& worker, const Endpoint& peer,
                                  const Frame& query, FrameKind kind,
                                  std::span<const std::uint8_t> payload) {
+  static auto& send_drops = obs::counter("netio.server.send_drops");
   const auto datagram = encode_frame(kind, query.client, query.server,
                                      payload, query.attempt);
-  // The key matches the client's, which keys the query before its mux-ID
-  // rewrite: query_key skips the ID bytes. Only hashed when a plan is
-  // installed. Held-back copies ride the worker's own reactor timers;
-  // stop() joins that reactor before the socket is closed, so the
-  // capture is safe.
-  const auto key = fault::active_plan()
-                       ? fault::query_key(query.client.value(),
-                                          query.server.value(), query.payload)
-                       : 0;
-  send_impaired(*worker.reactor, fault::Direction::kResponse, key,
-                query.attempt, datagram,
-                [w = &worker, peer](std::span<const std::uint8_t> bytes) {
-                  static auto& send_drops =
-                      obs::counter("netio.server.send_drops");
-                  if (!w->socket.send_to(peer, bytes)) send_drops.inc();
-                });
+  const auto send = [socket = &worker.socket, peer](
+                        std::span<const std::uint8_t> bytes) {
+    if (!socket->send_to(peer, bytes)) send_drops.inc();
+  };
+  const auto* plan = wire_plan();
+  if (!plan) [[likely]] {
+    send(datagram);
+    return;
+  }
+  // The key matches the client's, which keys the query before its wire-ID
+  // rewrite: query_key skips the ID bytes. Held-back copies ride the
+  // worker's own reactor timers; stop() joins that reactor before the
+  // socket is closed, so the capture is safe.
+  const auto key = fault::query_key(query.client.value(),
+                                    query.server.value(), query.payload);
+  for (auto& copy : wire_copies(*plan, fault::Direction::kResponse, key,
+                                query.attempt, datagram)) {
+    if (copy.delay_us == 0) {
+      send(copy.bytes);
+      continue;
+    }
+    worker.reactor->run_after(copy.delay_us,
+                              [send, bytes = std::move(copy.bytes)] {
+                                send(bytes);
+                              });
+  }
 }
 
 }  // namespace cs::netio

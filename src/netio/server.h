@@ -25,21 +25,17 @@
 ///
 /// Every outgoing response/unreachable frame takes the fault plan's wire
 /// decision for the response direction, keyed by the exchange and the
-/// attempt index the query frame carried (send_impaired in wire.h);
+/// attempt index the query frame carried (wire_copies in wire.h);
 /// held-back copies go out through the owning worker's reactor timers.
 namespace cs::netio {
 
 class DnsSocketServer {
  public:
-  struct Options {
-    unsigned threads = 2;  ///< reactor workers (CS_NETIO_THREADS)
-  };
-
-  /// `network` must outlive the server and stay quiescent (no attach /
-  /// set_observer) while the server runs; see the concurrency contract in
+  /// Serves on `threads` reactor workers (at least one). `network` must
+  /// outlive the server and stay quiescent (no attach / set_observer)
+  /// while the server runs; see the concurrency contract in
   /// dns/transport.h.
-  explicit DnsSocketServer(const dns::SimulatedDnsNetwork& network);
-  DnsSocketServer(const dns::SimulatedDnsNetwork& network, Options options);
+  DnsSocketServer(const dns::SimulatedDnsNetwork& network, unsigned threads);
   ~DnsSocketServer();
 
   DnsSocketServer(const DnsSocketServer&) = delete;
@@ -71,7 +67,7 @@ class DnsSocketServer {
                   FrameKind kind, std::span<const std::uint8_t> payload);
 
   const dns::SimulatedDnsNetwork& network_;
-  Options options_;
+  unsigned threads_;
   std::vector<Worker> workers_;
   std::uint16_t port_ = 0;
   bool started_ = false;

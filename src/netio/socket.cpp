@@ -53,17 +53,25 @@ bool UdpSocket::open_loopback(std::uint16_t port, bool reuse_port,
     set_error(error, "socket");
     return false;
   }
-  if (reuse_port) {
+  const auto enable_reuse_port = [&] {
     const int one = 1;
-    if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      set_error(error, "setsockopt(SO_REUSEPORT)");
-      close();
-      return false;
-    }
-  }
-  // Deep socket buffers: the client deliberately keeps hundreds of
-  // queries in flight, and a dropped datagram costs a retransmit timeout.
-  // Best effort — the kernel clamps to its limits.
+    if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0)
+      return true;
+    set_error(error, "setsockopt(SO_REUSEPORT)");
+    close();
+    return false;
+  };
+  // A kernel-assigned port is picked before SO_REUSEPORT goes on. Linux
+  // lets bind(0) with SO_REUSEPORT land on a port that another same-user
+  // process's SO_REUSEPORT sockets hold, and the new socket then joins
+  // their group and shares their datagrams (two test processes would
+  // answer each other's queries). A plain bind(0) never picks a held
+  // port; setting SO_REUSEPORT after it still lets later binds to the
+  // port join this socket.
+  if (reuse_port && port != 0 && !enable_reuse_port()) return false;
+  // Deep socket buffers: a server listener takes every caller's queries,
+  // and a dropped datagram costs a retransmit timeout. Best effort — the
+  // kernel clamps to its limits.
   const int bytes = 1 << 20;
   (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
   (void)::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
@@ -73,6 +81,7 @@ bool UdpSocket::open_loopback(std::uint16_t port, bool reuse_port,
     close();
     return false;
   }
+  if (reuse_port && port == 0 && !enable_reuse_port()) return false;
   socklen_t len = sizeof(addr);
   if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
     set_error(error, "getsockname");

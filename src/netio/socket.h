@@ -38,8 +38,10 @@ class UdpSocket {
 
   /// Opens a non-blocking loopback socket bound to 127.0.0.1:`port`
   /// (0 = kernel-assigned). `reuse_port` opts into SO_REUSEPORT so several
-  /// sockets can share one port — the server's listener fan-out. Returns
-  /// false (and stores nothing) on any syscall failure.
+  /// sockets can share one port — the server's listener fan-out. With
+  /// `port` 0 the kernel picks a port no other socket holds, so a new
+  /// fan-out never joins a foreign one. Returns false (and stores
+  /// nothing) on any syscall failure.
   bool open_loopback(std::uint16_t port, bool reuse_port,
                      std::string* error = nullptr);
 

@@ -1,10 +1,16 @@
 #include "netio/transport.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <chrono>
+#include <ctime>
+#include <limits>
 #include <string>
 
 #include "fault/fault.h"
+#include "netio/reactor.h"
 #include "netio/wire.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -15,7 +21,6 @@ namespace cs::netio {
 namespace {
 
 constexpr std::size_t kRecvBufferSize = 65536 + kFrameHeaderSize;
-constexpr std::size_t kMuxIds = 65536;  // the DNS header ID space
 
 /// Salt for the deterministic decorrelated backoff jitter stream.
 constexpr std::uint64_t kBackoffSalt = 0xBAC0FFBAC0FFBAC0ULL;
@@ -26,6 +31,85 @@ obs::Histogram& exchange_histogram() {
       {50, 100, 200, 500, 1000, 2000, 5000, 10000, 25000, 50000, 100000,
        250000, 500000});
   return h;
+}
+
+/// A query copy the wire plan held back, due at `due_us` (Reactor clock).
+struct HeldCopy {
+  std::uint64_t due_us = 0;
+  std::vector<std::uint8_t> bytes;
+};
+
+/// Puts attempt `attempt` (0-based) of an exchange on the wire through
+/// the plan's decision: copies due now go out at once, the rest join
+/// `held`. A failed send (full socket buffer) is just a lost datagram:
+/// the retransmit schedule recovers it.
+void send_attempt(UdpSocket& socket, std::vector<std::uint8_t>& datagram,
+                  std::uint64_t key, unsigned attempt,
+                  std::vector<HeldCopy>& held) {
+  set_frame_attempt(datagram,
+                    static_cast<std::uint8_t>(std::min(attempt, 255u)));
+  const auto* plan = wire_plan();
+  if (!plan) [[likely]] {
+    socket.send(datagram);
+    return;
+  }
+  const auto now = Reactor::now_us();
+  for (auto& copy : wire_copies(*plan, fault::Direction::kQuery, key,
+                                attempt, datagram)) {
+    if (copy.delay_us == 0)
+      socket.send(copy.bytes);
+    else
+      held.push_back(HeldCopy{now + copy.delay_us, std::move(copy.bytes)});
+  }
+}
+
+/// Sends every held copy due by `now_us` and returns the earliest due
+/// time left (max when none is).
+std::uint64_t send_due(UdpSocket& socket, std::vector<HeldCopy>& held,
+                       std::uint64_t now_us) {
+  std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+  std::erase_if(held, [&](const HeldCopy& copy) {
+    if (copy.due_us > now_us) {
+      next = std::min(next, copy.due_us);
+      return false;
+    }
+    socket.send(copy.bytes);
+    return true;
+  });
+  return next;
+}
+
+/// Reads every datagram waiting on `socket`. True once one settles the
+/// exchange — a response or unreachable frame carrying `wire_id` from
+/// `server` — with `answer` holding a response's payload. Anything else
+/// is a late or duplicated copy from an earlier exchange on this socket,
+/// or a datagram the wire mangled, and is counted a stray.
+bool receive(UdpSocket& socket, std::uint16_t wire_id, net::Ipv4 server,
+             std::optional<std::vector<std::uint8_t>>& answer) {
+  static auto& responses = obs::counter("netio.client.responses");
+  static auto& unreachable = obs::counter("netio.client.unreachable");
+  static auto& strays = obs::counter("netio.client.strays");
+  std::uint8_t buffer[kRecvBufferSize];
+  while (const auto n = socket.recv_from(buffer, nullptr)) {
+    const auto frame = decode_frame({buffer, *n});
+    if (!frame ||
+        (frame->kind != FrameKind::kResponse &&
+         frame->kind != FrameKind::kUnreachable) ||
+        dns_id(frame->payload) != wire_id || frame->server != server) {
+      strays.inc();
+      continue;
+    }
+    if (frame->kind == FrameKind::kUnreachable) {
+      // The path answered — the *server* is down: fail now, as the sim
+      // does.
+      unreachable.inc();
+      return true;
+    }
+    responses.inc();
+    answer.emplace(frame->payload.begin(), frame->payload.end());
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -48,250 +132,133 @@ std::uint64_t retransmit_delay_us(std::uint64_t rto_us,
 SocketDnsTransport::SocketDnsTransport(std::uint16_t server_port,
                                        Options options)
     : server_port_(server_port), options_(options) {
-  if (options_.server_threads == 0) options_.server_threads = 1;
-  if (options_.max_in_flight == 0) options_.max_in_flight = 1;
-  if (options_.max_in_flight > kMuxIds)
-    options_.max_in_flight = static_cast<unsigned>(kMuxIds);
   if (options_.max_attempts == 0) options_.max_attempts = 1;
 }
 
 SocketDnsTransport::~SocketDnsTransport() { stop(); }
 
 bool SocketDnsTransport::start() {
+  util::LockGuard lock{mutex_};
   if (running()) return true;
   if (server_port_ == 0) {
     obs::log_error("netio.client", "no server port configured");
     return false;
   }
-  sockets_.clear();
-  sockets_.resize(options_.server_threads);
-  for (std::size_t i = 0; i < sockets_.size(); ++i) {
-    std::string error;
-    // Each socket binds its own ephemeral source port, so the server's
-    // SO_REUSEPORT hash spreads this client across its reactor workers.
-    if (!sockets_[i].open_loopback(0, /*reuse_port=*/false, &error) ||
-        !sockets_[i].connect_loopback(server_port_, &error)) {
-      obs::log_error("netio.client", "client socket {} failed: {}", i, error);
-      sockets_.clear();
-      return false;
-    }
-    if (!reactor_.add_fd(sockets_[i].fd(), [this, i] { drain(i); })) {
-      obs::log_error("netio.client", "epoll registration failed");
-      sockets_.clear();
-      return false;
-    }
-  }
-  {
-    util::LockGuard lock{mutex_};
-    free_ids_.clear();
-    for (std::size_t id = 0; id < kMuxIds; ++id)
-      free_ids_.push_back(static_cast<std::uint16_t>(id));
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (stop_fd_ < 0) {
+    obs::log_error("netio.client", "stop eventfd failed");
+    return false;
   }
   running_.store(true, std::memory_order_release);
-  reactor_.start();
-  obs::log_info("netio.client",
-                "connected {} sockets to 127.0.0.1:{} (in-flight cap {}, "
-                "rto {} us x{})",
-                sockets_.size(), server_port_, options_.max_in_flight,
-                options_.rto_us, options_.max_attempts);
+  obs::log_info("netio.client", "querying 127.0.0.1:{} (rto {} us x{})",
+                server_port_, options_.rto_us, options_.max_attempts);
   return true;
 }
 
 void SocketDnsTransport::stop() {
-  {
-    util::LockGuard lock{mutex_};
-    if (!running_.load(std::memory_order_relaxed)) return;
-    running_.store(false, std::memory_order_release);
-    // Fail every still-blocked exchange; their callers wake with nullopt.
-    std::vector<std::uint16_t> live;
-    live.reserve(pending_.size());
-    for (const auto& [mux_id, p] : pending_) live.push_back(mux_id);
-    for (const auto mux_id : live) settle_locked(mux_id, std::nullopt);
-  }
-  slot_free_.notify_all();
-  reactor_.stop();
-  sockets_.clear();
+  util::LockGuard lock{mutex_};
+  if (!running_.load(std::memory_order_relaxed)) return;
+  running_.store(false, std::memory_order_release);
+  // The eventfd stays readable, so every caller's ppoll wakes, fails its
+  // exchange and hands its socket back.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const auto n = ::write(stop_fd_, &one, sizeof(one));
+  while (callers_ > 0) callers_left_.wait(mutex_);
+  idle_.clear();
+  ::close(stop_fd_);
+  stop_fd_ = -1;
 }
 
-void SocketDnsTransport::send_attempt_locked(std::uint16_t mux_id,
-                                             Pending& p) {
-  const auto attempt = p.attempts - 1;
-  set_frame_attempt(p.datagram,
-                    static_cast<std::uint8_t>(std::min(attempt, 255u)));
-  // A failed send (full socket buffer) is just a lost datagram: the
-  // retransmit timer recovers it. Held-back copies run on the reactor
-  // lock-free on purpose: B1 bans mutex acquisition inside reactor
-  // callbacks, and none is needed — the atomic running_ check plus
-  // stop()'s join-before-close ordering keep the send inside the
-  // sockets' lifetime.
-  send_impaired(reactor_, fault::Direction::kQuery, p.exchange_key, attempt,
-                p.datagram,
-                [this, index = p.socket_index](
-                    std::span<const std::uint8_t> bytes) {
-                  if (running_.load(std::memory_order_acquire))
-                    sockets_[index].send(bytes);
-                });
-  p.timer = reactor_.run_after(
-      retransmit_delay_us(options_.rto_us, p.exchange_key, p.attempts),
-      [this, mux_id] { on_retransmit_deadline(mux_id); });
+std::optional<UdpSocket> SocketDnsTransport::acquire_socket() {
+  {
+    util::LockGuard lock{mutex_};
+    if (!running_.load(std::memory_order_relaxed)) return std::nullopt;
+    ++callers_;
+    if (!idle_.empty()) {
+      UdpSocket socket = std::move(idle_.back());
+      idle_.pop_back();
+      return socket;
+    }
+  }
+  // Every pooled socket is busy: this caller gets its own. A fresh
+  // ephemeral source port also lets the server's SO_REUSEPORT hash
+  // spread concurrent callers across its reactor workers.
+  UdpSocket socket;
+  std::string error;
+  if (socket.open_loopback(0, /*reuse_port=*/false, &error) &&
+      socket.connect_loopback(server_port_, &error))
+    return socket;
+  obs::log_error("netio.client", "client socket failed: {}", error);
+  release_socket(UdpSocket{});
+  return std::nullopt;
+}
+
+void SocketDnsTransport::release_socket(UdpSocket socket) {
+  util::LockGuard lock{mutex_};
+  if (socket.valid()) idle_.push_back(std::move(socket));
+  if (--callers_ == 0) callers_left_.notify_all();
 }
 
 std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
     net::Ipv4 client, net::Ipv4 server, std::span<const std::uint8_t> query) {
   static auto& exchanges = obs::counter("netio.client.exchanges");
-  static auto& in_flight_gauge = obs::gauge("netio.client.in_flight");
-  static auto& guard_trips = obs::counter("netio.client.hang_guard_trips");
-
-  std::shared_ptr<Pending> p;
-  std::uint16_t mux_id = 0;
-  {
-    util::LockGuard lock{mutex_};
-    // Bounded in-flight backpressure: hold the caller until a slot frees.
-    while (running_.load(std::memory_order_relaxed) &&
-           in_flight_ >= options_.max_in_flight)
-      slot_free_.wait(mutex_);
-    if (!running_.load(std::memory_order_relaxed)) return std::nullopt;
-    exchanges.inc();
-    ++in_flight_;
-    in_flight_gauge.set(in_flight_);
-    mux_id = free_ids_.front();
-    free_ids_.pop_front();
-
-    p = std::make_shared<Pending>();
-    p->server = server;
-    p->original_id = dns_id(query).value_or(0);
-    p->exchange_key = fault::query_key(client.value(), server.value(), query);
-    std::vector<std::uint8_t> payload{query.begin(), query.end()};
-    rewrite_dns_id(payload, mux_id);
-    p->datagram = encode_frame(FrameKind::kQuery, client, server, payload);
-    p->socket_index = mux_id % sockets_.size();
-    p->sent_us = Reactor::now_us();
-    p->attempts = 1;
-    pending_.emplace(mux_id, p);
-    send_attempt_locked(mux_id, *p);
-  }
-
-  // Hang guard: the retransmit schedule bounds every exchange, so waiting
-  // past it (a lost timer would be a netio bug, not an injected fault)
-  // must not deadlock the resolver; reclaim the slot and fail the lookup.
-  // Every armed delay is < 1.5 * kMaxRetransmitDelayUs.
-  // cslint:allow(D1): hang-guard deadline needs the raw monotonic clock for cv::wait_until; transport timing never shapes artifacts
-  const auto guard_deadline = std::chrono::steady_clock::now() +
-      std::chrono::microseconds(
-          kMaxRetransmitDelayUs * 2 * options_.max_attempts + 1'000'000);
-  bool done = false;
-  {
-    util::LockGuard pl{p->m};
-    while (!p->done && p->cv.wait_until(p->m, guard_deadline) !=
-                           std::cv_status::timeout) {
-    }
-    done = p->done;
-  }
-  if (!done) {
-    util::LockGuard lock{mutex_};
-    if (const auto it = pending_.find(mux_id);
-        it != pending_.end() && it->second == p) {
-      guard_trips.inc();
-      obs::log_warn("netio.client",
-                    "exchange hang guard tripped (mux id {})", mux_id);
-      settle_locked(mux_id, std::nullopt);
-    }
-  }
-  util::LockGuard pl{p->m};
-  return std::move(p->result);
-}
-
-void SocketDnsTransport::drain(std::size_t socket_index) {
-  std::uint8_t buffer[kRecvBufferSize];
-  while (const auto n = sockets_[socket_index].recv_from(buffer, nullptr))
-    on_frame(std::span<const std::uint8_t>{buffer, *n});
-}
-
-void SocketDnsTransport::on_frame(std::span<const std::uint8_t> datagram) {
-  static auto& responses = obs::counter("netio.client.responses");
-  static auto& unreachable = obs::counter("netio.client.unreachable");
-  static auto& strays = obs::counter("netio.client.strays");
-
-  const auto frame = decode_frame(datagram);
-  if (!frame || (frame->kind != FrameKind::kResponse &&
-                 frame->kind != FrameKind::kUnreachable)) {
-    strays.inc();
-    return;
-  }
-  const auto mux_id = dns_id(frame->payload);
-  if (!mux_id) {
-    strays.inc();
-    return;
-  }
-
-  util::LockGuard lock{mutex_};
-  const auto it = pending_.find(*mux_id);
-  // A missing or mismatched slot is a straggler from an already-settled
-  // exchange (e.g. a retransmit raced its own first response); the FIFO
-  // free-list keeps released IDs cold, and the server check catches the
-  // rare immediate reuse.
-  if (it == pending_.end() || it->second->server != frame->server) {
-    strays.inc();
-    return;
-  }
-  if (frame->kind == FrameKind::kUnreachable) {
-    // The path answered — the *server* is down: fail now, as the sim does.
-    unreachable.inc();
-    settle_locked(*mux_id, std::nullopt);
-    return;
-  }
-  responses.inc();
-  std::vector<std::uint8_t> bytes{frame->payload.begin(),
-                                  frame->payload.end()};
-  // Hand the resolver back its own DNS ID; the mux ID was transport-local.
-  rewrite_dns_id(bytes, it->second->original_id);
-  settle_locked(*mux_id, std::move(bytes));
-}
-
-void SocketDnsTransport::on_retransmit_deadline(std::uint16_t mux_id) {
   static auto& retransmits = obs::counter("netio.client.retransmits");
   static auto& expirations = obs::counter("netio.client.expirations");
 
-  util::LockGuard lock{mutex_};
-  const auto it = pending_.find(mux_id);
-  if (it == pending_.end()) return;  // settled while the timer fired
-  auto& p = *it->second;
-  if (p.attempts >= options_.max_attempts) {
-    expirations.inc();
-    settle_locked(mux_id, std::nullopt);
-    return;
-  }
-  ++p.attempts;
-  retransmits.inc();
-  // Same DNS bytes, same mux ID: the server replays the same seeded
-  // loss/timeout decision, so an injected loss stays lost across every
-  // attempt. Only the frame's attempt index moves, and with it the
-  // wire's per-datagram decisions and this attempt's wait.
-  send_attempt_locked(mux_id, p);
-}
+  auto socket = acquire_socket();
+  if (!socket) return std::nullopt;
+  exchanges.inc();
+  const auto original_id = dns_id(query).value_or(0);
+  const auto wire_id = next_wire_id_.fetch_add(1, std::memory_order_relaxed);
+  auto datagram = encode_frame(FrameKind::kQuery, client, server, query);
+  rewrite_dns_id(std::span{datagram}.subspan(kFrameHeaderSize), wire_id);
+  // The wire-decision and backoff-jitter key: query_key skips the DNS ID,
+  // so it is the same before and after the wire-ID rewrite.
+  const auto key = fault::query_key(client.value(), server.value(), query);
+  const auto started_us = Reactor::now_us();
 
-void SocketDnsTransport::settle_locked(
-    std::uint16_t mux_id, std::optional<std::vector<std::uint8_t>> result) {
-  const auto it = pending_.find(mux_id);
-  if (it == pending_.end()) return;
-  const auto p = it->second;
-  pending_.erase(it);
-  // Back of the FIFO: a released ID stays out of circulation for as long
-  // as the free-list allows, so stragglers find an empty slot.
-  free_ids_.push_back(mux_id);
-  --in_flight_;
-  static auto& in_flight_gauge = obs::gauge("netio.client.in_flight");
-  in_flight_gauge.set(in_flight_);
-  reactor_.cancel_timer(p->timer);
-  exchange_histogram().observe(
-      static_cast<double>(Reactor::now_us() - p->sent_us));
-  {
-    util::LockGuard pl{p->m};
-    p->done = true;
-    p->result = std::move(result);
+  std::optional<std::vector<std::uint8_t>> answer;
+  std::vector<HeldCopy> held;
+  unsigned attempts = 0;
+  std::uint64_t deadline_us = 0;
+  for (;;) {
+    const auto now = Reactor::now_us();
+    if (now >= deadline_us) {
+      if (attempts == options_.max_attempts) {
+        expirations.inc();
+        break;
+      }
+      if (attempts > 0) retransmits.inc();
+      // Same DNS bytes, same wire ID: the server replays the same seeded
+      // loss/timeout decision, so an injected loss stays lost across
+      // every attempt. Only the frame's attempt index moves, and with it
+      // the wire's per-datagram decisions and this attempt's wait.
+      send_attempt(*socket, datagram, key, attempts, held);
+      ++attempts;
+      deadline_us =
+          now + retransmit_delay_us(options_.rto_us, key, attempts);
+    }
+    // Both the deadline and every held copy's due time lie past `now`.
+    const auto wait_us =
+        std::min(deadline_us, send_due(*socket, held, now)) - now;
+    const timespec timeout{static_cast<time_t>(wait_us / 1'000'000),
+                           static_cast<long>(wait_us % 1'000'000 * 1000)};
+    pollfd fds[2] = {{socket->fd(), POLLIN, 0}, {stop_fd_, POLLIN, 0}};
+    ::ppoll(fds, 2, &timeout, nullptr);
+    if (fds[1].revents != 0) break;  // stop(): fail the exchange
+    // Read on a timeout too: an answer that landed before this caller saw
+    // its deadline pass still settles the exchange.
+    if (receive(*socket, wire_id, server, answer)) break;
   }
-  p->cv.notify_one();
-  slot_free_.notify_one();
+  // Hand the resolver back its own DNS ID; the wire ID was transport-local.
+  if (answer) rewrite_dns_id(*answer, original_id);
+  // Only a drop keeps a datagram off the wire: copies the plan still
+  // holds go out now.
+  send_due(*socket, held, std::numeric_limits<std::uint64_t>::max());
+  exchange_histogram().observe(
+      static_cast<double>(Reactor::now_us() - started_us));
+  release_socket(std::move(*socket));
+  return answer;
 }
 
 }  // namespace cs::netio

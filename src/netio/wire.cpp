@@ -69,20 +69,34 @@ void rewrite_dns_id(std::span<std::uint8_t> payload, std::uint16_t id) {
   payload[1] = static_cast<std::uint8_t>(id & 0xFF);
 }
 
-void count_wire_decision(const fault::WireDecision& decision) {
+std::vector<WireCopy> wire_copies(const fault::Plan& plan,
+                                  fault::Direction direction,
+                                  std::uint64_t key, std::uint32_t attempt,
+                                  std::span<const std::uint8_t> datagram) {
   static auto& drops = obs::counter("fault.wire.drop");
   static auto& reorders = obs::counter("fault.wire.reorder");
   static auto& dups = obs::counter("fault.wire.dup");
   static auto& delays = obs::counter("fault.wire.delay");
   static auto& corrupts = obs::counter("fault.wire.corrupt");
+  const auto decision = plan.wire(direction, key, attempt, datagram.size());
   if (decision.drop) {
     drops.inc();
-    return;
+    return {};
   }
   if (decision.reorder) reorders.inc();
-  if (decision.duplicate) dups.inc();
   if (decision.delay_us > 0) delays.inc();
-  if (decision.corrupt_mask != 0) corrupts.inc();
+  std::vector<std::uint8_t> bytes{datagram.begin(), datagram.end()};
+  if (decision.corrupt_mask != 0) {
+    corrupts.inc();
+    bytes[decision.corrupt_offset] ^= decision.corrupt_mask;
+  }
+  std::vector<WireCopy> copies;
+  if (decision.duplicate) {
+    dups.inc();
+    copies.push_back(WireCopy{bytes, decision.duplicate_delay_us});
+  }
+  copies.push_back(WireCopy{std::move(bytes), decision.delay_us});
+  return copies;
 }
 
 }  // namespace cs::netio

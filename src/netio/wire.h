@@ -7,7 +7,6 @@
 
 #include "fault/fault.h"
 #include "net/ipv4.h"
-#include "netio/reactor.h"
 
 /// Datagram framing for the loopback DNS wire, and the one place netio
 /// executes the fault plan's per-datagram decisions.
@@ -27,10 +26,10 @@
 /// answer back; kUnreachable is the server's fast-fail for a simulated-
 /// down or unknown server address (the stand-in for an ICMP port
 /// unreachable), its payload echoing the query's 2-byte DNS ID so the
-/// client can settle the right in-flight exchange immediately instead of
-/// waiting out the retransmit schedule. `attempt` is the query's send
-/// index within its exchange (0 = first, saturating at 255); the server
-/// echoes it, so each side keys its wire decisions on it without state.
+/// client can settle its exchange immediately instead of waiting out the
+/// retransmit schedule. `attempt` is the query's send index within its
+/// exchange (0 = first, saturating at 255); the server echoes it, so each
+/// side keys its wire decisions on it without state.
 namespace cs::netio {
 
 inline constexpr std::size_t kFrameHeaderSize = 13;
@@ -69,48 +68,33 @@ std::optional<Frame> decode_frame(std::span<const std::uint8_t> datagram);
 /// big-endian); nullopt when the payload is too short to carry one.
 std::optional<std::uint16_t> dns_id(std::span<const std::uint8_t> payload);
 
-/// Overwrites the DNS message ID in place — the client transport's
-/// query-ID multiplexing rewrites outbound IDs to its own in-flight slot
-/// and restores the resolver's original ID on the way back.
+/// Overwrites the DNS message ID in place — the client transport rewrites
+/// each outbound query's ID to a transport-wide wire ID and restores the
+/// resolver's original ID on the way back.
 void rewrite_dns_id(std::span<std::uint8_t> payload, std::uint16_t id);
 
-/// Counts one executed wire decision in the fault.wire.* counters.
-void count_wire_decision(const fault::WireDecision& decision);
-
-/// Sends one outgoing datagram through the active plan's wire decision
-/// for (direction, key, attempt). With no plan, or one without wire
-/// kinds, this is a plain `send(datagram)`. Otherwise a dropped datagram
-/// is never sent, a corrupted one goes out as a flipped copy, and held
-/// copies go out on `reactor`'s timer wheel, so `send` must stay valid
-/// until that reactor stops and must not take a lock the reactor's
-/// callbacks could contend on.
-template <typename Send>
-void send_impaired(Reactor& reactor, fault::Direction direction,
-                   std::uint64_t key, std::uint32_t attempt,
-                   std::span<const std::uint8_t> datagram, Send send) {
+/// The active plan when it impairs datagrams, else nullptr: then every
+/// datagram goes out once, unchanged, at once. With no plan, or one
+/// without wire kinds, this costs one relaxed load and a predicted branch.
+inline const fault::Plan* wire_plan() noexcept {
   const auto* plan = fault::active_plan();
-  if (!plan || !plan->spec().wire()) [[likely]] {
-    send(datagram);
-    return;
-  }
-  const auto decision = plan->wire(direction, key, attempt, datagram.size());
-  count_wire_decision(decision);
-  if (decision.drop) return;
-  std::vector<std::uint8_t> bytes{datagram.begin(), datagram.end()};
-  if (decision.corrupt_mask != 0)
-    bytes[decision.corrupt_offset] ^= decision.corrupt_mask;
-  const auto emit = [&](std::vector<std::uint8_t> copy,
-                        std::uint64_t delay_us) {
-    if (delay_us == 0) {
-      send(std::span<const std::uint8_t>{copy});
-      return;
-    }
-    reactor.run_after(delay_us, [send, copy = std::move(copy)] {
-      send(std::span<const std::uint8_t>{copy});
-    });
-  };
-  if (decision.duplicate) emit(bytes, decision.duplicate_delay_us);
-  emit(std::move(bytes), decision.delay_us);
+  return plan && plan->spec().wire() ? plan : nullptr;
 }
+
+/// One copy of an outgoing datagram, due `delay_us` after the send.
+struct WireCopy {
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t delay_us = 0;
+};
+
+/// The copies of `datagram` that `plan`'s wire decision for (direction,
+/// key, attempt) puts on the wire, counted in the fault.wire.* counters:
+/// none when it drops the datagram, a flipped copy when it corrupts it, a
+/// second copy when it duplicates it, each with its hold-back. The
+/// sender puts delay-0 copies out at once and holds the rest.
+std::vector<WireCopy> wire_copies(const fault::Plan& plan,
+                                  fault::Direction direction,
+                                  std::uint64_t key, std::uint32_t attempt,
+                                  std::span<const std::uint8_t> datagram);
 
 }  // namespace cs::netio

@@ -1,19 +1,26 @@
-// The live-socket DNS backend, bottom up: timing wheel, frame codec and
-// retransmit schedule units, reactor timer/fd dispatch, then DnsSocketServer +
-// SocketDnsTransport end to end over real localhost UDP — byte-equality
-// against the in-process backend, unreachable fast-fail, retransmit
-// expiry under injected loss, pipelined multi-threaded exchanges under a
-// tiny in-flight cap, a malformed-datagram corpus the server must
-// survive, and the fault plan's wire decisions executed on real
-// datagrams. Runs under ASan/TSan in CI (socket-smoke and tsan jobs).
+// The live-socket DNS backend, bottom up: frame codec and retransmit
+// schedule units, reactor timer order and fd dispatch, a fresh
+// listener port that no foreign SO_REUSEPORT group shares, then
+// DnsSocketServer + SocketDnsTransport end to end over real localhost
+// UDP — byte-equality against the in-process backend, unreachable
+// fast-fail, retransmit expiry under injected loss, concurrent callers,
+// a malformed-datagram corpus the server must survive, and the fault
+// plan's wire decisions executed on real datagrams. Runs under ASan/TSan
+// in CI (socket-smoke and tsan jobs).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -26,7 +33,6 @@
 #include "netio/reactor.h"
 #include "netio/server.h"
 #include "netio/socket.h"
-#include "netio/timer_wheel.h"
 #include "netio/transport.h"
 #include "netio/wire.h"
 #include "obs/metrics.h"
@@ -34,150 +40,6 @@
 
 namespace cs::netio {
 namespace {
-
-// --- timing wheel ---------------------------------------------------------
-
-TEST(TimerWheel, FiresInDeadlineOrder) {
-  TimerWheel wheel{/*tick_us=*/100, /*slots=*/16};
-  std::vector<int> order;
-  wheel.schedule(3000, [&] { order.push_back(3); });
-  wheel.schedule(1000, [&] { order.push_back(1); });
-  wheel.schedule(2000, [&] { order.push_back(2); });
-  EXPECT_EQ(wheel.next_deadline(), 1000u);
-  for (auto& fn : wheel.advance(5000)) fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(wheel.active(), 0u);
-  EXPECT_FALSE(wheel.next_deadline().has_value());
-}
-
-TEST(TimerWheel, TiesFireInScheduleOrder) {
-  TimerWheel wheel;
-  std::vector<int> order;
-  wheel.schedule(500, [&] { order.push_back(1); });
-  wheel.schedule(500, [&] { order.push_back(2); });
-  wheel.schedule(500, [&] { order.push_back(3); });
-  for (auto& fn : wheel.advance(1000)) fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(TimerWheel, CancelPreventsFiring) {
-  TimerWheel wheel;
-  bool fired = false;
-  const auto token = wheel.schedule(100, [&] { fired = true; });
-  EXPECT_TRUE(wheel.cancel(token));
-  EXPECT_FALSE(wheel.cancel(token));  // already gone
-  for (auto& fn : wheel.advance(1000)) fn();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(wheel.active(), 0u);
-}
-
-TEST(TimerWheel, FutureTimersSurviveEarlyAdvances) {
-  TimerWheel wheel{/*tick_us=*/100, /*slots=*/8};
-  int fired = 0;
-  // 5000 us is several full revolutions of an 8-slot, 100 us wheel: the
-  // sweep must skip it (future lap) every pass until it is really due.
-  wheel.schedule(5000, [&] { ++fired; });
-  for (std::uint64_t now = 100; now < 5000; now += 100) {
-    for (auto& fn : wheel.advance(now)) fn();
-    ASSERT_EQ(fired, 0) << "fired early at " << now;
-  }
-  for (auto& fn : wheel.advance(5000)) fn();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
-  TimerWheel wheel{/*tick_us=*/100, /*slots=*/8};
-  for (auto& fn : wheel.advance(10'000)) fn();
-  bool fired = false;
-  // Deadline far behind the cursor: its natural slot was already swept.
-  wheel.schedule(400, [&] { fired = true; });
-  for (auto& fn : wheel.advance(10'100)) fn();
-  EXPECT_TRUE(fired);
-}
-
-TEST(TimerWheel, EqualDeadlinesAcrossRotationsFireInScheduleOrder) {
-  // The tie-break contract holds unconditionally: equal deadlines fire in
-  // schedule order even when the schedules straddle cursor advances and
-  // full revolutions of the wheel (5000 us is laps of an 8x100 wheel).
-  TimerWheel wheel{/*tick_us=*/100, /*slots=*/8};
-  std::vector<int> order;
-  wheel.schedule(5000, [&] { order.push_back(1); });
-  for (auto& fn : wheel.advance(900)) fn();
-  wheel.schedule(5000, [&] { order.push_back(2); });
-  for (auto& fn : wheel.advance(2500)) fn();
-  wheel.schedule(5000, [&] { order.push_back(3); });
-  for (auto& fn : wheel.advance(6000)) fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(TimerWheel, SameSlotDifferentLapsFireInDeadlineOrder) {
-  // 800 and 1600 share a slot on an 8x100 wheel but sit a lap apart;
-  // scheduled in reverse, the sweep must still fire them deadline-first.
-  TimerWheel wheel{/*tick_us=*/100, /*slots=*/8};
-  std::vector<int> order;
-  wheel.schedule(1600, [&] { order.push_back(2); });
-  wheel.schedule(800, [&] { order.push_back(1); });
-  for (auto& fn : wheel.advance(2000)) fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(TimerWheel, AdvanceToleratesRegressingClock) {
-  TimerWheel wheel{/*tick_us=*/100, /*slots=*/8};
-  for (auto& fn : wheel.advance(10'000)) fn();
-  int fired = 0;
-  wheel.schedule(10'200, [&] { ++fired; });
-  // A clock that runs backwards must neither fire the timer early nor
-  // corrupt the sweep window: advance clamps to its high-water mark.
-  for (auto& fn : wheel.advance(400)) fn();
-  EXPECT_EQ(fired, 0);
-  for (auto& fn : wheel.advance(10'200)) fn();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, RandomizedFiringMatchesReferenceModel) {
-  // Model check: under a seeded random interleaving of schedules and
-  // advances, every advance fires exactly the due set, globally ordered
-  // by (deadline, schedule sequence) — the invariant the transport's
-  // retransmit determinism leans on.
-  util::Rng rng{0xC10C4DE7EC7AB1EULL};
-  TimerWheel wheel{/*tick_us=*/50, /*slots=*/16};
-  struct Ref {
-    std::uint64_t deadline;
-    int seq;
-  };
-  std::vector<Ref> outstanding;
-  std::vector<int> fired;
-  std::uint64_t now = 0;
-  int seq = 0;
-  for (int step = 0; step < 400; ++step) {
-    if (rng.uniform01() < 0.6) {
-      const std::uint64_t deadline = now + 1 + rng.next_below(3000);
-      const int id = seq++;
-      wheel.schedule(deadline, [&fired, id] { fired.push_back(id); });
-      outstanding.push_back({deadline, id});
-    } else {
-      now += 50 + rng.next_below(800);
-      std::stable_sort(outstanding.begin(), outstanding.end(),
-                       [](const Ref& a, const Ref& b) {
-                         return a.deadline != b.deadline
-                                    ? a.deadline < b.deadline
-                                    : a.seq < b.seq;
-                       });
-      std::vector<int> want;
-      std::vector<Ref> keep;
-      for (const auto& r : outstanding) {
-        if (r.deadline <= now)
-          want.push_back(r.seq);
-        else
-          keep.push_back(r);
-      }
-      outstanding = std::move(keep);
-      fired.clear();
-      for (auto& fn : wheel.advance(now)) fn();
-      ASSERT_EQ(fired, want) << "divergence at now=" << now;
-    }
-  }
-}
 
 // --- frame codec ----------------------------------------------------------
 
@@ -225,8 +87,6 @@ TEST(Wire, DnsIdRewriteRoundTrips) {
   EXPECT_EQ(tiny[0], 0x01);
 }
 
-// --- reactor --------------------------------------------------------------
-
 // --- retransmit schedule -------------------------------------------------
 
 TEST(RetransmitSchedule, DoublesPerAttemptUnderACapWithKeyedJitter) {
@@ -268,15 +128,156 @@ TEST(Reactor, RunAfterFiresOnLoopThread) {
   reactor.stop();
 }
 
-TEST(Reactor, CancelTimerSuppressesCallback) {
+/// Records which timer fired, in firing order, and wakes the test thread.
+struct FiringLog {
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<int> order;
+
+  std::function<void()> record(int id) {
+    return [this, id] {
+      std::lock_guard lock{m};
+      order.push_back(id);
+      cv.notify_one();
+    };
+  }
+  /// Waits (up to 5 s) for `count` firings and returns them.
+  std::vector<int> wait_for(std::size_t count) {
+    std::unique_lock lock{m};
+    cv.wait_for(lock, std::chrono::seconds(5),
+                [&] { return order.size() >= count; });
+    return order;
+  }
+};
+
+TEST(Reactor, TimersFireInDeadlineOrder) {
+  FiringLog log;
   Reactor reactor{"netio-test"};
-  std::atomic<bool> fired{false};
   reactor.start();
-  const auto token =
-      reactor.run_after(200'000, [&] { fired.store(true); });
-  EXPECT_TRUE(reactor.cancel_timer(token));
-  reactor.stop();  // joins: any pending callback would have run by now
-  EXPECT_FALSE(fired.load());
+  reactor.run_after(60'000, log.record(3));
+  reactor.run_after(20'000, log.record(1));
+  reactor.run_after(40'000, log.record(2));
+  EXPECT_EQ(log.wait_for(3), (std::vector<int>{1, 2, 3}));
+  reactor.stop();
+}
+
+TEST(Reactor, TimerTiesFireInScheduleOrder) {
+  // 32 timers back to back at one delay: most of them share a deadline
+  // to the microsecond, so only a (deadline, schedule sequence) order
+  // fires them as scheduled.
+  FiringLog log;
+  Reactor reactor{"netio-test"};
+  std::vector<int> want;
+  reactor.start();
+  for (int i = 0; i < 32; ++i) {
+    reactor.run_after(50'000, log.record(i));
+    want.push_back(i);
+  }
+  EXPECT_EQ(log.wait_for(want.size()), want);
+  reactor.stop();
+}
+
+TEST(Reactor, SameTargetAcrossTurnsFiresInScheduleOrder) {
+  // Three timers aim at one instant, about 120 ms out. The first is
+  // scheduled while the loop sleeps; the others from callbacks on later
+  // turns, each with what is left of the 120 ms. A later schedule never
+  // has an earlier deadline, so they must fire in schedule order whether
+  // or not their deadlines tie to the microsecond.
+  FiringLog log;
+  Reactor reactor{"netio-test"};
+  reactor.start();
+  reactor.run_after(120'000, log.record(1));
+  reactor.run_after(20'000, [&] {
+    reactor.run_after(100'000, log.record(2));
+    reactor.run_after(20'000, [&] { reactor.run_after(80'000, log.record(3)); });
+  });
+  EXPECT_EQ(log.wait_for(3), (std::vector<int>{1, 2, 3}));
+  reactor.stop();
+}
+
+TEST(Reactor, RandomizedTimersMatchReferenceModel) {
+  // Model check: a seeded random mix of schedule bursts (each at one
+  // delay, so deadlines tie) and pauses that let the loop turn in between. The
+  // reactor stamps each deadline itself, so the test brackets it between
+  // the clock read just before and just after run_after. Every timer must
+  // fire once, never before its deadline, and never after a timer that
+  // the (deadline, schedule sequence) order surely puts behind it.
+  struct Ref {
+    std::uint64_t lo = 0;  ///< earliest possible deadline
+    std::uint64_t hi = 0;  ///< latest possible deadline
+    std::uint64_t fired_at = 0;
+  };
+  constexpr int kTimers = 300;
+  std::vector<Ref> refs(kTimers);
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<int> order;
+  util::Rng rng{0xC10C4DE7EC7AB1EULL};
+  Reactor reactor{"netio-test"};
+  reactor.start();
+  for (int id = 0; id < kTimers;) {
+    if (rng.uniform01() < 0.3)
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(rng.next_below(2'000)));
+    // A burst at one delay: back to back, its deadlines mostly tie.
+    const std::uint64_t delay = 1'000 * rng.next_below(20);
+    for (auto burst = 1 + rng.next_below(8); burst > 0 && id < kTimers;
+         --burst, ++id) {
+      refs[id].lo = Reactor::now_us() + delay;
+      reactor.run_after(delay, [&, id] {
+        std::lock_guard lock{m};
+        refs[id].fired_at = Reactor::now_us();
+        order.push_back(id);
+        cv.notify_one();
+      });
+      refs[id].hi = Reactor::now_us() + delay;
+    }
+  }
+  std::unique_lock lock{m};
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                          [&] { return order.size() == kTimers; }));
+  lock.unlock();
+  reactor.stop();
+  std::vector<int> fired = order;
+  std::sort(fired.begin(), fired.end());
+  for (int id = 0; id < kTimers; ++id) ASSERT_EQ(fired[id], id);
+  for (const auto& r : refs) EXPECT_GE(r.fired_at, r.lo) << "fired early";
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (std::size_t j = i + 1; j < order.size(); ++j) {
+      // order[i] fired first, so order[j] must not surely precede it.
+      const int a = order[i];
+      const int b = order[j];
+      EXPECT_FALSE(refs[b].hi < refs[a].lo ||
+                   (b < a && refs[b].hi <= refs[a].lo))
+          << "timer " << b << " belongs before timer " << a;
+    }
+  }
+}
+
+TEST(Reactor, PastDeadlineFiresOnTheNextTurn) {
+  // A timer scheduled from a callback with no delay fires on the loop's
+  // next turn, ahead of every later deadline.
+  Reactor reactor{"netio-test"};
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<int> order;
+  const auto record = [&](int id) {
+    std::lock_guard lock{m};
+    order.push_back(id);
+    cv.notify_one();
+  };
+  reactor.start();
+  reactor.run_after(50'000, [&] { record(3); });
+  reactor.run_after(1'000, [&] {
+    record(1);
+    reactor.run_after(0, [&] { record(2); });
+  });
+  std::unique_lock lock{m};
+  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                          [&] { return order.size() == 3; }));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  lock.unlock();
+  reactor.stop();
 }
 
 TEST(Reactor, DispatchesReadableFd) {
@@ -308,6 +309,44 @@ TEST(Reactor, DispatchesReadableFd) {
   reactor.stop();
 }
 
+TEST(UdpSocket, FreshReusePortGroupNeverJoinsAForeignOne) {
+  // Other processes of the same user hold SO_REUSEPORT ports: here, 1000
+  // sockets bound the plain way, with SO_REUSEPORT set before bind(0).
+  // Linux may hand such a bind a port one of them already holds. A new
+  // listener fan-out must land on a port of its own — a shared port would
+  // split one test process's queries with another's server — and a
+  // second listener must still be able to join it.
+  constexpr int kForeign = 1000;
+  std::vector<int> foreign_fds;
+  std::set<std::uint16_t> foreign_ports;
+  for (int i = 0; i < kForeign; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    foreign_fds.push_back(fd);
+    const int one = 1;
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)),
+              0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    foreign_ports.insert(ntohs(addr.sin_port));
+  }
+  int shared = 0;
+  for (int i = 0; i < kForeign; ++i) {
+    UdpSocket first;
+    ASSERT_TRUE(first.open_loopback(0, /*reuse_port=*/true));
+    if (foreign_ports.count(first.local_port())) ++shared;
+    UdpSocket second;
+    ASSERT_TRUE(second.open_loopback(first.local_port(), /*reuse_port=*/true));
+  }
+  EXPECT_EQ(shared, 0) << "fresh listeners joined a foreign port group";
+  for (const int fd : foreign_fds) ::close(fd);
+}
+
 // --- server + transport end to end ----------------------------------------
 
 constexpr net::Ipv4 kRoot{198, 41, 0, 4};
@@ -328,20 +367,20 @@ class SocketBackendTest : public ::testing::Test {
     network.attach(kRoot, root);
   }
 
-  /// A wire-format A query with the given DNS message ID.
-  static std::vector<std::uint8_t> query_bytes(std::uint16_t id) {
+  /// A wire-format A query for `qname` with the given DNS message ID.
+  static std::vector<std::uint8_t> query_bytes(
+      std::uint16_t id, const char* qname = "www.example.com") {
     dns::Message query;
     query.header.id = id;
     query.header.rd = false;
-    query.questions.push_back(dns::Question{
-        dns::Name::must_parse("www.example.com"), dns::RrType::kA});
+    query.questions.push_back(
+        dns::Question{dns::Name::must_parse(qname), dns::RrType::kA});
     return query.encode();
   }
 
   LoopbackDns::Options tight_options() {
     LoopbackDns::Options options;
     options.server_threads = 2;
-    options.max_in_flight = 8;
     options.rto_us = 20'000;
     options.max_attempts = 3;
     return options;
@@ -362,7 +401,7 @@ TEST_F(SocketBackendTest, SocketExchangeMatchesSimBytes) {
   const auto socket = loopback.transport().exchange(kClient, kRoot, query);
   ASSERT_TRUE(sim.has_value());
   ASSERT_TRUE(socket.has_value());
-  // Identical bytes, DNS ID included: the mux ID never leaks upward.
+  // Identical bytes, DNS ID included: the wire ID never leaks upward.
   EXPECT_EQ(*sim, *socket);
 }
 
@@ -416,10 +455,10 @@ TEST_F(SocketBackendTest, InjectedLossExpiresAfterRetransmits) {
       loopback.transport().exchange(kClient, kRoot, query_bytes(11)));
 }
 
-TEST_F(SocketBackendTest, PipelinedExchangesUnderTinyInFlightCap) {
-  auto options = tight_options();
-  options.max_in_flight = 2;  // force backpressure
-  LoopbackDns loopback{network, options};
+TEST_F(SocketBackendTest, ConcurrentCallersEachGetTheirOwnAnswer) {
+  // Eight callers at once, each waiting on its own socket: every one
+  // gets its own DNS ID back on the sim's answer.
+  LoopbackDns loopback{network, tight_options()};
   ASSERT_TRUE(loopback.start());
   const auto expected = network.exchange(kClient, kRoot, query_bytes(0));
   ASSERT_TRUE(expected.has_value());
@@ -532,11 +571,11 @@ TEST_F(SocketBackendTest, ServerSurvivesMalformedDatagramCorpus) {
 
 TEST_F(SocketBackendTest, ChaosDuplicatesAnswerOnceAndLandAsStrays) {
   // dup=1 doubles every datagram in both directions; the held-back copies
-  // of each response arrive after their exchange settled, carrying a mux
-  // ID that is now stale. The FIFO free-list keeps released IDs cold and
-  // the server check catches immediate reuse, so every late copy must be
-  // counted a stray — never delivered, never corrupting a later answer.
-  // Installed before the backend so it outlives every reactor callback.
+  // of each response arrive after their exchange settled, carrying a wire
+  // ID that is now stale. The next exchange on the same socket must count
+  // every late copy it reads a stray — never delivered, never corrupting
+  // its answer. Installed before the backend so it outlives every reactor
+  // callback.
   fault::ScopedPlan plan{"dup=1,delay_us=500,jitter_us=200"};
   LoopbackDns loopback{network, tight_options()};
   ASSERT_TRUE(loopback.start());
@@ -556,17 +595,37 @@ TEST_F(SocketBackendTest, ChaosDuplicatesAnswerOnceAndLandAsStrays) {
     rewrite_dns_id(expected, 0);
     EXPECT_EQ(normalized, expected) << "exchange " << i;
   }
-  // Let the held-back duplicates land before reading the counters.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const auto after = obs::MetricsRegistry::instance().snapshot();
   EXPECT_GT(after.counter("fault.wire.dup"), before.counter("fault.wire.dup"));
   EXPECT_GT(after.counter("netio.client.strays"),
             before.counter("netio.client.strays"));
   // Exactly one response settled each exchange: duplicates never matched
-  // a pending slot, whatever their arrival timing.
+  // a later exchange, whatever their arrival timing.
   EXPECT_EQ(after.counter("netio.client.responses") -
                 before.counter("netio.client.responses"),
             static_cast<std::uint64_t>(kExchanges));
+}
+
+TEST_F(SocketBackendTest, StaleCopyNeverSettlesALaterExchangeWithTheSameId) {
+  // dup=1 sends every datagram twice, the copy held back. One thread
+  // runs two exchanges to one server with the same DNS ID, so both wait
+  // on the same pooled socket, and the first exchange's late copies land
+  // while the second waits. Only the wire ID tells them apart: each
+  // exchange must still get the sim's answer to its own question.
+  fault::ScopedPlan plan{"dup=1"};
+  LoopbackDns loopback{network, tight_options()};
+  ASSERT_TRUE(loopback.start());
+  constexpr std::uint16_t kId = 0x2222;
+  for (const char* qname :
+       {"www.example.com", "mail.example.com", "www.example.com"}) {
+    const auto want =
+        network.exchange(kClient, kRoot, query_bytes(kId, qname));
+    ASSERT_TRUE(want.has_value()) << qname;
+    const auto got = loopback.transport().exchange(kClient, kRoot,
+                                                   query_bytes(kId, qname));
+    ASSERT_TRUE(got.has_value()) << qname;
+    EXPECT_EQ(*got, *want) << qname;
+  }
 }
 
 TEST_F(SocketBackendTest, ChaosDropClampForcesEventualDelivery) {
@@ -648,13 +707,20 @@ TEST_F(SocketBackendTest, StopFailsPendingExchangesInsteadOfHanging) {
   LoopbackDns loopback{network, options};
   ASSERT_TRUE(loopback.start());
   fault::ScopedPlan plan{"loss=1"};  // exchange would otherwise block
-  std::thread caller{[&] {
-    EXPECT_FALSE(
-        loopback.transport().exchange(kClient, kRoot, query_bytes(21)));
-  }};
+  // Four callers blocked at once, each on its own socket: stop() has to
+  // wake every one of them.
+  std::vector<std::thread> callers;
+  for (std::uint16_t id = 21; id < 25; ++id)
+    callers.emplace_back([&, id] {
+      EXPECT_FALSE(
+          loopback.transport().exchange(kClient, kRoot, query_bytes(id)));
+    });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto before = Reactor::now_us();
   loopback.stop();
-  caller.join();
+  for (auto& caller : callers) caller.join();
+  // Callers left to expire would wait out 0.5 + 1 + 2 s of attempts.
+  EXPECT_LT(Reactor::now_us() - before, 1'000'000u);
 }
 
 }  // namespace

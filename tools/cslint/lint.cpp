@@ -509,7 +509,8 @@ void check_header(const std::string& path, const std::vector<Tok>& toks,
 // B1: reactor threads must never block. Two layers:
 //  - sleep-family calls (sleep/usleep/nanosleep/sleep_for/sleep_until) are
 //    banned anywhere under src/netio/ — every wait there is either the
-//    reactor's own epoll timeout or a CondVar a *caller* thread parks on.
+//    reactor's own epoll timeout or a client caller's ppoll on its own
+//    socket, which is not in the sleep family.
 //  - an inline lambda handed to Reactor::add_fd or Reactor::run_after runs
 //    on the reactor thread, so its body must not take an annotated lock
 //    (LockGuard / std::lock_guard / unique_lock / scoped_lock / .lock())
@@ -561,7 +562,7 @@ void check_reactor_blocking(const std::string& path,
       add(report, path, toks[i].line, "B1",
           "'" + t +
           "()' in src/netio/: nothing on the wire path sleeps — waits are "
-          "the reactor's epoll timeout or a caller-side CondVar");
+          "the reactor's epoll timeout or a client caller's ppoll");
       continue;
     }
     if ((t != "add_fd" && t != "run_after") || !next_is(toks, i, "(")) continue;

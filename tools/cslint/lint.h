@@ -36,10 +36,11 @@
 ///       in README.md, and README/DESIGN must not mention unregistered
 ///       knobs. #define'd CS_* macros and "CS_FOO_…" prefix mentions
 ///       are exempt. (Subsumes the old V1 doc-drift check.)
-///   B1  reactor hygiene: no sleep-family calls anywhere in src/netio/,
-///       and inline lambdas handed to Reactor::add_fd / run_after must
-///       not take locks or issue blocking syscalls — they run on the
-///       event-loop thread.
+///   B1  reactor hygiene: no sleep-family calls anywhere in src/netio/
+///       (a client caller waits in ppoll on its own socket, which is not
+///       in the family), and inline lambdas handed to Reactor::add_fd /
+///       run_after must not take locks or issue blocking syscalls — they
+///       run on the event-loop thread.
 ///   S1  header hygiene: #pragma once present, no `using namespace`
 ///       in headers.
 ///   A1  suppression hygiene: inline allows must name known checks,
