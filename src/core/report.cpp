@@ -533,7 +533,6 @@ std::string render_data_quality(Study& study) {
   t.add("Corrupted capture frames", snapshot.counter("fault.pcap.corrupted"));
   t.add("Campaign vantage-rounds dropped", campaign.total_dropped_rounds());
   t.add("Injected stage aborts", snapshot.counter("fault.stage.abort"));
-  t.add("Stage retries", snapshot.counter("snap.supervisor.retries"));
 
   // Per-stage supervision ledger: how each artifact came to be.
   Table stages{{"Stage", "Status", "Attempts", "Notes"}};
@@ -549,10 +548,7 @@ std::string render_data_quality(Study& study) {
     const char* status = run->degraded       ? "DEGRADED"
                          : run->from_snapshot ? "resumed"
                                               : "built";
-    std::string notes;
-    if (run->deadline_hit) notes += "deadline hit; ";
-    if (!run->last_error.empty()) notes += run->last_error;
-    stages.add(run->stage, status, run->attempts, notes);
+    stages.add(run->stage, status, run->attempts, run->last_error);
   }
   std::string rejected;
   if (const auto& store = study.checkpoint_store())

@@ -1,6 +1,7 @@
 #include "core/study.h"
 
 #include "analysis/columns.h"
+#include "fault/fault.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -36,7 +37,19 @@ class StageScope {
   std::uint64_t start_us_ = 0;
 };
 
-/// Every supervised stage, dependencies before dependents. Stages are
+/// Throws before the build body runs when the active fault plan aborts
+/// `stage`, so an aborted stage leaves no partial side effects behind.
+void maybe_inject_abort(const char* stage) {
+  const auto* plan = fault::active_plan();
+  if (!plan || !plan->decide(fault::Kind::kStageAbort,
+                             fault::stage_abort_key(stage)))
+    return;
+  obs::counter("fault.stage.abort").inc();
+  throw std::runtime_error{std::string{"injected stage abort: stage '"} +
+                           stage + "'"};
+}
+
+/// Every stage, dependencies before dependents. Stages are
 /// pure, so any order builds the same artifacts; this one is what
 /// build_all() and --halt-after walk.
 constexpr Study::StageDesc kStageTable[] = {
@@ -48,7 +61,7 @@ constexpr Study::StageDesc kStageTable[] = {
 }  // namespace
 
 Study::Study(StudyConfig config)
-    : config_(std::move(config)), supervisor_(config_.supervision) {
+    : config_(std::move(config)) {
   {
     StageScope stage{"study.world"};
     world_ = std::make_unique<synth::World>(config_.world);
@@ -132,7 +145,18 @@ const T& Study::stage(const char* name, std::optional<T>& slot,
   }
   {
     StageScope scope{std::string{"study."} + name};
-    slot = supervisor_.run(run, build, [] { return T{}; });
+    run.attempts = 1;
+    try {
+      maybe_inject_abort(name);
+      slot = build();
+    } catch (const std::exception& e) {
+      run.last_error = e.what();
+      if (config_.supervision.on_exhausted == snap::OnExhausted::kFail)
+        throw std::runtime_error{"stage '" + run.stage +
+                                 "' failed: " + run.last_error};
+      run.degraded = true;
+      slot = T{};
+    }
   }
   if (store_ && !run.degraded) store_->save(name, *slot);
   return *slot;

@@ -26,15 +26,17 @@
 #include "synth/world.h"
 
 /// CloudScope's front door: one object that owns the simulated universe
-/// and runs each stage of the paper's pipeline under supervision —
-/// bounded retries, optional graceful degradation — caching results in
+/// and builds each stage of the paper's pipeline once, caching results in
 /// memory and, when a checkpoint directory is configured, on disk so a
 /// killed run resumes instead of starting over.
 ///
 /// Every stage is a pure function of the config: the World is read-only
 /// once built, and a stage that launches instances (traffic tenants,
 /// probe fleets) launches into its own copy of the provider. So stages
-/// may be built, resumed or skipped in any order with identical results.
+/// may be built, resumed or skipped in any order with identical results,
+/// and a stage that throws would throw again: its one build either
+/// succeeds or the fail/degrade policy (`StudyConfig::supervision`)
+/// decides what the run does next.
 ///
 /// Typical use:
 ///   cs::core::Study study{cs::core::StudyConfig{}};
@@ -57,9 +59,9 @@ struct StudyConfig {
   /// the config hash: pointing two runs of the same study at different
   /// directories must not invalidate their snapshots.
   std::string checkpoint_dir;
-  /// Retry/deadline/degradation policy for every supervised stage.
-  /// Also excluded from the hash — supervision changes how a stage is
-  /// driven, never what a completed stage produced.
+  /// Whether a stage whose build throws fails the run or degrades it.
+  /// Also excluded from the hash — the policy decides what happens when a
+  /// stage fails, never what a completed stage produced.
   snap::SupervisorOptions supervision;
 
   /// Which wire carries resolver traffic: the in-process simulated
@@ -104,11 +106,11 @@ class Study {
 
   // --- stage table & supervision ----------------------------------------
 
-  /// One supervised stage.
+  /// One pipeline stage.
   struct StageDesc {
     const char* name;
   };
-  /// Every supervised stage, dependencies before dependents. (ranges/
+  /// Every stage, dependencies before dependents. (ranges/
   /// rank_map/wan_model/as_topology are cheap derived views, not stages.)
   static std::span<const StageDesc> stage_table();
 
@@ -117,7 +119,7 @@ class Study {
   /// Builds (or resumes) every stage in table order.
   void build_all();
 
-  /// Per-stage supervision records, in the order stages were entered.
+  /// Per-stage build records, in the order stages were entered.
   /// A deque so records stay stable while nested stage builds append.
   const std::deque<snap::StageRun>& stage_runs() const noexcept {
     return stage_runs_;
@@ -142,8 +144,10 @@ class Study {
 
  private:
   /// The lazy-build skeleton every stage accessor shares: the artifact
-  /// from its snapshot when there is one, else `build` under the
-  /// supervisor.
+  /// from its snapshot when there is one, else one run of `build`. When
+  /// the fault plan aborts the stage or `build` throws, kFail rethrows
+  /// "stage '<name>' failed: <error>" and kDegrade records the error and
+  /// substitutes an unsnapshotted `T{}`.
   template <typename T, typename Build>
   const T& stage(const char* name, std::optional<T>& slot, Build&& build);
 
@@ -153,7 +157,6 @@ class Study {
   /// it stops before the network it serves is torn down.
   std::unique_ptr<netio::LoopbackDns> loopback_;
   std::optional<snap::Store> store_;
-  snap::Supervisor supervisor_;
   std::deque<snap::StageRun> stage_runs_;
   std::optional<analysis::CloudRanges> ranges_;
   std::optional<std::map<std::string, std::size_t>> rank_map_;

@@ -251,6 +251,15 @@ std::uint64_t query_key(std::uint32_t client, std::uint32_t server,
                       query.size() >= 2 ? query.subspan(2) : query);
 }
 
+std::uint64_t stage_abort_key(std::string_view stage) noexcept {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  for (const char c : stage) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 namespace detail {
 
 std::atomic<int> g_state{-1};

@@ -154,6 +154,10 @@ std::uint64_t exchange_key(std::uint32_t client, std::uint32_t server,
 std::uint64_t query_key(std::uint32_t client, std::uint32_t server,
                         std::span<const std::uint8_t> query) noexcept;
 
+/// The key of a stage_abort decision: FNV-1a of the stage name. A stage
+/// is built once, so its name alone identifies the event.
+std::uint64_t stage_abort_key(std::string_view stage) noexcept;
+
 namespace detail {
 /// -1 = CS_FAULT not yet read; 0 = no plan; 1 = plan installed.
 extern std::atomic<int> g_state;

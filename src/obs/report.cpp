@@ -132,11 +132,9 @@ std::string RunReport::to_json() const {
   }
   // What ran, not just how fast: checkpoint traffic and injected faults.
   out += util::fmt(
-      ",\n  \"snap\": {{\"stages_built\": {}, \"stages_resumed\": {}, "
-      "\"supervisor_retries\": {}}}",
+      ",\n  \"snap\": {{\"stages_built\": {}, \"stages_resumed\": {}}}",
       metrics.counter("study.stages_built"),
-      metrics.counter("study.stages_resumed"),
-      metrics.counter("snap.supervisor.retries"));
+      metrics.counter("study.stages_resumed"));
   {
     std::uint64_t total = 0;
     std::string events;

@@ -21,7 +21,7 @@
 ///    "fault", "stages", "percentiles", "counters"}
 ///
 /// The `snap`/`fault` blocks record *what* ran — checkpoint hits vs
-/// rebuilds, supervisor retries, every injected fault — so a trajectory
+/// rebuilds, every injected fault — so a trajectory
 /// entry is comparable, not just timed. See DESIGN.md §11.
 namespace cs::obs {
 

@@ -1,112 +1,32 @@
 #pragma once
 
-#include <chrono>
-#include <cstdint>
-#include <stdexcept>
 #include <string>
-#include <string_view>
-#include <utility>
 
-/// Per-stage supervision: bounded retries with deterministic backoff, a
-/// wall-clock deadline, and an explicit on-exhaustion policy. The paper's
-/// pipeline is a chain of expensive stages (enumerate 97k domains, replay
-/// a week of capture, run a measurement campaign); a transient failure in
-/// one of them should cost a retry, not the run — and a persistent one
-/// should be a *policy decision* (fail the run, or ship a degraded report
-/// that says so) rather than an unhandled exception.
+/// Per-stage failure policy. Every stage is a pure function of the config,
+/// so a stage that throws would throw again: each one is built exactly
+/// once, and a failure is a *policy decision* (fail the run, or ship a
+/// degraded report that says so) rather than an unhandled exception.
+/// `core::Study::stage()` applies it.
 namespace cs::snap {
 
-/// What to do when a stage exhausts its retry budget.
+/// What to do when a stage's one build throws.
 enum class OnExhausted {
-  kFail,     ///< rethrow the last error; the run dies loudly
+  kFail,     ///< rethrow the error; the run dies loudly
   kDegrade,  ///< substitute an empty-but-valid artifact and keep going
 };
 
 struct SupervisorOptions {
-  /// Total tries per stage (first attempt + retries). Clamped to >= 1.
-  int max_attempts = 3;
-  /// Backoff before retry i (1-based) is base * 2^(i-1), capped. Purely
-  /// deterministic — no jitter — so supervised runs stay reproducible.
-  int backoff_base_ms = 25;
-  int backoff_cap_ms = 1000;
-  /// Wall-clock budget per stage, including backoff sleeps; 0 = unlimited.
-  /// Checked before each retry (a running attempt is never interrupted).
-  int stage_deadline_ms = 0;
   OnExhausted on_exhausted = OnExhausted::kFail;
 };
 
-/// The record a supervised stage leaves behind, surfaced verbatim in the
+/// The record a stage leaves behind, surfaced verbatim in the
 /// data-quality report.
 struct StageRun {
   std::string stage;
-  int attempts = 0;          ///< build attempts actually made (0 if resumed)
+  int attempts = 0;          ///< 1 once built, 0 if resumed
   bool from_snapshot = false;
   bool degraded = false;
-  bool deadline_hit = false;
-  std::string last_error;    ///< empty when the final attempt succeeded
-};
-
-/// Thrown by the fault hook when CS_FAULT's stage_abort rate fires for
-/// (stage, attempt); exercises the retry path end to end.
-class InjectedStageAbort : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Stable key for one (stage, attempt) pair: a property of the schedule,
-/// not of threads or call order, like every other fault key.
-std::uint64_t stage_abort_key(std::string_view stage, int attempt) noexcept;
-
-class Supervisor {
- public:
-  explicit Supervisor(SupervisorOptions options = {}) : options_(options) {}
-
-  const SupervisorOptions& options() const noexcept { return options_; }
-
-  /// Backoff (ms) applied before 1-based retry `retry`.
-  int backoff_delay_ms(int retry) const noexcept;
-
-  /// Runs `build` under supervision, filling `run` as it goes. On
-  /// success returns build's result. On exhaustion: kFail rethrows the
-  /// last error; kDegrade marks the run degraded and returns
-  /// `fallback()` instead.
-  template <typename Build, typename Fallback>
-  auto run(StageRun& run, Build&& build, Fallback&& fallback)
-      -> decltype(build()) {
-    const auto started = std::chrono::steady_clock::now();
-    const int attempts = options_.max_attempts < 1 ? 1 : options_.max_attempts;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      if (attempt > 0 && !pause_before_retry(run, attempt, started)) break;
-      ++run.attempts;
-      try {
-        maybe_inject_abort(run.stage, attempt);
-        auto result = build();
-        run.last_error.clear();
-        return result;
-      } catch (const std::exception& e) {
-        run.last_error = e.what();
-      }
-    }
-    if (options_.on_exhausted == OnExhausted::kFail)
-      throw std::runtime_error{"stage '" + run.stage + "' failed after " +
-                               std::to_string(run.attempts) +
-                               " attempt(s): " + run.last_error};
-    run.degraded = true;
-    return fallback();
-  }
-
- private:
-  /// Sleeps the deterministic backoff; returns false (skipping further
-  /// attempts) when the stage deadline is already spent.
-  bool pause_before_retry(StageRun& run, int retry,
-                          std::chrono::steady_clock::time_point started) const;
-
-  /// Throws InjectedStageAbort when the active fault plan decides this
-  /// (stage, attempt) dies. Fires before the build body runs, so an
-  /// aborted attempt leaves no partial side effects behind.
-  static void maybe_inject_abort(const std::string& stage, int attempt);
-
-  SupervisorOptions options_;
+  std::string last_error;    ///< empty when the build succeeded
 };
 
 }  // namespace cs::snap

@@ -13,7 +13,7 @@ constexpr const char* kSidecar = R"({
   "resources": {"user_cpu_ms": 92.6, "system_cpu_ms": 57.9,
                 "peak_rss_kb": 125236, "current_rss_kb": 121184},
   "pool": {"tasks": 0, "steals": 0, "max_queue_depth": 0},
-  "snap": {"stages_built": 5, "stages_resumed": 0, "supervisor_retries": 0},
+  "snap": {"stages_built": 5, "stages_resumed": 0},
   "fault": {"total": 0},
   "stages": [
     {"name": "study.world", "count": 1, "total_ms": 5.858, "self_ms": 0.007},

@@ -88,12 +88,14 @@ int lifetime(int x) { return x; }        // 'time' substring, distinct token
   EXPECT_TRUE(run({source}).empty());
 }
 
-TEST(CslintD1, ObsSnapAndRngAreAllowlisted) {
+TEST(CslintD1, ObsAndRngAreAllowlisted) {
   const std::string body =
       "long f() { return std::chrono::steady_clock::now()"
       ".time_since_epoch().count(); }\n";
   EXPECT_TRUE(run({{"src/obs/fixture.cpp", body}}).empty());
-  EXPECT_TRUE(run({{"src/snap/fixture.cpp", body}}).empty());
+  EXPECT_TRUE(run({{"src/util/rng_fixture.cpp", body}}).empty());
+  // snap/ is not exempt: nothing in it needs a clock.
+  EXPECT_EQ(count_check(run({{"src/snap/fixture.cpp", body}}), "D1"), 1u);
   EXPECT_FALSE(run({{"src/core/fixture.cpp", body}}).empty());
 }
 
@@ -354,6 +356,43 @@ TEST(CslintK1, TestsMayUseFixtureKnobs) {
       {"README.md", "`CS_FIXTURE_KNOB=1` documented.\n"},
   });
   EXPECT_TRUE(findings.empty());
+}
+
+// README knob-table rows repeat the registry entry's kind and default.
+std::vector<Finding> run_with_readme_row(const std::string& row) {
+  return run({
+      {"src/core/fixture.cpp",
+       "bool f() { return env_text(\"CS_FIXTURE_KNOB\").has_value(); }\n"},
+      {"src/util/knobs.def", kFixtureRegistry},
+      {"README.md",
+       "| knob | kind | default | what it does |\n|---|---|---|---|\n" + row},
+  });
+}
+
+TEST(CslintK1, ReadmeRowWithAWrongDefaultIsFlagged) {
+  const auto findings =
+      run_with_readme_row("| `CS_FIXTURE_KNOB` | flag | 1 | fixture |\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].check, "K1");
+  EXPECT_EQ(findings[0].file, "README.md");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("default '1'"), std::string::npos)
+      << findings[0].message;
+}
+
+TEST(CslintK1, ReadmeRowWithAWrongKindIsFlagged) {
+  const auto findings =
+      run_with_readme_row("| `CS_FIXTURE_KNOB` | unsigned | 0 | fixture |\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].check, "K1");
+  EXPECT_NE(findings[0].message.find("kind 'unsigned'"), std::string::npos)
+      << findings[0].message;
+}
+
+TEST(CslintK1, ReadmeRowMatchingTheRegistryPasses) {
+  EXPECT_TRUE(
+      run_with_readme_row("| `CS_FIXTURE_KNOB` | flag | 0 | fixture |\n")
+          .empty());
 }
 
 TEST(CslintK1, WithoutARegistryTheCheckIsOff) {

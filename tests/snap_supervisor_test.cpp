@@ -1,156 +1,26 @@
-// cs::snap supervision: bounded retries with deterministic backoff, the
-// fail/degrade exhaustion policies, and the exception-safety contract —
-// an attempt that dies (via the fault plan's stage_abort) leaves no
-// partial artifact behind, and the retry rebuilds byte-identically.
+// Stage supervision through a real core::Study: each stage is built once,
+// and a build that throws (here via the fault plan's stage_abort) is
+// handled by the fail/degrade policy. An aborted stage leaves no partial
+// artifact behind, and a degraded one is never snapshotted, so a later
+// fault-free run on the same checkpoint rebuilds byte-identically.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "analysis/snapshot.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
-#include "analysis/snapshot.h"
 #include "snap/codec.h"
-#include "snap/store.h"
 #include "snap/supervisor.h"
 
 namespace cs::snap {
 namespace {
-
-SupervisorOptions fast_options() {
-  SupervisorOptions options;
-  options.backoff_base_ms = 1;
-  options.backoff_cap_ms = 2;
-  return options;
-}
-
-TEST(Supervisor, FirstTrySucceedsWithOneAttempt) {
-  Supervisor supervisor{fast_options()};
-  StageRun run;
-  run.stage = "demo";
-  const int result = supervisor.run(run, [] { return 7; }, [] { return -1; });
-  EXPECT_EQ(result, 7);
-  EXPECT_EQ(run.attempts, 1);
-  EXPECT_FALSE(run.degraded);
-  EXPECT_TRUE(run.last_error.empty());
-}
-
-TEST(Supervisor, TransientFailuresAreRetriedAway) {
-  Supervisor supervisor{fast_options()};
-  StageRun run;
-  run.stage = "demo";
-  int calls = 0;
-  const int result = supervisor.run(
-      run,
-      [&] {
-        if (++calls < 3) throw std::runtime_error{"transient"};
-        return 7;
-      },
-      [] { return -1; });
-  EXPECT_EQ(result, 7);
-  EXPECT_EQ(run.attempts, 3);
-  EXPECT_FALSE(run.degraded);
-  EXPECT_TRUE(run.last_error.empty());
-}
-
-TEST(Supervisor, FailPolicyRethrowsAfterExhaustion) {
-  auto options = fast_options();
-  options.max_attempts = 2;
-  Supervisor supervisor{options};
-  StageRun run;
-  run.stage = "demo";
-  try {
-    supervisor.run(
-        run, [&]() -> int { throw std::runtime_error{"persistent"}; },
-        [] { return -1; });
-    FAIL() << "exhaustion under kFail must throw";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("stage 'demo'"), std::string::npos) << what;
-    EXPECT_NE(what.find("2 attempt(s)"), std::string::npos) << what;
-    EXPECT_NE(what.find("persistent"), std::string::npos) << what;
-  }
-  EXPECT_EQ(run.attempts, 2);
-  EXPECT_FALSE(run.degraded);
-}
-
-TEST(Supervisor, DegradePolicySubstitutesTheFallback) {
-  auto options = fast_options();
-  options.max_attempts = 2;
-  options.on_exhausted = OnExhausted::kDegrade;
-  Supervisor supervisor{options};
-  StageRun run;
-  run.stage = "demo";
-  const int result = supervisor.run(
-      run, [&]() -> int { throw std::runtime_error{"persistent"}; },
-      [] { return 42; });
-  EXPECT_EQ(result, 42);
-  EXPECT_EQ(run.attempts, 2);
-  EXPECT_TRUE(run.degraded);
-  EXPECT_EQ(run.last_error, "persistent");
-}
-
-TEST(Supervisor, MaxAttemptsIsClampedToAtLeastOne) {
-  auto options = fast_options();
-  options.max_attempts = 0;
-  Supervisor supervisor{options};
-  StageRun run;
-  run.stage = "demo";
-  EXPECT_EQ(supervisor.run(run, [] { return 5; }, [] { return -1; }), 5);
-  EXPECT_EQ(run.attempts, 1);
-}
-
-TEST(Supervisor, BackoffDoublesFromBaseToCap) {
-  Supervisor supervisor{SupervisorOptions{}};  // base 25, cap 1000
-  EXPECT_EQ(supervisor.backoff_delay_ms(1), 25);
-  EXPECT_EQ(supervisor.backoff_delay_ms(2), 50);
-  EXPECT_EQ(supervisor.backoff_delay_ms(3), 100);
-  EXPECT_EQ(supervisor.backoff_delay_ms(4), 200);
-  EXPECT_EQ(supervisor.backoff_delay_ms(5), 400);
-  EXPECT_EQ(supervisor.backoff_delay_ms(6), 800);
-  EXPECT_EQ(supervisor.backoff_delay_ms(7), 1000);
-  EXPECT_EQ(supervisor.backoff_delay_ms(20), 1000);  // saturates, no UB
-}
-
-TEST(Supervisor, DeadlineStopsFurtherRetries) {
-  auto options = fast_options();
-  options.max_attempts = 5;
-  options.stage_deadline_ms = 1;
-  options.on_exhausted = OnExhausted::kDegrade;
-  Supervisor supervisor{options};
-  StageRun run;
-  run.stage = "demo";
-  const int result = supervisor.run(
-      run,
-      [&]() -> int {
-        std::this_thread::sleep_for(std::chrono::milliseconds{5});
-        throw std::runtime_error{"slow failure"};
-      },
-      [] { return 42; });
-  EXPECT_EQ(result, 42);
-  EXPECT_EQ(run.attempts, 1);  // the deadline fired before any retry
-  EXPECT_TRUE(run.deadline_hit);
-  EXPECT_TRUE(run.degraded);
-}
-
-TEST(StageAbortKey, IsAPureFunctionOfStageAndAttempt) {
-  EXPECT_EQ(stage_abort_key("dataset", 0), stage_abort_key("dataset", 0));
-  EXPECT_NE(stage_abort_key("dataset", 0), stage_abort_key("dataset", 1));
-  EXPECT_NE(stage_abort_key("dataset", 0), stage_abort_key("capture", 0));
-  // The 0xFF separator keeps (stage, attempt) framings distinct.
-  EXPECT_NE(stage_abort_key("a", 1), stage_abort_key("b", 0));
-}
-
-// ---------------------------------------------------------------------
-// End-to-end exception safety through a real Study stage.
 
 core::StudyConfig small_config(std::uint64_t seed) {
   core::StudyConfig config;
@@ -178,91 +48,115 @@ std::filesystem::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-bool has_tmp_files(const std::filesystem::path& dir) {
+bool has_files_with_extension(const std::filesystem::path& dir,
+                              const std::string& extension) {
   for (const auto& entry : std::filesystem::directory_iterator{dir})
-    if (entry.path().extension() == ".tmp") return true;
+    if (entry.path().extension() == extension) return true;
   return false;
 }
 
-/// Finds a fault seed where, at rate 0.5, the dataset stage aborts on
-/// attempt 0 and survives attempt 1 — decisions are pure functions of
-/// (seed, kind, key), so the search is deterministic and cheap.
-std::uint64_t seed_aborting_first_dataset_attempt() {
-  fault::Spec spec;
-  spec.stage_abort = 0.5;
-  for (std::uint64_t seed = 1; seed < 4096; ++seed) {
-    spec.seed = seed;
-    const fault::Plan plan{spec};
-    if (plan.decide(fault::Kind::kStageAbort, stage_abort_key("dataset", 0)) &&
-        !plan.decide(fault::Kind::kStageAbort, stage_abort_key("dataset", 1)))
-      return seed;
-  }
-  ADD_FAILURE() << "no suitable fault seed below 4096";
-  return 0;
+/// The dataset artifact of a fault-free build, for byte comparisons.
+std::vector<std::uint8_t> reference_dataset(std::uint64_t seed) {
+  fault::ScopedPlan no_faults{fault::Spec{}};
+  core::Study study{small_config(seed)};
+  return encoded(study.dataset());
 }
 
-TEST(StageAbortInjection, RetryRebuildsTheIdenticalArtifact) {
-  obs::MetricsRegistry::instance().reset_values();
-
-  // Reference: the same stage built with no fault plan installed.
-  std::vector<std::uint8_t> reference;
-  {
-    core::Study study{small_config(2013)};
-    reference = encoded(study.dataset());
+TEST(Supervisor, FirstTrySucceedsWithOneAttempt) {
+  fault::ScopedPlan no_faults{fault::Spec{}};
+  core::Study study{small_config(2013)};
+  study.cloud_usage();  // enters cloud_usage, then dataset inside it
+  ASSERT_EQ(study.stage_runs().size(), 2u);
+  for (const auto& run : study.stage_runs()) {
+    EXPECT_EQ(run.attempts, 1) << run.stage;
+    EXPECT_FALSE(run.degraded) << run.stage;
+    EXPECT_FALSE(run.from_snapshot) << run.stage;
+    EXPECT_TRUE(run.last_error.empty()) << run.stage;
   }
+}
 
-  fault::Spec spec;
-  spec.stage_abort = 0.5;
-  spec.seed = seed_aborting_first_dataset_attempt();
-
-  const auto dir = fresh_dir("snap_abort_retry");
+TEST(Supervisor, FailPolicyRethrowsAfterExhaustion) {
+  obs::MetricsRegistry::instance().reset_values();
+  const auto dir = fresh_dir("snap_abort_fail");
   auto config = small_config(2013);
   config.checkpoint_dir = dir.string();
-  config.supervision.backoff_base_ms = 1;
-  std::uint64_t hash = 0;
-  {
-    fault::ScopedPlan plan{spec};
-    core::Study study{config};
-    hash = study.config_hash();
-    // Attempt 0 dies before the build body runs; the supervisor retries
-    // and attempt 1 must produce exactly what a fault-free build does.
-    EXPECT_EQ(encoded(study.dataset()), reference);
-    ASSERT_FALSE(study.stage_runs().empty());
-    const auto& run = study.stage_runs().front();
-    EXPECT_EQ(run.stage, "dataset");
-    EXPECT_EQ(run.attempts, 2);
-    EXPECT_FALSE(run.degraded);
-    EXPECT_TRUE(run.last_error.empty());
+  fault::ScopedPlan plan{"stage_abort=1.0,seed=9"};
+  core::Study study{config};
+  try {
+    study.dataset();
+    FAIL() << "an aborted stage under kFail must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stage 'dataset' failed"), std::string::npos) << what;
+    EXPECT_NE(what.find("injected stage abort"), std::string::npos) << what;
   }
+  ASSERT_EQ(study.stage_runs().size(), 1u);
+  const auto& run = study.stage_runs().front();
+  EXPECT_EQ(run.stage, "dataset");
+  EXPECT_EQ(run.attempts, 1);
+  EXPECT_FALSE(run.degraded);
+  EXPECT_EQ(obs::MetricsRegistry::instance().snapshot().counter(
+                "fault.stage.abort"),
+            1u);
+  // The abort fired before the build body: nothing reached the disk.
+  EXPECT_FALSE(std::filesystem::exists(dir / "dataset.snap"));
+  EXPECT_FALSE(has_files_with_extension(dir, ".tmp"));
+}
 
-  // No partial artifact: no leftover tmp file, and the one snapshot on
-  // disk validates and decodes to the reference bytes.
-  EXPECT_FALSE(has_tmp_files(dir));
-  Store store{dir, hash};
-  const auto loaded = store.load<analysis::AlexaDataset>("dataset");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(encoded(*loaded), reference);
+TEST(Supervisor, DegradePolicySubstitutesTheFallback) {
+  const auto reference = reference_dataset(2013);
+  const auto dir = fresh_dir("snap_abort_degrade");
+  auto config = small_config(2013);
+  config.checkpoint_dir = dir.string();
+  {
+    fault::ScopedPlan plan{"stage_abort=1.0,seed=9"};
+    auto degraded = config;
+    degraded.supervision.on_exhausted = OnExhausted::kDegrade;
+    core::Study study{degraded};
+    study.build_all();
+    EXPECT_EQ(encoded(study.dataset()), encoded(analysis::AlexaDataset{}));
+    for (const auto& run : study.stage_runs()) {
+      EXPECT_TRUE(run.degraded) << run.stage;
+      EXPECT_EQ(run.attempts, 1) << run.stage;
+      EXPECT_NE(run.last_error.find("injected stage abort"),
+                std::string::npos)
+          << run.stage;
+    }
+  }
+  // Degraded artifacts are never snapshotted...
+  EXPECT_FALSE(has_files_with_extension(dir, ".snap"));
+  EXPECT_FALSE(has_files_with_extension(dir, ".tmp"));
 
-  const auto snapshot = obs::MetricsRegistry::instance().snapshot();
-  EXPECT_GE(snapshot.counter("fault.stage.abort"), 1u);
-  EXPECT_GE(snapshot.counter("snap.supervisor.retries"), 1u);
+  // ...so a fault-free run on the same checkpoint resumes nothing and
+  // builds exactly what a run that never saw the plan builds.
+  fault::ScopedPlan no_faults{fault::Spec{}};
+  core::Study study{config};
+  EXPECT_EQ(encoded(study.dataset()), reference);
+  EXPECT_EQ(study.stages_resumed(), 0u);
+}
+
+TEST(StageAbortKey, IsAPureFunctionOfTheStageName) {
+  EXPECT_EQ(fault::stage_abort_key("dataset"),
+            fault::stage_abort_key("dataset"));
+  EXPECT_NE(fault::stage_abort_key("dataset"),
+            fault::stage_abort_key("capture"));
+  EXPECT_NE(fault::stage_abort_key("capture"),
+            fault::stage_abort_key("capture_logs"));
 }
 
 TEST(StageAbortInjection, DegradedPipelineCompletesAndReportsItself) {
   obs::MetricsRegistry::instance().reset_values();
-  // Every attempt of every stage aborts; under kDegrade the pipeline
-  // must still run to completion on empty artifacts and say so.
+  // Every stage aborts; under kDegrade the pipeline must still run to
+  // completion on empty artifacts and say so.
   fault::ScopedPlan plan{"stage_abort=1.0,seed=9"};
   auto config = small_config(777);
-  config.supervision.max_attempts = 2;
-  config.supervision.backoff_base_ms = 1;
   config.supervision.on_exhausted = OnExhausted::kDegrade;
   core::Study study{config};
   study.build_all();
 
   for (const auto& run : study.stage_runs()) {
     EXPECT_TRUE(run.degraded) << run.stage;
-    EXPECT_EQ(run.attempts, 2) << run.stage;
+    EXPECT_EQ(run.attempts, 1) << run.stage;
     EXPECT_FALSE(run.last_error.empty()) << run.stage;
   }
 
@@ -272,8 +166,8 @@ TEST(StageAbortInjection, DegradedPipelineCompletesAndReportsItself) {
   EXPECT_NE(quality.find("injected stage abort"), std::string::npos);
 
   const auto snapshot = obs::MetricsRegistry::instance().snapshot();
-  EXPECT_GE(snapshot.counter("fault.stage.abort"),
-            2u * core::Study::stage_table().size());
+  EXPECT_EQ(snapshot.counter("fault.stage.abort"),
+            core::Study::stage_table().size());
 }
 
 }  // namespace

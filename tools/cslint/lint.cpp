@@ -176,16 +176,15 @@ bool is_header(std::string_view path) {
 
 bool in_src(std::string_view path) { return starts_with(path, "src/"); }
 
-// D1 allowlist: obs/ measures wall time by design, snap/ owns retry
-// backoff and stage deadlines, util/rng is where seeds are minted, and
-// netio's reactor is an event loop whose epoll timeouts and retransmit
-// deadlines are real monotonic time by definition — transport timing is
-// explicitly outside the determinism contract (answer bytes stay a pure
-// function of the seed). Only the reactor core is sanctioned; the rest
-// of src/netio/ must route through obs::steady_now_us() or annotate.
+// D1 allowlist: obs/ measures wall time by design, util/rng is where
+// seeds are minted, and netio's reactor is an event loop whose epoll
+// timeouts and retransmit deadlines are real monotonic time by
+// definition — transport timing is explicitly outside the determinism
+// contract (answer bytes stay a pure function of the seed). Only the
+// reactor core is sanctioned; the rest of src/netio/ must route through
+// obs::steady_now_us() or annotate.
 bool d1_exempt(std::string_view path) {
-  return starts_with(path, "src/obs/") || starts_with(path, "src/snap/") ||
-         starts_with(path, "src/util/rng") ||
+  return starts_with(path, "src/obs/") || starts_with(path, "src/util/rng") ||
          starts_with(path, "src/netio/reactor");
 }
 
@@ -592,7 +591,8 @@ void check_reactor_blocking(const std::string& path,
 // K1: the CS_* knob registry (src/util/knobs.def) vs the tree. Every CS_*
 // name the code references must be registered, every registered knob must
 // still be referenced (by env-var name or by its Knob enum id) and must be
-// documented in README.md, and the docs must not mention unregistered
+// documented in README.md, each README knob-table row must repeat its
+// entry's kind and default, and the docs must not mention unregistered
 // knobs. CS_* tokens that are #define'd anywhere in the corpus (annotation
 // macros, the CS_KNOB X-macro itself) and prefix mentions ("CS_NETIO_…",
 // trailing underscore) are exempt.
@@ -628,8 +628,10 @@ void collect_knobs(const Source& source, std::map<std::string, KnobSite>* out) {
 }
 
 struct RegistryEntry {
-  std::string id;    // Knob enum constant, e.g. kThreads
-  std::string name;  // env-var name, e.g. CS_THREADS
+  std::string id;        // Knob enum constant, e.g. kThreads
+  std::string name;      // env-var name, e.g. CS_THREADS
+  std::string kind;      // e.g. unsigned
+  std::string fallback;  // the default, e.g. "hardware concurrency"
   int line = 0;
 };
 
@@ -655,8 +657,19 @@ std::vector<RegistryEntry> parse_registry(const Source& registry,
     const std::size_t open = text.find('"', comma);
     const std::size_t close =
         open == std::string::npos ? open : text.find('"', open + 1);
-    if (close != std::string::npos)
+    if (close != std::string::npos) {
       entry.name = text.substr(open + 1, close - open - 1);
+      // `, kind, "default", ...` follows the name.
+      const std::size_t kind_end = text.find(',', close + 2);
+      const std::size_t def_open = text.find('"', kind_end);
+      const std::size_t def_close =
+          def_open == std::string::npos ? def_open
+                                        : text.find('"', def_open + 1);
+      if (def_close != std::string::npos) {
+        entry.kind = trim(text.substr(close + 2, kind_end - close - 2));
+        entry.fallback = text.substr(def_open + 1, def_close - def_open - 1);
+      }
+    }
     if (entry.id.empty() || !starts_with(entry.name, "CS_")) {
       // "CS_" + "NAME" is split so this placeholder never registers as a
       // knob mention in cslint's own source.
@@ -681,6 +694,38 @@ bool contains_word(std::string_view text, std::string_view word) {
     pos = end;
   }
   return false;
+}
+
+// One row of README's knob table: | `knob` | kind | default | doc |.
+struct KnobRow {
+  std::string name;
+  std::string kind;
+  std::string fallback;
+  int line = 0;
+};
+
+std::vector<KnobRow> parse_knob_rows(const Source& readme) {
+  std::vector<KnobRow> rows;
+  std::istringstream in{readme.text};
+  std::string raw;
+  int line = 0;
+  while (std::getline(in, raw)) {
+    ++line;
+    if (!starts_with(raw, "| `CS_")) continue;
+    std::vector<std::string> cells;
+    std::size_t start = 1;
+    while (cells.size() < 3) {
+      const std::size_t bar = raw.find('|', start);
+      if (bar == std::string::npos) break;
+      cells.push_back(trim(std::string_view{raw}.substr(start, bar - start)));
+      start = bar + 1;
+    }
+    if (cells.size() < 3 || cells[0].size() < 2 || cells[0].back() != '`')
+      continue;
+    rows.push_back({cells[0].substr(1, cells[0].size() - 2), cells[1],
+                    cells[2], line});
+  }
+  return rows;
 }
 
 void check_knob_registry(const std::vector<Source>& sources,
@@ -753,6 +798,18 @@ void check_knob_registry(const std::vector<Source>& sources,
           "'" + entry.name +
               "' is registered but not documented in README.md's knob "
               "table");
+  }
+  if (readme == nullptr) return;
+  for (const auto& row : parse_knob_rows(*readme)) {
+    const auto entry =
+        std::find_if(entries.begin(), entries.end(),
+                     [&](const RegistryEntry& e) { return e.name == row.name; });
+    if (entry == entries.end()) continue;  // flagged above as unregistered
+    if (row.kind != entry->kind || row.fallback != entry->fallback)
+      add(reports[readme->path], readme->path, row.line, "K1",
+          "README.md's row for '" + row.name + "' says kind '" + row.kind +
+              "', default '" + row.fallback + "'; src/util/knobs.def says '" +
+              entry->kind + "', '" + entry->fallback + "'");
   }
 }
 

@@ -15,8 +15,8 @@
 ///
 ///   D1  determinism: rand/srand, std::random_device, time()/clock(),
 ///       gettimeofday, and the std::chrono wall/steady clocks are banned
-///       in src/ outside the allowlist (src/obs/ timing, src/snap/
-///       backoff & deadlines, src/util/rng seeding).
+///       in src/ outside the allowlist (src/obs/ timing, src/util/rng
+///       seeding, the src/netio reactor core).
 ///   E1  env hygiene: getenv/setenv/putenv/unsetenv only in
 ///       src/util/env.cpp; everything else goes through util::env.
 ///   L1  logging: std::cout/cerr/clog, printf/puts, and
@@ -33,7 +33,8 @@
 ///   K1  knob registry: every CS_* knob the code references must be
 ///       registered in src/util/knobs.def, every registered knob must
 ///       still be referenced (by name or Knob enum id) and documented
-///       in README.md, and README/DESIGN must not mention unregistered
+///       in README.md with the registry's kind and default in its
+///       knob-table row, and README/DESIGN must not mention unregistered
 ///       knobs. #define'd CS_* macros and "CS_FOO_…" prefix mentions
 ///       are exempt. (Subsumes the old V1 doc-drift check.)
 ///   B1  reactor hygiene: no sleep-family calls anywhere in src/netio/
