@@ -31,7 +31,7 @@ void SimulatedDnsNetwork::assert_quiescent() const {
 #ifndef NDEBUG
   assert(active_exchanges_.load(std::memory_order_acquire) == 0 &&
          "SimulatedDnsNetwork mutated while exchanges are in flight; "
-         "attach/set_down/set_observer are build-phase only");
+         "attach/set_down are build-phase only");
 #endif
 }
 
@@ -50,17 +50,11 @@ void SimulatedDnsNetwork::set_down(net::Ipv4 address, bool down) {
     it->second.down.store(down, std::memory_order_release);
 }
 
-void SimulatedDnsNetwork::set_observer(Observer observer) {
-  assert_quiescent();
-  observer_ = std::move(observer);
-}
-
 WireReply SimulatedDnsNetwork::serve(net::Ipv4 client, net::Ipv4 server,
                                      std::span<const std::uint8_t> query)
     const {
   ExchangeScope scope{*this};
   query_count_.fetch_add(1, std::memory_order_relaxed);
-  if (observer_) observer_(client, server);
   const auto it = servers_.find(server.value());
   if (it == servers_.end() ||
       it->second.down.load(std::memory_order_acquire))

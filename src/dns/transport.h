@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -55,19 +54,18 @@ struct WireReply {
 ///
 /// The routing table is built single-threaded and then read from many
 /// threads at once: resolver threads during parallel dataset phases, and
-/// netio reactor threads when the socket backend fronts this table.
+/// netio server worker threads when the socket backend fronts this table.
 /// `serve()`/`exchange()`/`server_count()`/`server_at()` are safe to call
-/// concurrently with each other. The mutators — `attach`, `set_down`,
-/// `set_observer` — are NOT safe concurrently with reads: they must run
-/// before (or between) query phases, which is how World uses them
-/// (servers attach during world construction, fault phases flip `set_down`
-/// between builder passes). Debug builds enforce the phasing with an
+/// concurrently with each other. The mutators — `attach` and `set_down` —
+/// are NOT safe concurrently with reads: they must run before (or
+/// between) query phases, which is how World uses them (servers attach
+/// during world construction, fault phases flip `set_down` between
+/// builder passes). Debug builds enforce `attach`'s phasing with an
 /// active-exchange assertion; release builds rely on the contract.
 ///
-/// The one sanctioned mid-phase mutation is the `down` flag itself, which
-/// is atomic so a supervisor thread may flip reachability while queries
-/// are in flight without a data race (each in-flight exchange then sees
-/// either verdict, exactly like a real outage edge).
+/// The `down` flag itself is atomic, so a `set_down` that does overlap
+/// queries in flight is still no data race: each in-flight exchange sees
+/// either verdict, exactly like a real outage edge.
 class SimulatedDnsNetwork final : public DnsTransport {
  public:
   /// Registers a server reachable at `address`. One server object may be
@@ -78,12 +76,6 @@ class SimulatedDnsNetwork final : public DnsTransport {
   /// Marks an address unreachable (queries time out) / reachable again.
   /// Build-phase only; the flag itself is atomic (see contract above).
   void set_down(net::Ipv4 address, bool down);
-
-  /// Optional hook observing every exchanged query (for stats and tests).
-  /// Build-phase only to install; the hook itself runs on whichever
-  /// thread serves the query and must be thread-safe.
-  using Observer = std::function<void(net::Ipv4 client, net::Ipv4 server)>;
-  void set_observer(Observer observer);
 
   /// Serves one query datagram exactly as the authoritative side of the
   /// wire would: routing, seeded fault injection, and zone answering in
@@ -135,7 +127,6 @@ class SimulatedDnsNetwork final : public DnsTransport {
   void assert_quiescent() const;
 
   std::unordered_map<std::uint32_t, Entry> servers_;
-  Observer observer_;
   mutable std::atomic<std::uint64_t> query_count_{0};
 #ifndef NDEBUG
   mutable std::atomic<int> active_exchanges_{0};

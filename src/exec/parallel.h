@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <exception>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -19,7 +20,9 @@
 /// Guarantees:
 ///  - The calling thread participates, so a region completes even when
 ///    every worker is busy, and nested regions (a parallel_for inside a
-///    pool task) simply run inline — no deadlock, no oversubscription.
+///    pool task, or inside a chunk the caller itself runs) simply run
+///    inline — no deadlock, no oversubscription, and no caller waiting
+///    on runners that busy workers dequeue late.
 ///  - Work is claimed from a shared chunk counter, so threads never idle
 ///    while chunks remain, but *results* are keyed by index, which makes
 ///    the output independent of which worker ran what.
@@ -34,6 +37,10 @@
 namespace cs::exec {
 
 namespace detail {
+
+/// True while this thread drains a region's chunks, as its caller or as a
+/// runner: a region opened from inside a chunk runs inline.
+inline thread_local bool tls_in_region = false;  // cslint:allow(C1): per-thread region marker, not shared state
 
 struct RegionState {
   std::atomic<std::size_t> next_chunk{0};
@@ -69,7 +76,7 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
   };
 
   if (pool.worker_count() == 0 || chunks <= 1 ||
-      ThreadPool::on_worker_thread()) {
+      ThreadPool::on_worker_thread() || detail::tls_in_region) {
     // Sequential mode or a nested region: run inline, in chunk order.
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
     return;
@@ -78,10 +85,11 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
   detail::RegionState state;
   state.chunk_count = chunks;
   auto drain = [&state, &run_chunk]() noexcept {
+    const bool outer = std::exchange(detail::tls_in_region, true);
     for (;;) {
       const std::size_t chunk =
           state.next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= state.chunk_count) return;
+      if (chunk >= state.chunk_count) break;
       try {
         run_chunk(chunk);
       } catch (...) {
@@ -90,6 +98,7 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
         state.abandon_remaining();
       }
     }
+    detail::tls_in_region = outer;
   };
 
   const unsigned runners = static_cast<unsigned>(

@@ -36,7 +36,7 @@ LoopbackDns::Options LoopbackDns::options_from_env() {
   Options options;
   options.server_threads =
       env_unsigned_knob(util::Knob::kNetioThreads, options.server_threads,
-                        "reactor thread count >= 1");
+                        "server worker thread count >= 1");
   options.rto_us = env_unsigned_knob(
       util::Knob::kNetioRtoUs, static_cast<unsigned>(options.rto_us),
       "first attempt's retransmit timeout in us >= 1");

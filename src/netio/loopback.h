@@ -11,7 +11,7 @@
 /// plus the CS_* knobs that select and size the live-socket backend:
 ///
 ///   CS_TRANSPORT                sim (default) | socket
-///   CS_NETIO_THREADS            server reactor threads (default 2)
+///   CS_NETIO_THREADS            server worker threads (default 2)
 ///   CS_NETIO_RTO_US             first attempt's wait in us (default 100000)
 ///   CS_NETIO_MAX_ATTEMPTS       sends before an exchange expires (default 3)
 ///

@@ -1,12 +1,18 @@
 #include "netio/server.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <ctime>
 #include <string>
 #include <utility>
 
 #include "fault/fault.h"
-#include "netio/wire.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace cs::netio {
 namespace {
@@ -14,6 +20,12 @@ namespace {
 /// Loopback UDP comfortably carries 64 KiB datagrams; anything larger
 /// fails at send time (EMSGSIZE) and is counted, not crashed on.
 constexpr std::size_t kRecvBufferSize = 65536;
+
+void send_to(UdpSocket& socket, const Endpoint& peer,
+             std::span<const std::uint8_t> bytes) {
+  static auto& send_drops = obs::counter("netio.server.send_drops");
+  if (!socket.send_to(peer, bytes)) send_drops.inc();
+}
 
 }  // namespace
 
@@ -25,48 +37,82 @@ DnsSocketServer::~DnsSocketServer() { stop(); }
 
 bool DnsSocketServer::start() {
   if (started_) return true;
-  workers_.clear();
   port_ = 0;
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (stop_fd_ < 0) {
+    obs::log_error("netio.server", "stop eventfd failed");
+    return false;
+  }
+  workers_ = std::vector<Worker>(threads_);
   for (unsigned i = 0; i < threads_; ++i) {
-    Worker worker;
     std::string error;
     // Every listener (including the first) opts into SO_REUSEPORT; the
     // kernel then spreads client source ports across them.
-    if (!worker.socket.open_loopback(port_, /*reuse_port=*/true, &error)) {
+    if (!workers_[i].socket.open_loopback(port_, /*reuse_port=*/true,
+                                          &error)) {
       obs::log_error("netio.server", "listener {} failed: {}", i, error);
-      workers_.clear();
+      close_all();
       port_ = 0;
       return false;
     }
-    if (i == 0) port_ = worker.socket.local_port();
-    worker.reactor = std::make_unique<Reactor>(
-        "netio-server-" + std::to_string(i));
-    workers_.push_back(std::move(worker));
+    if (i == 0) port_ = workers_[i].socket.local_port();
   }
-  for (auto& worker : workers_) {
-    auto* w = &worker;
-    if (!worker.reactor->add_fd(worker.socket.fd(),
-                                [this, w] { drain(*w); })) {
-      obs::log_error("netio.server", "epoll registration failed");
-      workers_.clear();
-      port_ = 0;
-      return false;
-    }
-  }
-  for (auto& worker : workers_) worker.reactor->start();
+  // Started before the first spawn, so a spawn that throws still leaves
+  // stop() to join the workers already running.
   started_ = true;
+  for (unsigned i = 0; i < threads_; ++i)
+    workers_[i].thread = std::thread([this, i] { work(workers_[i], i); });
   obs::log_info("netio.server", "serving {} zones on 127.0.0.1:{} with {} "
-                "reactor threads",
+                "worker threads",
                 network_.server_count(), port_, workers_.size());
   return true;
 }
 
 void DnsSocketServer::stop() {
   if (!started_) return;
+  // The eventfd stays readable, so every worker's ppoll wakes and returns.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const auto n = ::write(stop_fd_, &one, sizeof(one));
   for (auto& worker : workers_)
-    if (worker.reactor) worker.reactor->stop();
-  workers_.clear();
+    if (worker.thread.joinable()) worker.thread.join();
+  close_all();
   started_ = false;
+}
+
+void DnsSocketServer::close_all() {
+  workers_.clear();
+  ::close(stop_fd_);
+  stop_fd_ = -1;
+}
+
+void DnsSocketServer::work(Worker& worker, unsigned index) {
+  obs::Tracer::instance().set_thread_name("netio-server-" +
+                                          std::to_string(index));
+  const auto send_held = [&worker](const HeldCopy& copy) {
+    send_to(worker.socket, copy.peer, copy.bytes);
+  };
+  std::uint64_t next_due_us = HeldCopies::kNone;
+  for (;;) {
+    // With nothing held the worker sleeps until a datagram or stop().
+    timespec timeout{};
+    const timespec* wait = nullptr;
+    if (next_due_us != HeldCopies::kNone) {
+      const auto now = obs::steady_now_us();
+      const auto wait_us = next_due_us > now ? next_due_us - now : 0;
+      timeout = {static_cast<time_t>(wait_us / 1'000'000),
+                 static_cast<long>(wait_us % 1'000'000 * 1000)};
+      wait = &timeout;
+    }
+    pollfd fds[2] = {{worker.socket.fd(), POLLIN, 0}, {stop_fd_, POLLIN, 0}};
+    if (::ppoll(fds, 2, wait, nullptr) < 0 && errno != EINTR) {
+      obs::log_error("netio.server", "ppoll failed on listener {}: errno {}",
+                     index, errno);
+      return;
+    }
+    if (fds[1].revents != 0) return;
+    if (fds[0].revents != 0) drain(worker);
+    next_due_us = worker.held.send_due(obs::steady_now_us(), send_held);
+  }
 }
 
 void DnsSocketServer::drain(Worker& worker) {
@@ -119,34 +165,25 @@ void DnsSocketServer::drain(Worker& worker) {
 void DnsSocketServer::send_frame(Worker& worker, const Endpoint& peer,
                                  const Frame& query, FrameKind kind,
                                  std::span<const std::uint8_t> payload) {
-  static auto& send_drops = obs::counter("netio.server.send_drops");
   const auto datagram = encode_frame(kind, query.client, query.server,
                                      payload, query.attempt);
-  const auto send = [socket = &worker.socket, peer](
-                        std::span<const std::uint8_t> bytes) {
-    if (!socket->send_to(peer, bytes)) send_drops.inc();
-  };
   const auto* plan = wire_plan();
   if (!plan) [[likely]] {
-    send(datagram);
+    send_to(worker.socket, peer, datagram);
     return;
   }
   // The key matches the client's, which keys the query before its wire-ID
-  // rewrite: query_key skips the ID bytes. Held-back copies ride the
-  // worker's own reactor timers; stop() joins that reactor before the
-  // socket is closed, so the capture is safe.
+  // rewrite: query_key skips the ID bytes.
   const auto key = fault::query_key(query.client.value(),
                                     query.server.value(), query.payload);
+  const auto now = obs::steady_now_us();
   for (auto& copy : wire_copies(*plan, fault::Direction::kResponse, key,
                                 query.attempt, datagram)) {
-    if (copy.delay_us == 0) {
-      send(copy.bytes);
-      continue;
-    }
-    worker.reactor->run_after(copy.delay_us,
-                              [send, bytes = std::move(copy.bytes)] {
-                                send(bytes);
-                              });
+    if (copy.delay_us == 0)
+      send_to(worker.socket, peer, copy.bytes);
+    else
+      worker.held.hold(now + copy.delay_us,
+                       HeldCopy{std::move(copy.bytes), peer});
   }
 }
 

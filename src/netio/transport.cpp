@@ -6,14 +6,13 @@
 
 #include <algorithm>
 #include <ctime>
-#include <limits>
 #include <string>
 
 #include "fault/fault.h"
-#include "netio/reactor.h"
 #include "netio/wire.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/sync.h"
 
@@ -33,19 +32,12 @@ obs::Histogram& exchange_histogram() {
   return h;
 }
 
-/// A query copy the wire plan held back, due at `due_us` (Reactor clock).
-struct HeldCopy {
-  std::uint64_t due_us = 0;
-  std::vector<std::uint8_t> bytes;
-};
-
 /// Puts attempt `attempt` (0-based) of an exchange on the wire through
 /// the plan's decision: copies due now go out at once, the rest join
 /// `held`. A failed send (full socket buffer) is just a lost datagram:
 /// the retransmit schedule recovers it.
 void send_attempt(UdpSocket& socket, std::vector<std::uint8_t>& datagram,
-                  std::uint64_t key, unsigned attempt,
-                  std::vector<HeldCopy>& held) {
+                  std::uint64_t key, unsigned attempt, HeldCopies& held) {
   set_frame_attempt(datagram,
                     static_cast<std::uint8_t>(std::min(attempt, 255u)));
   const auto* plan = wire_plan();
@@ -53,30 +45,14 @@ void send_attempt(UdpSocket& socket, std::vector<std::uint8_t>& datagram,
     socket.send(datagram);
     return;
   }
-  const auto now = Reactor::now_us();
+  const auto now = obs::steady_now_us();
   for (auto& copy : wire_copies(*plan, fault::Direction::kQuery, key,
                                 attempt, datagram)) {
     if (copy.delay_us == 0)
       socket.send(copy.bytes);
     else
-      held.push_back(HeldCopy{now + copy.delay_us, std::move(copy.bytes)});
+      held.hold(now + copy.delay_us, HeldCopy{std::move(copy.bytes), {}});
   }
-}
-
-/// Sends every held copy due by `now_us` and returns the earliest due
-/// time left (max when none is).
-std::uint64_t send_due(UdpSocket& socket, std::vector<HeldCopy>& held,
-                       std::uint64_t now_us) {
-  std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
-  std::erase_if(held, [&](const HeldCopy& copy) {
-    if (copy.due_us > now_us) {
-      next = std::min(next, copy.due_us);
-      return false;
-    }
-    socket.send(copy.bytes);
-    return true;
-  });
-  return next;
 }
 
 /// Reads every datagram waiting on `socket`. True once one settles the
@@ -182,7 +158,7 @@ std::optional<UdpSocket> SocketDnsTransport::acquire_socket() {
   }
   // Every pooled socket is busy: this caller gets its own. A fresh
   // ephemeral source port also lets the server's SO_REUSEPORT hash
-  // spread concurrent callers across its reactor workers.
+  // spread concurrent callers across its worker threads.
   UdpSocket socket;
   std::string error;
   if (socket.open_loopback(0, /*reuse_port=*/false, &error) &&
@@ -215,14 +191,17 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
   // The wire-decision and backoff-jitter key: query_key skips the DNS ID,
   // so it is the same before and after the wire-ID rewrite.
   const auto key = fault::query_key(client.value(), server.value(), query);
-  const auto started_us = Reactor::now_us();
+  const auto started_us = obs::steady_now_us();
 
   std::optional<std::vector<std::uint8_t>> answer;
-  std::vector<HeldCopy> held;
+  HeldCopies held;
+  const auto send_held = [&socket](const HeldCopy& copy) {
+    socket->send(copy.bytes);
+  };
   unsigned attempts = 0;
   std::uint64_t deadline_us = 0;
   for (;;) {
-    const auto now = Reactor::now_us();
+    const auto now = obs::steady_now_us();
     if (now >= deadline_us) {
       if (attempts == options_.max_attempts) {
         expirations.inc();
@@ -240,7 +219,7 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
     }
     // Both the deadline and every held copy's due time lie past `now`.
     const auto wait_us =
-        std::min(deadline_us, send_due(*socket, held, now)) - now;
+        std::min(deadline_us, held.send_due(now, send_held)) - now;
     const timespec timeout{static_cast<time_t>(wait_us / 1'000'000),
                            static_cast<long>(wait_us % 1'000'000 * 1000)};
     pollfd fds[2] = {{socket->fd(), POLLIN, 0}, {stop_fd_, POLLIN, 0}};
@@ -254,9 +233,9 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
   if (answer) rewrite_dns_id(*answer, original_id);
   // Only a drop keeps a datagram off the wire: copies the plan still
   // holds go out now.
-  send_due(*socket, held, std::numeric_limits<std::uint64_t>::max());
+  held.send_due(HeldCopies::kNone, send_held);
   exchange_histogram().observe(
-      static_cast<double>(Reactor::now_us() - started_us));
+      static_cast<double>(obs::steady_now_us() - started_us));
   release_socket(std::move(*socket));
   return answer;
 }

@@ -34,8 +34,9 @@
 /// Every outgoing query datagram takes the fault plan's wire decision
 /// for its (exchange key, attempt) first (wire_copies in wire.h); with
 /// no plan, or one without wire kinds, the cost is one relaxed load and
-/// a predicted branch. Held-back copies go out from the caller's own wait
-/// loop, and any still held when the exchange settles go out then. The
+/// a predicted branch. Held-back copies wait in the exchange's own
+/// HeldCopies queue (wire.h) and go out from the caller's wait loop; any
+/// still held when the exchange settles go out then. The
 /// frame carries the attempt index, so the server decides the response
 /// direction without per-exchange state.
 namespace cs::netio {
@@ -43,7 +44,7 @@ namespace cs::netio {
 /// The socket backend's sizing and retransmit schedule, shared by the
 /// server/client harness (LoopbackDns) and the client itself.
 struct Options {
-  unsigned server_threads = 2;     ///< server reactors (CS_NETIO_THREADS)
+  unsigned server_threads = 2;     ///< server workers (CS_NETIO_THREADS)
   std::uint64_t rto_us = 100'000;  ///< first attempt's wait (CS_NETIO_RTO_US)
   unsigned max_attempts = 3;       ///< CS_NETIO_MAX_ATTEMPTS
 };

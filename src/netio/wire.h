@@ -1,15 +1,20 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
 #include "net/ipv4.h"
+#include "netio/socket.h"
 
-/// Datagram framing for the loopback DNS wire, and the one place netio
-/// executes the fault plan's per-datagram decisions.
+/// Datagram framing for the loopback DNS wire, the one place netio
+/// executes the fault plan's per-datagram decisions, and the queue both
+/// ends hold delayed copies in.
 ///
 /// Real sockets carry loopback addresses, but the synthetic world speaks
 /// the paper's address plan — vantage-point clients querying authoritative
@@ -96,5 +101,43 @@ std::vector<WireCopy> wire_copies(const fault::Plan& plan,
                                   fault::Direction direction,
                                   std::uint64_t key, std::uint32_t attempt,
                                   std::span<const std::uint8_t> datagram);
+
+/// A datagram copy the wire plan held back.
+struct HeldCopy {
+  std::vector<std::uint8_t> bytes;
+  Endpoint peer;  ///< where a server copy goes; a client socket is connected
+};
+
+/// The copies one sender holds back, each due at an obs::steady_now_us()
+/// time. Both ends of the wire keep one: a client caller per exchange, a
+/// server worker per thread. Its owner is its only user, so it takes no
+/// lock, and it reads no clock: the caller passes the time in. Copies go
+/// out in (due time, hold order), so two copies due at one microsecond
+/// leave in the order they were held.
+class HeldCopies {
+ public:
+  static constexpr std::uint64_t kNone =
+      std::numeric_limits<std::uint64_t>::max();
+
+  void hold(std::uint64_t due_us, HeldCopy copy) {
+    // A multimap inserts an equal key after the ones already there.
+    copies_.emplace(due_us, std::move(copy));
+  }
+
+  /// Calls send(copy) for every copy due by `now_us`, in firing order,
+  /// forgets them, and returns the earliest due time left (kNone when
+  /// none is).
+  template <typename Send>
+  std::uint64_t send_due(std::uint64_t now_us, Send&& send) {
+    auto due = copies_.begin();
+    for (; due != copies_.end() && due->first <= now_us; ++due)
+      send(due->second);
+    copies_.erase(copies_.begin(), due);
+    return copies_.empty() ? kNone : copies_.begin()->first;
+  }
+
+ private:
+  std::multimap<std::uint64_t, HeldCopy> copies_;
+};
 
 }  // namespace cs::netio

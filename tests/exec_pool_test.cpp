@@ -12,6 +12,7 @@
 #include "exec/parallel.h"
 #include "exec/sharded_rng.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace cs::exec {
@@ -128,6 +129,32 @@ TEST(ParallelFor, NestedRegionsDoNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ParallelFor, RegionsNestedInTheCallersChunksRunInline) {
+  // The caller drains the outer region's chunks as well. A region nested
+  // in one of them runs inline, as it does on a worker, so the only pool
+  // tasks are the outer region's runners: min(workers, chunks - 1).
+  ScopedThreads guard{4};
+  const auto tasks = [] {
+    return obs::MetricsRegistry::instance().snapshot().counter(
+        "exec.pool.tasks");
+  };
+  const unsigned workers = ThreadPool::global().worker_count();
+  ASSERT_EQ(workers, 4u);
+  constexpr std::size_t kOuter = 64;
+  const auto before = tasks();
+  std::atomic<int> total{0};
+  parallel_for(
+      kOuter,
+      [&](std::size_t) {
+        parallel_for(8, [&](std::size_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
+      },
+      /*grain=*/1);
+  EXPECT_EQ(total.load(), 8 * static_cast<int>(kOuter));
+  EXPECT_EQ(tasks() - before, workers);
 }
 
 TEST(ParallelMap, ResultsArriveInIndexOrder) {

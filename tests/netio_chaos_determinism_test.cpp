@@ -55,7 +55,7 @@ constexpr const char* kHalfDroppedWire = "drop=0.5";
 netio::LoopbackDns::Options survivable_netio() {
   netio::LoopbackDns::Options options;
   options.rto_us = 5'000;
-  // A loaded machine can stall a reactor thread for tens of
+  // A loaded machine can stall a server worker thread for tens of
   // milliseconds; ten doubling attempts outlast any such stall, so no
   // answered exchange expires and the case can share the machine.
   options.max_attempts = 10;

@@ -1,5 +1,5 @@
 // The live-socket DNS backend, bottom up: frame codec and retransmit
-// schedule units, reactor timer order and fd dispatch, a fresh
+// schedule units, the held-copy queue's firing order, a fresh
 // listener port that no foreign SO_REUSEPORT group shares, then
 // DnsSocketServer + SocketDnsTransport end to end over real localhost
 // UDP — byte-equality against the in-process backend, unreachable
@@ -16,12 +16,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <set>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -30,12 +27,12 @@
 #include "dns/transport.h"
 #include "fault/fault.h"
 #include "netio/loopback.h"
-#include "netio/reactor.h"
 #include "netio/server.h"
 #include "netio/socket.h"
 #include "netio/transport.h"
 #include "netio/wire.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace cs::netio {
@@ -111,202 +108,104 @@ TEST(RetransmitSchedule, DoublesPerAttemptUnderACapWithKeyedJitter) {
   EXPECT_NE(retransmit_delay_us(kRto, 1, 1), retransmit_delay_us(kRto, 2, 1));
 }
 
-TEST(Reactor, RunAfterFiresOnLoopThread) {
-  Reactor reactor{"netio-test"};
-  std::mutex m;
-  std::condition_variable cv;
-  bool fired = false;
-  reactor.start();
-  reactor.run_after(1000, [&] {
-    std::lock_guard lock{m};
-    fired = true;
-    cv.notify_one();
-  });
-  std::unique_lock lock{m};
-  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                          [&] { return fired; }));
-  reactor.stop();
+// --- held-copy queue -----------------------------------------------------
+
+/// A one-byte copy that names itself.
+HeldCopy copy_of(int id) {
+  return HeldCopy{{static_cast<std::uint8_t>(id)}, {}};
 }
 
-/// Records which timer fired, in firing order, and wakes the test thread.
-struct FiringLog {
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<int> order;
-
-  std::function<void()> record(int id) {
-    return [this, id] {
-      std::lock_guard lock{m};
-      order.push_back(id);
-      cv.notify_one();
-    };
-  }
-  /// Waits (up to 5 s) for `count` firings and returns them.
-  std::vector<int> wait_for(std::size_t count) {
-    std::unique_lock lock{m};
-    cv.wait_for(lock, std::chrono::seconds(5),
-                [&] { return order.size() >= count; });
-    return order;
-  }
-};
-
-TEST(Reactor, TimersFireInDeadlineOrder) {
-  FiringLog log;
-  Reactor reactor{"netio-test"};
-  reactor.start();
-  reactor.run_after(60'000, log.record(3));
-  reactor.run_after(20'000, log.record(1));
-  reactor.run_after(40'000, log.record(2));
-  EXPECT_EQ(log.wait_for(3), (std::vector<int>{1, 2, 3}));
-  reactor.stop();
+/// The ids of the copies send_due hands out at `now_us`, in order; `next`
+/// receives its return value.
+std::vector<int> send_due_ids(HeldCopies& held, std::uint64_t now_us,
+                              std::uint64_t* next = nullptr) {
+  std::vector<int> sent;
+  const auto next_due = held.send_due(
+      now_us, [&](const HeldCopy& copy) { sent.push_back(copy.bytes[0]); });
+  if (next) *next = next_due;
+  return sent;
 }
 
-TEST(Reactor, TimerTiesFireInScheduleOrder) {
-  // 32 timers back to back at one delay: most of them share a deadline
-  // to the microsecond, so only a (deadline, schedule sequence) order
-  // fires them as scheduled.
-  FiringLog log;
-  Reactor reactor{"netio-test"};
+TEST(HeldCopies, CopiesGoOutInDueOrder) {
+  HeldCopies held;
+  held.hold(60'000, copy_of(3));
+  held.hold(20'000, copy_of(1));
+  held.hold(40'000, copy_of(2));
+  std::uint64_t next = 0;
+  EXPECT_TRUE(send_due_ids(held, 19'999, &next).empty());
+  EXPECT_EQ(next, 20'000u);
+  EXPECT_EQ(send_due_ids(held, 60'000, &next), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(next, HeldCopies::kNone);
+}
+
+TEST(HeldCopies, DueTiesGoOutInHoldOrder) {
+  // 32 copies due at one microsecond: only a (due time, hold order)
+  // queue sends them as held.
+  HeldCopies held;
   std::vector<int> want;
-  reactor.start();
   for (int i = 0; i < 32; ++i) {
-    reactor.run_after(50'000, log.record(i));
+    held.hold(50'000, copy_of(i));
     want.push_back(i);
   }
-  EXPECT_EQ(log.wait_for(want.size()), want);
-  reactor.stop();
+  EXPECT_EQ(send_due_ids(held, 50'000), want);
 }
 
-TEST(Reactor, SameTargetAcrossTurnsFiresInScheduleOrder) {
-  // Three timers aim at one instant, about 120 ms out. The first is
-  // scheduled while the loop sleeps; the others from callbacks on later
-  // turns, each with what is left of the 120 ms. A later schedule never
-  // has an earlier deadline, so they must fire in schedule order whether
-  // or not their deadlines tie to the microsecond.
-  FiringLog log;
-  Reactor reactor{"netio-test"};
-  reactor.start();
-  reactor.run_after(120'000, log.record(1));
-  reactor.run_after(20'000, [&] {
-    reactor.run_after(100'000, log.record(2));
-    reactor.run_after(20'000, [&] { reactor.run_after(80'000, log.record(3)); });
-  });
-  EXPECT_EQ(log.wait_for(3), (std::vector<int>{1, 2, 3}));
-  reactor.stop();
-}
-
-TEST(Reactor, RandomizedTimersMatchReferenceModel) {
-  // Model check: a seeded random mix of schedule bursts (each at one
-  // delay, so deadlines tie) and pauses that let the loop turn in between. The
-  // reactor stamps each deadline itself, so the test brackets it between
-  // the clock read just before and just after run_after. Every timer must
-  // fire once, never before its deadline, and never after a timer that
-  // the (deadline, schedule sequence) order surely puts behind it.
+TEST(HeldCopies, RandomizedHoldsMatchReferenceModel) {
+  // Model check: a seeded random mix of hold bursts (each at one due
+  // time, so ties are common) and sends at an advancing clock. Each send
+  // must hand out exactly the reference model's due copies — stably
+  // sorted by due time — and report the earliest due time left.
   struct Ref {
-    std::uint64_t lo = 0;  ///< earliest possible deadline
-    std::uint64_t hi = 0;  ///< latest possible deadline
-    std::uint64_t fired_at = 0;
+    std::uint64_t due_us = 0;
+    int id = 0;
   };
-  constexpr int kTimers = 300;
-  std::vector<Ref> refs(kTimers);
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<int> order;
+  std::vector<Ref> model;  // in hold order
+  HeldCopies held;
   util::Rng rng{0xC10C4DE7EC7AB1EULL};
-  Reactor reactor{"netio-test"};
-  reactor.start();
-  for (int id = 0; id < kTimers;) {
-    if (rng.uniform01() < 0.3)
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(rng.next_below(2'000)));
-    // A burst at one delay: back to back, its deadlines mostly tie.
-    const std::uint64_t delay = 1'000 * rng.next_below(20);
-    for (auto burst = 1 + rng.next_below(8); burst > 0 && id < kTimers;
-         --burst, ++id) {
-      refs[id].lo = Reactor::now_us() + delay;
-      reactor.run_after(delay, [&, id] {
-        std::lock_guard lock{m};
-        refs[id].fired_at = Reactor::now_us();
-        order.push_back(id);
-        cv.notify_one();
-      });
-      refs[id].hi = Reactor::now_us() + delay;
+  std::uint64_t now = 0;
+  int id = 0;
+  while (id < 250 || !model.empty()) {
+    if (id < 250 && rng.uniform01() < 0.6) {
+      const std::uint64_t due = now + 1'000 * rng.next_below(20);
+      for (auto burst = 1 + rng.next_below(8); burst > 0 && id < 250;
+           --burst, ++id) {
+        held.hold(due, copy_of(id));
+        model.push_back(Ref{due, id});
+      }
+      continue;
     }
-  }
-  std::unique_lock lock{m};
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                          [&] { return order.size() == kTimers; }));
-  lock.unlock();
-  reactor.stop();
-  std::vector<int> fired = order;
-  std::sort(fired.begin(), fired.end());
-  for (int id = 0; id < kTimers; ++id) ASSERT_EQ(fired[id], id);
-  for (const auto& r : refs) EXPECT_GE(r.fired_at, r.lo) << "fired early";
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (std::size_t j = i + 1; j < order.size(); ++j) {
-      // order[i] fired first, so order[j] must not surely precede it.
-      const int a = order[i];
-      const int b = order[j];
-      EXPECT_FALSE(refs[b].hi < refs[a].lo ||
-                   (b < a && refs[b].hi <= refs[a].lo))
-          << "timer " << b << " belongs before timer " << a;
-    }
+    now += rng.next_below(3'000);
+    std::vector<Ref> due;
+    std::erase_if(model, [&](const Ref& r) {
+      if (r.due_us > now) return false;
+      due.push_back(r);
+      return true;
+    });
+    std::stable_sort(due.begin(), due.end(), [](const Ref& a, const Ref& b) {
+      return a.due_us < b.due_us;
+    });
+    std::vector<int> want;
+    for (const auto& r : due) want.push_back(r.id);
+    std::uint64_t want_next = HeldCopies::kNone;
+    for (const auto& r : model) want_next = std::min(want_next, r.due_us);
+    std::uint64_t next = 0;
+    ASSERT_EQ(send_due_ids(held, now, &next), want) << "at " << now;
+    ASSERT_EQ(next, want_next) << "at " << now;
   }
 }
 
-TEST(Reactor, PastDeadlineFiresOnTheNextTurn) {
-  // A timer scheduled from a callback with no delay fires on the loop's
-  // next turn, ahead of every later deadline.
-  Reactor reactor{"netio-test"};
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<int> order;
-  const auto record = [&](int id) {
-    std::lock_guard lock{m};
-    order.push_back(id);
-    cv.notify_one();
-  };
-  reactor.start();
-  reactor.run_after(50'000, [&] { record(3); });
-  reactor.run_after(1'000, [&] {
-    record(1);
-    reactor.run_after(0, [&] { record(2); });
-  });
-  std::unique_lock lock{m};
-  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                          [&] { return order.size() == 3; }));
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  lock.unlock();
-  reactor.stop();
-}
-
-TEST(Reactor, DispatchesReadableFd) {
-  UdpSocket rx;
-  ASSERT_TRUE(rx.open_loopback(0, false));
-  UdpSocket tx;
-  ASSERT_TRUE(tx.open_loopback(0, false));
-  ASSERT_TRUE(tx.connect_loopback(rx.local_port()));
-
-  Reactor reactor{"netio-test"};
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<std::uint8_t> got;
-  ASSERT_TRUE(reactor.add_fd(rx.fd(), [&] {
-    std::uint8_t buffer[64];
-    while (const auto n = rx.recv_from(buffer, nullptr)) {
-      std::lock_guard lock{m};
-      got.assign(buffer, buffer + *n);
-      cv.notify_one();
-    }
-  }));
-  reactor.start();
-  const std::vector<std::uint8_t> ping = {1, 2, 3};
-  ASSERT_TRUE(tx.send(ping));
-  std::unique_lock lock{m};
-  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                          [&] { return !got.empty(); }));
-  EXPECT_EQ(got, ping);
-  reactor.stop();
+TEST(HeldCopies, PastDueCopyGoesOutOnTheNextSend) {
+  // A copy held with a due time already past goes out on the next send,
+  // ahead of every later due time.
+  HeldCopies held;
+  held.hold(50'000, copy_of(3));
+  held.hold(1'000, copy_of(1));
+  EXPECT_EQ(send_due_ids(held, 2'000), (std::vector<int>{1}));
+  held.hold(1'500, copy_of(2));
+  std::uint64_t next = 0;
+  EXPECT_EQ(send_due_ids(held, 2'001, &next), (std::vector<int>{2}));
+  EXPECT_EQ(next, 50'000u);
+  EXPECT_EQ(send_due_ids(held, 50'000), (std::vector<int>{3}));
 }
 
 TEST(UdpSocket, FreshReusePortGroupNeverJoinsAForeignOne) {
@@ -433,7 +332,7 @@ TEST_F(SocketBackendTest, DownServerFailsFastAsUnreachable) {
 TEST_F(SocketBackendTest, InjectedLossExpiresAfterRetransmits) {
   auto options = tight_options();
   options.rto_us = 2'000;  // keep attempts * rto tiny
-  // The server's reactor threads read the plan, so it must outlive the
+  // The server's worker threads read the plan, so it must outlive the
   // backend; the loss is lifted below by uninstalling it, not deleting it.
   fault::ScopedPlan plan{"loss=1"};
   LoopbackDns loopback{network, options};
@@ -574,8 +473,8 @@ TEST_F(SocketBackendTest, ChaosDuplicatesAnswerOnceAndLandAsStrays) {
   // of each response arrive after their exchange settled, carrying a wire
   // ID that is now stale. The next exchange on the same socket must count
   // every late copy it reads a stray — never delivered, never corrupting
-  // its answer. Installed before the backend so it outlives every reactor
-  // callback.
+  // its answer. Installed before the backend so it outlives every server
+  // worker.
   fault::ScopedPlan plan{"dup=1,delay_us=500,jitter_us=200"};
   LoopbackDns loopback{network, tight_options()};
   ASSERT_TRUE(loopback.start());
@@ -716,11 +615,41 @@ TEST_F(SocketBackendTest, StopFailsPendingExchangesInsteadOfHanging) {
           loopback.transport().exchange(kClient, kRoot, query_bytes(id)));
     });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const auto before = Reactor::now_us();
+  const auto before = obs::steady_now_us();
   loopback.stop();
   for (auto& caller : callers) caller.join();
   // Callers left to expire would wait out 0.5 + 1 + 2 s of attempts.
-  EXPECT_LT(Reactor::now_us() - before, 1'000'000u);
+  EXPECT_LT(obs::steady_now_us() - before, 1'000'000u);
+}
+
+TEST_F(SocketBackendTest, ServerStopDoesNotWaitForHeldResponseCopies) {
+  // Every datagram is held back 2 s. A query from a plain socket (no
+  // client transport, so only the server's wire decision holds anything)
+  // leaves its response held in a worker's queue; stop() must wake that
+  // worker and return without waiting the copy out.
+  fault::ScopedPlan plan{"delay_us=2000000"};
+  DnsSocketServer server{network, 2};
+  ASSERT_TRUE(server.start());
+  UdpSocket client;
+  ASSERT_TRUE(client.open_loopback(0, false));
+  ASSERT_TRUE(client.connect_loopback(server.port()));
+  const auto delays = [] {
+    return obs::MetricsRegistry::instance().snapshot().counter(
+        "fault.wire.delay");
+  };
+  const auto before = delays();
+  ASSERT_TRUE(client.send(
+      encode_frame(FrameKind::kQuery, kClient, kRoot, query_bytes(0x44))));
+  const auto give_up = obs::steady_now_us() + 5'000'000;
+  while (delays() == before && obs::steady_now_us() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GT(delays(), before) << "the server never held the response";
+  const auto stop_started = obs::steady_now_us();
+  server.stop();
+  EXPECT_LT(obs::steady_now_us() - stop_started, 1'000'000u);
+  // The held copy was never sent.
+  std::uint8_t buffer[512];
+  EXPECT_FALSE(client.recv_from(buffer, nullptr).has_value());
 }
 
 }  // namespace

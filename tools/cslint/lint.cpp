@@ -176,16 +176,11 @@ bool is_header(std::string_view path) {
 
 bool in_src(std::string_view path) { return starts_with(path, "src/"); }
 
-// D1 allowlist: obs/ measures wall time by design, util/rng is where
-// seeds are minted, and netio's reactor is an event loop whose epoll
-// timeouts and retransmit deadlines are real monotonic time by
-// definition — transport timing is explicitly outside the determinism
-// contract (answer bytes stay a pure function of the seed). Only the
-// reactor core is sanctioned; the rest of src/netio/ must route through
-// obs::steady_now_us() or annotate.
+// D1 allowlist: obs/ measures wall time by design, and util/rng is where
+// seeds are minted. Everything else, src/netio/ included, reads time
+// through obs::steady_now_us() or annotates.
 bool d1_exempt(std::string_view path) {
-  return starts_with(path, "src/obs/") || starts_with(path, "src/util/rng") ||
-         starts_with(path, "src/netio/reactor");
+  return starts_with(path, "src/obs/") || starts_with(path, "src/util/rng");
 }
 
 // K1 code scope: everything whose CS_* mentions count as *references* to
@@ -505,85 +500,26 @@ void check_header(const std::string& path, const std::vector<Tok>& toks,
 }
 
 // ---------------------------------------------------------------------------
-// B1: reactor threads must never block. Two layers:
-//  - sleep-family calls (sleep/usleep/nanosleep/sleep_for/sleep_until) are
-//    banned anywhere under src/netio/ — every wait there is either the
-//    reactor's own epoll timeout or a client caller's ppoll on its own
-//    socket, which is not in the sleep family.
-//  - an inline lambda handed to Reactor::add_fd or Reactor::run_after runs
-//    on the reactor thread, so its body must not take an annotated lock
-//    (LockGuard / std::lock_guard / unique_lock / scoped_lock / .lock())
-//    or issue a blocking syscall (recv/recvfrom/recvmsg/poll/select/
-//    accept): a handler that blocks stalls every timer and socket behind
-//    it. Named handler *functions* registered as callbacks are outside
-//    this syntactic net — the thread-safety annotation layer covers them.
+// B1: nothing on the wire path sleeps. Sleep-family calls (sleep/usleep/
+// nanosleep/sleep_for/sleep_until) are banned anywhere under src/netio/:
+// every wait there is a server worker's or a client caller's ppoll on its
+// own socket, which wakes for a datagram, a due held copy or stop().
 // ---------------------------------------------------------------------------
 
 const std::set<std::string, std::less<>> kB1Sleep = {
     "sleep", "usleep", "nanosleep", "sleep_for", "sleep_until"};
-const std::set<std::string, std::less<>> kB1Lock = {
-    "LockGuard", "lock_guard", "unique_lock", "scoped_lock"};
-const std::set<std::string, std::less<>> kB1Syscall = {
-    "recv", "recvfrom", "recvmsg", "poll", "select", "accept"};
 
-// Scans one inline-callback body (tokens in [begin, end)) for blockers.
-void check_callback_body(const std::string& path, const std::vector<Tok>& toks,
-                         std::size_t begin, std::size_t end, const char* sink,
-                         FileReport& report) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::string& t = toks[i].text;
-    if (kB1Lock.count(t)) {
-      add(report, path, toks[i].line, "B1",
-          "'" + t + "' inside a " + sink +
-              " callback: reactor handlers run on the event loop and must "
-              "not acquire locks (stage the work, or go lock-free)");
-    } else if (t == "lock" && is_member_access(toks, i) &&
-               next_is(toks, i, "(")) {
-      add(report, path, toks[i].line, "B1",
-          std::string("'.lock()' inside a ") + sink +
-              " callback: reactor handlers must not acquire locks");
-    } else if (kB1Syscall.count(t) && next_is(toks, i, "(") &&
-               !is_member_access(toks, i) && !is_declaration_name(toks, i)) {
-      add(report, path, toks[i].line, "B1",
-          "blocking call '" + t + "()' inside a " + sink +
-              " callback: reactor handlers must return immediately");
-    }
-  }
-}
-
-void check_reactor_blocking(const std::string& path,
-                            const std::vector<Tok>& toks, FileReport& report) {
+void check_netio_sleeps(const std::string& path, const std::vector<Tok>& toks,
+                        FileReport& report) {
   if (!starts_with(path, "src/netio/")) return;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const std::string& t = toks[i].text;
     if (kB1Sleep.count(t) && next_is(toks, i, "(") &&
-        !is_declaration_name(toks, i)) {
+        !is_declaration_name(toks, i))
       add(report, path, toks[i].line, "B1",
           "'" + t +
-          "()' in src/netio/: nothing on the wire path sleeps — waits are "
-          "the reactor's epoll timeout or a client caller's ppoll");
-      continue;
-    }
-    if ((t != "add_fd" && t != "run_after") || !next_is(toks, i, "(")) continue;
-    // Walk the balanced argument list; any '{'..'}' region inside it is an
-    // inline lambda body that will run on the reactor thread.
-    int parens = 0;
-    std::size_t j = i + 1;
-    for (; j < toks.size(); ++j) {
-      if (toks[j].text == "(") ++parens;
-      if (toks[j].text == ")" && --parens == 0) break;
-      if (toks[j].text == "{") {
-        int braces = 1;
-        std::size_t body = j + 1;
-        while (body < toks.size() && braces > 0) {
-          if (toks[body].text == "{") ++braces;
-          if (toks[body].text == "}") --braces;
-          ++body;
-        }
-        check_callback_body(path, toks, j + 1, body - 1, t.c_str(), report);
-        j = body - 1;
-      }
-    }
+          "()' in src/netio/: nothing on the wire path sleeps — every wait "
+          "is a ppoll on the waiter's own socket");
   }
 }
 
@@ -1095,7 +1031,7 @@ std::vector<Finding> lint(const std::vector<Source>& sources) {
     check_tokens(source.path, toks, report);
     check_shared_state(source.path, toks, report);
     check_header(source.path, toks, report);
-    check_reactor_blocking(source.path, toks, report);
+    check_netio_sleeps(source.path, toks, report);
     report.allows = parse_allows(stripped.comments);
   }
   check_knob_registry(sources, macro_defined, reports);

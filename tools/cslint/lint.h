@@ -16,7 +16,7 @@
 ///   D1  determinism: rand/srand, std::random_device, time()/clock(),
 ///       gettimeofday, and the std::chrono wall/steady clocks are banned
 ///       in src/ outside the allowlist (src/obs/ timing, src/util/rng
-///       seeding, the src/netio reactor core).
+///       seeding).
 ///   E1  env hygiene: getenv/setenv/putenv/unsetenv only in
 ///       src/util/env.cpp; everything else goes through util::env.
 ///   L1  logging: std::cout/cerr/clog, printf/puts, and
@@ -37,11 +37,9 @@
 ///       knob-table row, and README/DESIGN must not mention unregistered
 ///       knobs. #define'd CS_* macros and "CS_FOO_…" prefix mentions
 ///       are exempt. (Subsumes the old V1 doc-drift check.)
-///   B1  reactor hygiene: no sleep-family calls anywhere in src/netio/
-///       (a client caller waits in ppoll on its own socket, which is not
-///       in the family), and inline lambdas handed to Reactor::add_fd /
-///       run_after must not take locks or issue blocking syscalls — they
-///       run on the event-loop thread.
+///   B1  wire-path waits: no sleep-family calls anywhere in src/netio/
+///       (a server worker and a client caller each wait in ppoll on
+///       their own socket, which is not in the family).
 ///   S1  header hygiene: #pragma once present, no `using namespace`
 ///       in headers.
 ///   A1  suppression hygiene: inline allows must name known checks,

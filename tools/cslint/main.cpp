@@ -13,7 +13,7 @@ constexpr const char* kUsage =
     "\n"
     "Lints CloudScope sources against the project invariants (D1\n"
     "determinism, E1 env hygiene, L1 logging, C1 shared state, G1 module\n"
-    "layering, K1 knob registry, B1 reactor hygiene, S1 header hygiene,\n"
+    "layering, K1 knob registry, B1 wire-path waits, S1 header hygiene,\n"
     "A1 suppression hygiene). Paths are relative to --root (default: the\n"
     "current directory); directories are walked recursively. With no\n"
     "paths: src tools examples bench tests. --format=github emits one\n"
