@@ -9,10 +9,8 @@ namespace cs::dns {
 namespace {
 
 constexpr std::size_t kMaxLabel = 63;
-/// Longest wire form without the terminal root octet (RFC 1035: 255 total).
-constexpr std::size_t kMaxWire = 254;
-/// Longest label sequence kMaxWire allows (1-octet labels).
-constexpr std::size_t kMaxLabels = kMaxWire / 2;
+/// Longest label sequence kMaxNameWire allows (1-octet labels).
+constexpr std::size_t kMaxLabels = kMaxNameWire / 2;
 constexpr std::size_t kMaxPointerHops = 64;
 
 /// Each octet lower-cased, or 0 when it may not appear in a label
@@ -28,15 +26,10 @@ constexpr std::array<char, 256> kLabelOctet = [] {
   return table;
 }();
 
-/// Appends one length-prefixed, lower-cased label to `wire`. Returns false
-/// (leaving `wire` in an unspecified state) for an empty, over-long or
-/// ill-charactered label, or when the name would exceed kMaxWire.
-bool append_label(std::string& wire, const char* label, std::size_t len) {
-  if (len == 0 || len > kMaxLabel || wire.size() + 1 + len > kMaxWire)
-    return false;
-  const std::size_t at = wire.size();
-  wire.resize(at + 1 + len);
-  char* out = wire.data() + at;
+/// Writes one length-prefixed, lower-cased label at `out`. Returns false
+/// for an empty, over-long or ill-charactered label.
+bool put_label(char* out, const char* label, std::size_t len) {
+  if (len == 0 || len > kMaxLabel) return false;
   *out++ = static_cast<char>(len);
   for (std::size_t i = 0; i < len; ++i) {
     const char c = kLabelOctet[static_cast<unsigned char>(label[i])];
@@ -44,6 +37,16 @@ bool append_label(std::string& wire, const char* label, std::size_t len) {
     *out++ = c;
   }
   return true;
+}
+
+/// put_label at the end of `wire`. Returns false (leaving `wire` in an
+/// unspecified state) for a bad label or when the name would exceed
+/// kMaxNameWire.
+bool append_label(std::string& wire, const char* label, std::size_t len) {
+  const std::size_t at = wire.size();
+  if (at + 1 + len > kMaxNameWire) return false;
+  wire.resize(at + 1 + len);
+  return put_label(wire.data() + at, label, len);
 }
 
 /// Offsets of each label's length octet, leftmost first; returns the count.
@@ -95,39 +98,52 @@ std::optional<Name> Name::from_labels(
   return n;
 }
 
-std::optional<Name> Name::decode_wire(std::span<const std::uint8_t> message,
-                                      std::size_t& pos) {
-  Name n;
+bool NameBuf::read(std::span<const std::uint8_t> message, std::size_t& pos) {
+  size_ = 0;
   std::size_t cursor = pos;
   std::size_t hops = 0;
   bool jumped = false;
   for (;;) {
-    if (cursor >= message.size()) return std::nullopt;
+    if (cursor >= message.size()) return false;
     const std::uint8_t len = message[cursor];
     if ((len & 0xC0) == 0xC0) {
       if (cursor + 1 >= message.size() || ++hops > kMaxPointerHops)
-        return std::nullopt;
+        return false;
       const std::size_t target =
           (static_cast<std::size_t>(len & 0x3F) << 8) | message[cursor + 1];
       if (!jumped) {
         pos = cursor + 2;
         jumped = true;
       }
-      if (target >= cursor) return std::nullopt;  // forward pointers banned
+      if (target >= cursor) return false;  // forward pointers banned
       cursor = target;
       continue;
     }
-    if (len > kMaxLabel) return std::nullopt;
     if (len == 0) {
       if (!jumped) pos = cursor + 1;
-      return n;
+      return true;
     }
     const auto* label = reinterpret_cast<const char*>(message.data()) + cursor;
     if (cursor + 1 + len > message.size() ||
-        !append_label(n.wire_, label + 1, len))
-      return std::nullopt;
+        size_ + 1 + len > kMaxNameWire ||
+        !put_label(bytes_.data() + size_, label + 1, len))
+      return false;
+    size_ += 1 + len;
     cursor += 1 + len;
   }
+}
+
+Name NameBuf::name() const {
+  Name n;
+  n.wire_.assign(wire());
+  return n;
+}
+
+std::optional<Name> Name::decode_wire(std::span<const std::uint8_t> message,
+                                      std::size_t& pos) {
+  NameBuf buf;
+  if (!buf.read(message, pos)) return std::nullopt;
+  return buf.name();
 }
 
 std::size_t Name::label_count() const noexcept {
@@ -145,7 +161,7 @@ Name Name::parent() const {
 }
 
 std::optional<Name> Name::child(std::string_view label) const {
-  if (1 + label.size() + wire_.size() > kMaxWire) return std::nullopt;
+  if (1 + label.size() + wire_.size() > kMaxNameWire) return std::nullopt;
   Name c;
   c.wire_.reserve(1 + label.size() + wire_.size());
   if (!append_label(c.wire_, label.data(), label.size())) return std::nullopt;
@@ -153,13 +169,13 @@ std::optional<Name> Name::child(std::string_view label) const {
   return c;
 }
 
-bool Name::is_subdomain_of(const Name& ancestor) const noexcept {
+bool in_subtree(std::string_view name, std::string_view ancestor) noexcept {
   // A byte suffix is a name suffix only if it starts on a label boundary
   // ("notexample.com" ends with the bytes of "example.com" mid-label).
-  if (!wire_.ends_with(ancestor.wire_)) return false;
-  const std::size_t boundary = wire_.size() - ancestor.wire_.size();
+  if (!name.ends_with(ancestor)) return false;
+  const std::size_t boundary = name.size() - ancestor.size();
   std::size_t at = 0;
-  while (at < boundary) at += 1 + static_cast<unsigned char>(wire_[at]);
+  while (at < boundary) at += 1 + static_cast<unsigned char>(name[at]);
   return at == boundary;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <iterator>
@@ -14,10 +15,39 @@
 /// A Name is stored as its uncompressed wire form without the terminal
 /// root octet ("\3www\7example\3com"), lower-cased because DNS comparison
 /// is case-insensitive. The empty byte string is the root ".". Every way
-/// in (parse, from_labels, child, decode_wire) validates, so the bytes of
-/// a Name are always well formed and equality is a byte compare. The
-/// bytes are the whole state: labels are found by walking length octets.
+/// in (parse, from_labels, child, decode_wire, NameBuf) validates, so the
+/// bytes of a Name are always well formed and equality is a byte compare.
+/// The bytes are the whole state: labels are found by walking length octets.
 namespace cs::dns {
+
+class Name;
+
+/// Longest wire form without the terminal root octet (RFC 1035: 255 total).
+inline constexpr std::size_t kMaxNameWire = 254;
+
+/// True if the wire form `name` equals `ancestor` or lies in its subtree.
+bool in_subtree(std::string_view name, std::string_view ancestor) noexcept;
+
+/// One name read out of a DNS message into a fixed buffer: the lower-cased
+/// wire form a Name would hold. Reading allocates nothing, so a datagram's
+/// names can be checked, compared and looked up (NameHash is transparent)
+/// without building a Name; name() builds one when a caller keeps it.
+class NameBuf {
+ public:
+  /// Reads the possibly compressed name at `pos` of a DNS message (RFC
+  /// 1035 §4.1.4), lower-casing and validating as it copies. Pointers must
+  /// point backwards and are followed at most 64 times. On success `pos`
+  /// moves past the name's in-place bytes; on failure (false) the buffer
+  /// and `pos` are unspecified.
+  bool read(std::span<const std::uint8_t> message, std::size_t& pos);
+
+  std::string_view wire() const noexcept { return {bytes_.data(), size_}; }
+  Name name() const;
+
+ private:
+  std::array<char, kMaxNameWire> bytes_{};
+  std::size_t size_ = 0;
+};
 
 class Name {
  public:
@@ -77,10 +107,7 @@ class Name {
   static std::optional<Name> from_labels(
       const std::vector<std::string>& labels);
 
-  /// Decodes the possibly compressed name at `pos` of a DNS message (RFC
-  /// 1035 §4.1.4), lower-casing and validating as it copies. Pointers must
-  /// point backwards and are followed at most 64 times. On success `pos`
-  /// moves past the name's in-place bytes; on failure it is unspecified.
+  /// NameBuf::read into a new Name: nullopt where the read fails.
   static std::optional<Name> decode_wire(
       std::span<const std::uint8_t> message, std::size_t& pos);
 
@@ -103,7 +130,9 @@ class Name {
   std::optional<Name> child(std::string_view label) const;
 
   /// True if this name equals `ancestor` or is inside its subtree.
-  bool is_subdomain_of(const Name& ancestor) const noexcept;
+  bool is_subdomain_of(const Name& ancestor) const noexcept {
+    return in_subtree(wire_, ancestor.wire_);
+  }
 
   /// Number of octets this name occupies uncompressed on the wire.
   std::size_t wire_length() const noexcept { return wire_.size() + 1; }
@@ -124,6 +153,8 @@ class Name {
   static bool canonical_less(const Name& a, const Name& b) noexcept;
 
  private:
+  friend class NameBuf;
+
   std::string wire_;
 };
 

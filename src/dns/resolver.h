@@ -120,11 +120,31 @@ class Resolver {
   struct CacheKey {
     Name name;
     RrType type;
-    bool operator==(const CacheKey&) const = default;
   };
+  /// A key as a lookup spells it: a name's wire form and a type.
+  struct CacheKeyView {
+    std::string_view wire;
+    RrType type;
+  };
+  /// Transparent, so cache_get() finds an entry without building a Name.
   struct CacheKeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const CacheKeyView& key) const noexcept {
+      return NameHash{}(key.wire) ^ static_cast<std::size_t>(key.type);
+    }
     std::size_t operator()(const CacheKey& key) const noexcept {
-      return NameHash{}(key.name) ^ static_cast<std::size_t>(key.type);
+      return (*this)(CacheKeyView{key.name.wire(), key.type});
+    }
+  };
+  struct CacheKeyEq {
+    using is_transparent = void;
+    static CacheKeyView view(const CacheKey& k) noexcept {
+      return {k.name.wire(), k.type};
+    }
+    static CacheKeyView view(const CacheKeyView& k) noexcept { return k; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return view(a).wire == view(b).wire && view(a).type == view(b).type;
     }
   };
   struct CacheEntry {
@@ -144,12 +164,15 @@ class Resolver {
   Rcode resolve_step(const Name& name, RrType type,
                      std::vector<ResourceRecord>& chain, int depth);
 
-  /// Queries one server over the transport; nullopt on timeout/decode error.
-  std::optional<Message> ask(net::Ipv4 server, const Name& name, RrType type);
+  /// Queries one server over the transport; nullopt on timeout, an
+  /// undecodable reply or a reply to another query. The view reads
+  /// `reply`, which holds the reply's bytes.
+  std::optional<MessageView> ask(net::Ipv4 server, const Name& name,
+                                 RrType type, std::vector<std::uint8_t>& reply);
 
   /// Finds usable name-server addresses from a referral, resolving NS
   /// targets without glue as needed.
-  std::vector<net::Ipv4> referral_addresses(const Message& response,
+  std::vector<net::Ipv4> referral_addresses(const MessageView& response,
                                             int depth);
 
   /// `ttl_override` pins the entry's lifetime (negative caching); when
@@ -157,17 +180,17 @@ class Resolver {
   void cache_put(const Name& name, RrType type, Rcode rcode,
                  const std::vector<ResourceRecord>& records,
                  std::optional<std::uint32_t> ttl_override = std::nullopt);
-  const CacheEntry* cache_get(const Name& name, RrType type);
+  const CacheEntry* cache_get(std::string_view name_wire, RrType type);
 
   /// Remembers a zone cut for min(ttl, 300) s, like cache_put.
-  void cut_put(const Name& owner, const std::vector<net::Ipv4>& servers,
+  void cut_put(const NameBuf& owner, const std::vector<net::Ipv4>& servers,
                std::uint32_t ttl);
   /// Deepest unexpired cached cut at or above `name`; nullptr = the roots.
   const CutEntry* closest_cut(const Name& name) const;
 
   DnsTransport& transport_;
   Options options_;
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
+  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash, CacheKeyEq> cache_;
   /// A handful of cuts per resolver (a chunk resolver holds 2-3), so a
   /// flat scan beats any index.
   std::vector<CutEntry> cuts_;

@@ -48,24 +48,29 @@ class AuthoritativeServer {
     dynamic_answer_ = std::move(hook);
   }
 
-  /// Answers one query message as this server would on the wire.
-  /// `client` is the querying address (used only by the AXFR policy).
-  Message handle(net::Ipv4 client, const Message& query) const;
-
-  /// Wire-level entry point: decodes, handles, re-encodes. Malformed input
-  /// produces a FORMERR with an empty question section.
+  /// Answers one query datagram as this server would on the wire: reads
+  /// the question in place and writes the answer straight into the
+  /// response bytes. Malformed input produces a FORMERR with an empty
+  /// question section. `client` is the querying address (the AXFR policy
+  /// and dynamic answers see it).
   std::vector<std::uint8_t> handle_wire(
       net::Ipv4 client, std::span<const std::uint8_t> wire) const;
+
+  /// handle_wire() for a query held as a Message: encodes it, answers,
+  /// and decodes the answer.
+  Message handle(net::Ipv4 client, const Message& query) const;
 
   std::size_t zone_count() const noexcept { return zones_.size(); }
 
  private:
-  /// Deepest zone whose origin is an ancestor of (or equals) the name:
-  /// one hash probe per suffix, deepest first.
-  const Zone* best_zone(const Name& name) const;
+  /// Deepest zone whose origin is an ancestor of (or equals) the name
+  /// spelled by `wire`: one hash probe per suffix, deepest first.
+  const Zone* best_zone(std::string_view wire) const;
 
-  void answer_question(net::Ipv4 client, const Question& q,
-                       Message& response) const;
+  /// The RFC 1034 §4.3.2 algorithm for the first question (`question`,
+  /// `qtype`): sets the header's aa and rcode and writes the records.
+  void answer(net::Ipv4 client, const NameBuf& question, RrType qtype,
+              WireWriter& out) const;
 
   std::unordered_map<Name, std::unique_ptr<Zone>, NameHash, NameEq> zones_;
   AxfrPolicy axfr_policy_;

@@ -54,7 +54,6 @@ WireReply SimulatedDnsNetwork::serve(net::Ipv4 client, net::Ipv4 server,
                                      std::span<const std::uint8_t> query)
     const {
   ExchangeScope scope{*this};
-  query_count_.fetch_add(1, std::memory_order_relaxed);
   const auto it = servers_.find(server.value());
   if (it == servers_.end() ||
       it->second.down.load(std::memory_order_acquire))

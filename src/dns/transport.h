@@ -100,12 +100,6 @@ class SimulatedDnsNetwork final : public DnsTransport {
   /// drop, so the second always gets through.
   static constexpr std::uint32_t kSimulatedAttempts = 3;
 
-  /// Queries served (every attempt counts, including retransmits reaching
-  /// the socket backend). Thread-safe.
-  std::uint64_t query_count() const noexcept {
-    return query_count_.load(std::memory_order_relaxed);
-  }
-
   /// Size of the routing table. Safe concurrently with serve()/exchange()
   /// (the table is read-only then); not with attach().
   std::size_t server_count() const noexcept { return servers_.size(); }
@@ -127,7 +121,6 @@ class SimulatedDnsNetwork final : public DnsTransport {
   void assert_quiescent() const;
 
   std::unordered_map<std::uint32_t, Entry> servers_;
-  mutable std::atomic<std::uint64_t> query_count_{0};
 #ifndef NDEBUG
   mutable std::atomic<int> active_exchanges_{0};
 #endif

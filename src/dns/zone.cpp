@@ -31,15 +31,17 @@ bool Zone::add(ResourceRecord rr) {
   return true;
 }
 
-bool Zone::has_name(const Name& name) const { return nodes_.contains(name); }
+const Zone::NodeData* Zone::node(std::string_view wire) const {
+  const auto it = nodes_.find(wire);
+  return it == nodes_.end() ? nullptr : &it->second;
+}
 
 std::vector<ResourceRecord> Zone::find(const Name& name, RrType type) const {
-  const auto node = nodes_.find(name);
-  if (node == nodes_.end()) return {};
   if (type == RrType::kAny) return find_all(name);
-  const auto recs = node->second.by_type.find(type);
-  if (recs == node->second.by_type.end()) return {};
-  return recs->second;
+  const NodeData* at = node(name.wire());
+  if (!at) return {};
+  const auto recs = at->of(type);
+  return {recs.begin(), recs.end()};
 }
 
 std::vector<ResourceRecord> Zone::find_all(const Name& name) const {
@@ -51,16 +53,16 @@ std::vector<ResourceRecord> Zone::find_all(const Name& name) const {
   return out;
 }
 
-const Name* Zone::delegation_cut(const Name& name) const {
+const Name* Zone::delegation_cut(std::string_view wire) const {
   // RFC 1034 resolution stops at the *shallowest* cut between the apex
   // and the name, so probe the name's suffixes from just below the apex
   // downwards. Each suffix is a view into the name's wire form.
-  if (cut_count_ == 0 || !name.is_subdomain_of(origin_)) return nullptr;
-  const std::string_view wire = name.wire();
+  if (cut_count_ == 0 || !in_subtree(wire, origin_.wire())) return nullptr;
   std::array<std::uint8_t, 128> starts;  // a name has at most 127 labels
   std::size_t count = 0;
-  for (const auto label : name.labels())
-    starts[count++] = static_cast<std::uint8_t>(label.data() - 1 - wire.data());
+  for (std::size_t at = 0; at < wire.size();
+       at += 1 + static_cast<unsigned char>(wire[at]))
+    starts[count++] = static_cast<std::uint8_t>(at);
   const std::size_t below_apex = count - origin_.label_count();
   for (std::size_t i = below_apex; i-- > 0;) {
     const auto node = nodes_.find(wire.substr(starts[i]));
