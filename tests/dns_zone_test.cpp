@@ -68,17 +68,19 @@ TEST(Zone, CnameExclusivity) {
 
 TEST(Zone, HasName) {
   const auto zone = make_zone();
-  EXPECT_TRUE(zone.has_name(Name::must_parse("www.example.com")));
-  EXPECT_FALSE(zone.has_name(Name::must_parse("missing.example.com")));
+  EXPECT_TRUE(zone.node(Name::must_parse("www.example.com").wire()));
+  EXPECT_FALSE(zone.node(Name::must_parse("missing.example.com").wire()));
 }
 
 TEST(Zone, DelegationCutFindsNsOwner) {
   const auto zone = make_zone();
   const auto cut =
-      zone.delegation_cut(Name::must_parse("deep.host.sub.example.com"));
+      zone.delegation_cut(
+      Name::must_parse("deep.host.sub.example.com").wire());
   ASSERT_TRUE(cut);
   EXPECT_EQ(cut->to_string(), "sub.example.com");
-  EXPECT_FALSE(zone.delegation_cut(Name::must_parse("www.example.com")));
+  EXPECT_FALSE(
+      zone.delegation_cut(Name::must_parse("www.example.com").wire()));
 }
 
 TEST(Zone, DelegationCutIgnoresApexNs) {
@@ -86,7 +88,8 @@ TEST(Zone, DelegationCutIgnoresApexNs) {
   zone.add(ResourceRecord::ns(Name::must_parse("example.com"),
                               Name::must_parse("ns1.example.com")));
   // Apex NS records are not a delegation away from this zone.
-  const auto cut = zone.delegation_cut(Name::must_parse("www.example.com"));
+  const auto cut =
+      zone.delegation_cut(Name::must_parse("www.example.com").wire());
   // delegation_cut may return the apex; the server filters that case — but
   // the Zone contract here reports only non-apex cuts for names below apex.
   if (cut) {
