@@ -29,9 +29,9 @@
 ///                   time per pipeline stage plus every metrics counter,
 ///                   the input to the BENCH_* perf trajectory.
 /// Parallelism knobs (see DESIGN.md "Execution model"):
-///   CS_THREADS        - exec pool width (default: hardware concurrency);
-///                       the sidecar records it plus pool task/steal/queue
-///                       metrics.
+///   CS_THREADS        - exec pool workers (default: hardware
+///                       concurrency); the sidecar records it plus the
+///                       pool's task count.
 ///   CS_BENCH_BASELINE - path to a previous sidecar (typically a
 ///                       CS_THREADS=1 run of the same bench); the new
 ///                       sidecar then reports baseline_wall_ms and the
@@ -96,7 +96,7 @@ inline double read_baseline_wall_ms(const std::string& path) {
 
 /// Writes the CS_BENCH_JSON sidecar via obs::RunReport — one consistent
 /// metrics snapshot covering wall time, per-stage spans, resource usage,
-/// pool shape, snap/fault activity, histogram percentiles, and every
+/// pool task count, snap/fault activity, histogram percentiles, and every
 /// counter. Registered via atexit from print_header so each bench main
 /// stays a straight-line reproduction.
 inline void write_bench_sidecar() {

@@ -6,10 +6,10 @@
 //   ./examples/pipeline_profile [domain_count]
 //
 // Set CS_TRACE=out.json to additionally write the Chrome trace-event file
-// (open it in chrome://tracing or https://ui.perfetto.dev — the RSS and
-// queue-depth counter lanes sampled at stage boundaries render there
-// too), and CS_BENCH_JSON=out.json to write the full obs::RunReport
-// sidecar, the same shape the bench binaries feed into csbench.
+// (open it in chrome://tracing or https://ui.perfetto.dev — the RSS
+// counter lane sampled at stage boundaries renders there too), and
+// CS_BENCH_JSON=out.json to write the full obs::RunReport sidecar, the
+// same shape the bench binaries feed into csbench.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>

@@ -22,9 +22,9 @@ class StageScope {
   }
   ~StageScope() {
     obs::counter("study.stages_built").inc();
-    // One RSS/queue-depth counter sample per stage boundary: enough to
-    // draw memory and pool-pressure lanes under the span lanes in
-    // Perfetto without taxing inner loops. No-op when collection is off.
+    // One RSS counter sample per stage boundary: enough to draw a memory
+    // lane under the span lanes in Perfetto without taxing inner loops.
+    // No-op when collection is off.
     obs::RunReport::sample_counter_lane();
     obs::log_debug("core.study", "built {} in {:.1f} ms", stage_,
                    (obs::Tracer::instance().epoch_now_us() - start_us_) /

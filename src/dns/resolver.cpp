@@ -5,6 +5,13 @@
 #include "obs/metrics.h"
 
 namespace cs::dns {
+namespace {
+
+constexpr bool kRecursionDesired = false;  ///< the paper queried with norecurse
+constexpr int kMaxReferrals = 32;          ///< delegation-depth guard
+constexpr int kMaxCnameHops = 12;
+
+}  // namespace
 
 std::vector<net::Ipv4> ResolveResult::addresses() const {
   std::vector<net::Ipv4> out;
@@ -110,7 +117,7 @@ std::optional<MessageView> Resolver::ask(net::Ipv4 server, const Name& name,
   ++upstream_queries_;
   auto wire = transport_.exchange(
       options_.client_address, server,
-      encode_query(id, name, type, options_.recursion_desired));
+      encode_query(id, name, type, kRecursionDesired));
   if (!wire) return std::nullopt;
   reply = std::move(*wire);
   const auto response = MessageView::walk(reply);
@@ -210,7 +217,7 @@ std::vector<net::Ipv4> Resolver::referral_addresses(
 
 Rcode Resolver::resolve_step(const Name& name, RrType type,
                              std::vector<ResourceRecord>& chain, int depth) {
-  if (depth > options_.max_cname_hops) return Rcode::kServFail;
+  if (depth > kMaxCnameHops) return Rcode::kServFail;
 
   if (const auto* cached = cache_get(name.wire(), type)) {
     chain.insert(chain.end(), cached->records.begin(), cached->records.end());
@@ -244,7 +251,7 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
   };
 
   std::vector<std::uint8_t> reply;
-  for (int hop = 0; hop < options_.max_referrals; ++hop) {
+  for (int hop = 0; hop < kMaxReferrals; ++hop) {
     if (servers.empty()) return servfail();
 
     std::optional<MessageView> response;

@@ -41,14 +41,9 @@ class Resolver {
     std::vector<net::Ipv4> root_servers;
     net::Ipv4 client_address{net::Ipv4{192, 0, 2, 1}};
     bool use_cache = true;
-    bool recursion_desired = false;  ///< the paper queried with norecurse
-    int max_referrals = 32;          ///< delegation-depth guard
-    int max_cname_hops = 12;
     /// Total servers tried per delegation step before giving up: the
     /// first attempt plus up to (max_server_attempts - 1) retries against
-    /// alternate servers. (This was previously named `server_retries`,
-    /// which undersold the bound by one — the loop always admitted
-    /// retries + 1 attempts. The count is now named for what it bounds.)
+    /// alternate servers.
     int max_server_attempts = 3;
   };
 

@@ -38,9 +38,9 @@ namespace cs::exec {
 
 namespace detail {
 
-/// True while this thread drains a region's chunks, as its caller or as a
-/// runner: a region opened from inside a chunk runs inline.
-inline thread_local bool tls_in_region = false;  // cslint:allow(C1): per-thread region marker, not shared state
+/// True while a region opened on this thread must run inline: on a pool
+/// worker for its whole life, and on a region's caller while it drains.
+inline thread_local bool tls_inline_regions = false;  // cslint:allow(C1): per-thread nesting marker, not shared state
 
 struct RegionState {
   std::atomic<std::size_t> next_chunk{0};
@@ -75,8 +75,7 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
     fn(begin, end);
   };
 
-  if (pool.worker_count() == 0 || chunks <= 1 ||
-      ThreadPool::on_worker_thread() || detail::tls_in_region) {
+  if (pool.worker_count() == 0 || chunks <= 1 || detail::tls_inline_regions) {
     // Sequential mode or a nested region: run inline, in chunk order.
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
     return;
@@ -85,7 +84,7 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
   detail::RegionState state;
   state.chunk_count = chunks;
   auto drain = [&state, &run_chunk]() noexcept {
-    const bool outer = std::exchange(detail::tls_in_region, true);
+    const bool outer = std::exchange(detail::tls_inline_regions, true);
     for (;;) {
       const std::size_t chunk =
           state.next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -98,7 +97,7 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
         state.abandon_remaining();
       }
     }
-    detail::tls_in_region = outer;
+    detail::tls_inline_regions = outer;
   };
 
   const unsigned runners = static_cast<unsigned>(

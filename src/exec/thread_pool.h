@@ -1,90 +1,57 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <algorithm>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "util/sync.h"
 
-/// A work-stealing thread pool sized by CS_THREADS.
-///
-/// Each worker owns a deque: the owner pushes and pops at the back (LIFO,
-/// cache-warm), idle workers steal from the front of a victim's deque
-/// (FIFO, oldest first). External submissions round-robin across workers
-/// so the load spreads even before stealing kicks in.
-///
-/// The pool never promises *where* a task runs, so anything built on it
-/// must be deterministic by construction — see exec/parallel.h, which
-/// assigns work by index and merges results in index order, and
-/// exec/sharded_rng.h, which derives per-shard RNG streams that are
-/// independent of the worker that consumes them.
-///
-/// Observability: every worker names its trace lane ("exec-worker-0" ...)
-/// so Chrome-trace exports stay readable, and the pool feeds the metrics
-/// registry (exec.pool.tasks, exec.pool.steals, exec.pool.max_queue_depth,
-/// exec.pool.task_us).
+/// CS_THREADS workers taking tasks from one FIFO. The tasks are parallel
+/// regions' runners (exec/parallel.h); a runner can claim any chunk of its
+/// region, so no task needs a home worker. Nothing built on the pool may
+/// depend on where a task runs: work and results are keyed by index, RNG
+/// streams by shard (exec/sharded_rng.h). Workers name their trace lanes
+/// ("exec-worker-0" ...) and feed exec.pool.tasks and exec.pool.task_us.
 namespace cs::exec {
 
 class ThreadPool {
  public:
   using Task = std::function<void()>;
 
-  /// Spawns `threads` workers when threads > 1; with threads <= 1 the pool
-  /// has no workers and submit() runs tasks inline (sequential mode).
+  /// Spawns `threads` workers when threads > 1; otherwise none, and
+  /// submit() runs each task before it returns (sequential mode).
   explicit ThreadPool(unsigned threads);
-  ~ThreadPool();
+  ~ThreadPool();  ///< runs every queued task, then joins the workers
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Configured lane count (>= 1). Parallel algorithms use this to pick
-  /// their fan-out.
-  unsigned size() const noexcept { return size_; }
-  /// Number of spawned worker threads (0 in sequential mode).
+  /// Spawned workers, 0 in sequential mode. size() is the same count but
+  /// at least 1: the lanes parallel algorithms pick their fan-out from.
   unsigned worker_count() const noexcept {
     return static_cast<unsigned>(threads_.size());
   }
+  unsigned size() const noexcept { return std::max(worker_count(), 1u); }
 
-  /// Enqueues one task. In sequential mode the task runs before submit
-  /// returns. Tasks must not block waiting for other pool tasks — use
-  /// parallel_for, whose caller participates, for fork-join work.
+  /// Enqueues one task. A task must not wait on other pool tasks: fork-join
+  /// work uses parallel_for, whose caller drains chunks too.
   void submit(Task task);
 
-  /// True when the calling thread is one of this process's pool workers
-  /// (any pool). Parallel algorithms use it to run nested regions inline.
-  static bool on_worker_thread() noexcept;
-
-  /// The process-wide pool, built on first use with exec::thread_count()
-  /// lanes.
+  /// The process-wide pool of exec::thread_count() workers, built on first
+  /// use. rebuild_global() drops it, only while no pool work is in flight.
   static ThreadPool& global();
-
-  /// Tears down and lazily rebuilds the global pool (used after
-  /// set_thread_count). Must only be called while no pool work is in
-  /// flight.
   static void rebuild_global();
 
  private:
-  struct WorkerQueue {
-    util::Mutex mutex;
-    std::deque<Task> tasks CS_GUARDED_BY(mutex);
-  };
-
   void worker_loop(unsigned index);
-  bool try_run_one(unsigned self);
 
-  unsigned size_ = 1;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> threads_;
-  util::Mutex sleep_mutex_;
+  util::Mutex mutex_;
   util::CondVar wake_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<unsigned> next_queue_{0};
-  std::atomic<std::int64_t> max_depth_{0};
+  std::deque<Task> tasks_ CS_GUARDED_BY(mutex_);
+  bool stop_ CS_GUARDED_BY(mutex_) = false;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace cs::exec

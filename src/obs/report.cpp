@@ -92,9 +92,6 @@ void RunReport::sample_counter_lane() {
                         static_cast<double>(usage.current_rss_kb != 0
                                                 ? usage.current_rss_kb
                                                 : usage.peak_rss_kb));
-  tracer.record_counter(
-      "exec.pool.max_queue_depth",
-      static_cast<double>(gauge("exec.pool.max_queue_depth").value()));
 }
 
 std::string RunReport::to_json() const {
@@ -119,17 +116,8 @@ std::string RunReport::to_json() const {
       static_cast<std::uint64_t>(resources.current_rss_kb < 0
                                      ? 0
                                      : resources.current_rss_kb));
-  {
-    std::int64_t max_depth = 0;
-    for (const auto& g : metrics.gauges)
-      if (g.name == "exec.pool.max_queue_depth") max_depth = g.value;
-    out += util::fmt(
-        ",\n  \"pool\": {{\"tasks\": {}, \"steals\": {}, "
-        "\"max_queue_depth\": {}}}",
-        metrics.counter("exec.pool.tasks"),
-        metrics.counter("exec.pool.steals"),
-        static_cast<std::uint64_t>(max_depth < 0 ? 0 : max_depth));
-  }
+  out += util::fmt(",\n  \"pool\": {{\"tasks\": {}}}",
+                   metrics.counter("exec.pool.tasks"));
   // What ran, not just how fast: checkpoint traffic and injected faults.
   out += util::fmt(
       ",\n  \"snap\": {{\"stages_built\": {}, \"stages_resumed\": {}}}",

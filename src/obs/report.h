@@ -20,7 +20,8 @@
 ///   {"bench", "wall_ms", "threads", "resources", "pool", "snap",
 ///    "fault", "stages", "percentiles", "counters"}
 ///
-/// The `snap`/`fault` blocks record *what* ran — checkpoint hits vs
+/// `pool` holds one key, `tasks` (the exec pool's task count). The
+/// `snap`/`fault` blocks record *what* ran — checkpoint hits vs
 /// rebuilds, every injected fault — so a trajectory
 /// entry is comparable, not just timed. See DESIGN.md §11.
 namespace cs::obs {
@@ -53,9 +54,9 @@ struct RunReport {
   /// and one metrics snapshot that every derived block shares.
   static RunReport capture(std::string name);
 
-  /// Records the current RSS and exec queue-depth gauge as Chrome-trace
-  /// counter events, so repeated calls (one per pipeline stage) render as
-  /// memory/queue lanes in Perfetto. No-op while collection is off.
+  /// Records the current RSS as a Chrome-trace counter event, so repeated
+  /// calls (one per pipeline stage) render as a memory lane in Perfetto.
+  /// No-op while collection is off.
   static void sample_counter_lane();
 
   /// The sidecar JSON (shape above). Deterministic field order.

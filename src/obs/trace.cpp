@@ -227,7 +227,7 @@ std::string Tracer::chrome_json() const {
     out += "}}";
   }
   // Counter lanes last: "C" events render as per-name area tracks in
-  // Perfetto (queue depth, RSS) under the same pid as the span lanes.
+  // Perfetto (RSS, ...) under the same pid as the span lanes.
   for (const auto& c : counter_events()) {
     if (!first) out += ',';
     first = false;

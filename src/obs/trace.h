@@ -41,7 +41,7 @@ struct SpanEvent {
 };
 
 /// One sample of a numeric lane ("counter" in the trace-event format):
-/// queue depth, resident set size, ... Perfetto renders each distinct
+/// resident set size, ... Perfetto renders each distinct
 /// name as its own filled-area track alongside the span lanes.
 struct CounterEvent {
   std::string name;

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/config.h"
@@ -69,6 +71,29 @@ TEST(ThreadPoolTest, SequentialModeRunsInline) {
   bool ran = false;
   pool.submit([&ran] { ran = true; });
   EXPECT_TRUE(ran);  // ran before submit returned
+}
+
+TEST(ThreadPoolTest, ARegionOpenedInASubmittedTaskRunsInline) {
+  // A task handed straight to the pool runs on a worker, and a region it
+  // opens runs inline there: the submitted task is the only pool task.
+  ScopedThreads guard{4};
+  const auto tasks = [] {
+    return obs::MetricsRegistry::instance().snapshot().counter(
+        "exec.pool.tasks");
+  };
+  std::vector<std::atomic<int>> hits(64);
+  const auto before = tasks();
+  std::promise<void> done;
+  ThreadPool::global().submit([&] {
+    parallel_for(
+        hits.size(),
+        [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
+        /*grain=*/1);
+    done.set_value();
+  });
+  done.get_future().wait();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(tasks() - before, 1u);
 }
 
 TEST(ParallelFor, VisitsEveryIndexOnce) {
@@ -164,6 +189,32 @@ TEST(ParallelMap, ResultsArriveInIndexOrder) {
   ASSERT_EQ(squares.size(), 100u);
   for (std::size_t i = 0; i < squares.size(); ++i)
     EXPECT_EQ(squares[i], i * i);
+}
+
+TEST(ParallelMap, TwoRegionsAtOnceShareThePool) {
+  // Two top-level regions from two plain threads put their runners on the
+  // one queue at the same time; each must still get exactly its own
+  // results.
+  ScopedThreads guard{4};
+  ThreadPool::global();  // built here, so no region thread names "main"
+  const auto squares = [] {
+    return parallel_map(
+        64, [](std::size_t i) { return i * i; }, /*grain=*/1);
+  };
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::size_t> a;
+    std::vector<std::size_t> b;
+    std::thread first{[&] { a = squares(); }};
+    std::thread second{[&] { b = squares(); }};
+    first.join();
+    second.join();
+    ASSERT_EQ(a.size(), 64u);
+    ASSERT_EQ(b.size(), 64u);
+    for (std::size_t i = 0; i < 64; ++i) {
+      EXPECT_EQ(a[i], i * i) << "round " << round;
+      EXPECT_EQ(b[i], i * i) << "round " << round;
+    }
+  }
 }
 
 TEST(ShardedRngTest, StreamsAreDeterministicPerShard) {
