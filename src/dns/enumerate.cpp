@@ -16,9 +16,12 @@ namespace {
 /// CS_THREADS.
 constexpr std::size_t kBruteChunkWords = 48;
 
-/// True when resolution found a real node (not NXDOMAIN/empty): the
-/// dnsmap existence test shared by both probing paths.
-bool name_exists(const ResolveResult& res) {
+/// The dnsmap existence test shared by both probing paths: a candidate
+/// exists if its A lookup returns records (NXDOMAIN and NODATA count as
+/// absent). Each candidate is asked about once, so the probe leaves no
+/// cache entry for it.
+bool candidate_exists(Resolver& resolver, const Name& candidate) {
+  const auto res = resolver.probe(candidate, RrType::kA);
   return res.rcode == Rcode::kNoError && !res.records.empty();
 }
 
@@ -59,8 +62,12 @@ EnumerationResult Enumerator::enumerate(const Name& domain) {
     const auto& words = options_.wordlist;
     if (options_.resolver_factory && !words.empty()) {
       // Parallel fan-out: fixed-size wordlist chunks, one fresh resolver
-      // per chunk, merged in chunk order. Hits/misses are aggregated per
-      // chunk and added once, so counter totals match the sequential path.
+      // per chunk, merged in chunk order. Each chunk resolver starts at
+      // the cuts this task's resolver holds (the AXFR attempt has walked
+      // to the zone), so no chunk walks root -> TLD again; the domain
+      // task only waits meanwhile, and its resolver's state is the same
+      // at every CS_THREADS. Hits/misses are aggregated per chunk and
+      // added once, so counter totals match the sequential path.
       struct ChunkResult {
         std::vector<Name> found;
         std::uint64_t queries = 0;
@@ -74,16 +81,14 @@ EnumerationResult Enumerator::enumerate(const Name& domain) {
           [&](std::size_t chunk) {
             ChunkResult out;
             Resolver resolver = options_.resolver_factory();
+            resolver.seed_cuts(resolver_);
             const std::size_t begin = chunk * kBruteChunkWords;
             const std::size_t end =
                 std::min(words.size(), begin + kBruteChunkWords);
             for (std::size_t w = begin; w < end; ++w) {
               const auto candidate = domain.child(words[w]);
               if (!candidate) continue;
-              // A name "exists" if resolution did not NXDOMAIN — NODATA
-              // names are real nodes (they may hold other types), matching
-              // dnsmap semantics.
-              if (name_exists(resolver.resolve(*candidate, RrType::kA))) {
+              if (candidate_exists(resolver, *candidate)) {
                 out.found.push_back(*candidate);
                 ++out.hits;
               } else {
@@ -108,7 +113,7 @@ EnumerationResult Enumerator::enumerate(const Name& domain) {
       for (const auto& word : words) {
         const auto candidate = domain.child(word);
         if (!candidate) continue;
-        if (name_exists(resolver_.resolve(*candidate, RrType::kA))) {
+        if (candidate_exists(resolver_, *candidate)) {
           found.insert(*candidate);
           ++hits;
         } else {

@@ -110,6 +110,21 @@ ResolveResult Resolver::resolve(const Name& name, RrType type) {
   return result;
 }
 
+ResolveResult Resolver::probe(const Name& name, RrType type) {
+  ResolveResult result;
+  result.rcode = resolve_step(name, type, result.records, 0,
+                              /*cache_answer=*/false);
+  return result;
+}
+
+void Resolver::seed_cuts(const Resolver& other) {
+  cuts_.clear();
+  for (const auto& cut : other.cuts_)
+    if (cut.expires_at > other.now_)
+      cuts_.push_back(CutEntry{cut.owner, cut.servers,
+                               now_ + (cut.expires_at - other.now_)});
+}
+
 std::optional<MessageView> Resolver::ask(net::Ipv4 server, const Name& name,
                                          RrType type,
                                          std::vector<std::uint8_t>& reply) {
@@ -216,7 +231,8 @@ std::vector<net::Ipv4> Resolver::referral_addresses(
 }
 
 Rcode Resolver::resolve_step(const Name& name, RrType type,
-                             std::vector<ResourceRecord>& chain, int depth) {
+                             std::vector<ResourceRecord>& chain, int depth,
+                             bool cache_answer) {
   if (depth > kMaxCnameHops) return Rcode::kServFail;
 
   if (const auto* cached = cache_get(name.wire(), type)) {
@@ -242,12 +258,18 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
     ++delegation_hits_;
   }
 
+  // The walk's outcome for (name, type), cached unless this is a probe.
+  const auto answer = [&](Rcode rcode,
+                          const std::vector<ResourceRecord>& records,
+                          std::optional<std::uint32_t> ttl = std::nullopt) {
+    if (cache_answer) cache_put(name, type, rcode, records, ttl);
+    return rcode;
+  };
   // Failure at any delegation step is a dead delegation: negatively cache
   // the SERVFAIL with a short pinned TTL so repeated lookups don't
   // re-probe the whole server list until kServFailCacheTtl passes.
   const auto servfail = [&] {
-    cache_put(name, type, Rcode::kServFail, {}, kServFailCacheTtl);
-    return Rcode::kServFail;
+    return answer(Rcode::kServFail, {}, kServFailCacheTtl);
   };
 
   std::vector<std::uint8_t> reply;
@@ -271,10 +293,8 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
 
     // An error (NXDOMAIN, REFUSED, ...) is read from the header alone.
     if (const Rcode rcode = response->header().rcode;
-        rcode != Rcode::kNoError) {
-      cache_put(name, type, rcode, {});
-      return rcode;
-    }
+        rcode != Rcode::kNoError)
+      return answer(rcode, {});
 
     if (!response->records(Section::kAnswer).empty()) {
       auto collected = response->section(Section::kAnswer);
@@ -289,7 +309,7 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
         rc = resolve_step(target, type, tail, depth + 1);
         collected.insert(collected.end(), tail.begin(), tail.end());
       }
-      cache_put(name, type, rc, collected);
+      answer(rc, collected);
       chain.insert(chain.end(), std::make_move_iterator(collected.begin()),
                    std::make_move_iterator(collected.end()));
       return rc;
@@ -303,10 +323,7 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
       ns_ttl = first_ns ? std::min(ns_ttl, rr.ttl) : rr.ttl;
       if (!first_ns) first_ns = rr;
     }
-    if (!first_ns) {
-      cache_put(name, type, Rcode::kNoError, {});
-      return Rcode::kNoError;
-    }
+    if (!first_ns) return answer(Rcode::kNoError, {});
 
     // Referral: descend. The cut is cached only if it is in bailiwick —
     // the name at or below the NS owner, the owner strictly below the

@@ -74,6 +74,19 @@ class Resolver {
   /// Resolves (name, type) iteratively from the roots.
   ResolveResult resolve(const Name& name, RrType type);
 
+  /// Resolves like resolve() but caches no answer for (name, type)
+  /// itself, whatever the outcome: a brute-force candidate is asked about
+  /// once, so an entry for it would never be read. What the walk learns
+  /// on the way (zone cuts, CNAME targets, name-server addresses) is
+  /// cached as usual.
+  ResolveResult probe(const Name& name, RrType type);
+
+  /// Replaces this resolver's zone cuts with `other`'s unexpired ones,
+  /// each with the lifetime it has left: later walks start where
+  /// `other`'s would. No answers and no tallies come with them. Only
+  /// reads `other`.
+  void seed_cuts(const Resolver& other);
+
   /// Attempts a zone transfer directly against each authoritative server
   /// of `zone_origin`; returns records on the first success.
   std::optional<std::vector<ResourceRecord>> try_axfr(const Name& zone_origin);
@@ -155,9 +168,11 @@ class Resolver {
     std::uint64_t expires_at = 0;
   };
 
-  /// One full iterative walk for (name, type); appends to `chain`.
+  /// One full iterative walk for (name, type); appends to `chain`. The
+  /// outcome for (name, type) is cached only if `cache_answer`.
   Rcode resolve_step(const Name& name, RrType type,
-                     std::vector<ResourceRecord>& chain, int depth);
+                     std::vector<ResourceRecord>& chain, int depth,
+                     bool cache_answer = true);
 
   /// Queries one server over the transport; nullopt on timeout, an
   /// undecodable reply or a reply to another query. The view reads

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -21,24 +23,56 @@
 ///      static auto& queries = obs::counter("dns.server.queries");
 ///      queries.inc();
 ///
+///  - A Counter is striped: kCounterStripes cache-line-sized cells, and
+///    each thread adds to the one it was handed at its first increment.
+///    Threads that bump the same counter on every exchange (the DNS
+///    server's queries and nxdomain) then keep to their own lines instead
+///    of bouncing one between cores. value() and snapshot() sum the
+///    cells; reset() zeroes them all.
 ///  - Instrument handles are owned by the registry and never move, so a
 ///    cached reference stays valid for the life of the process.
 ///  - Reads are snapshot-on-read: `snapshot()` copies every value under
 ///    the registration mutex; later increments don't mutate the copy.
 namespace cs::obs {
 
+/// Cells a Counter's count is spread over (see the design rules above).
+inline constexpr std::size_t kCounterStripes = 8;
+
+namespace detail {
+/// The cell this thread adds to: stripes are handed out round-robin, one
+/// per thread, at its first increment.
+inline std::size_t counter_stripe() noexcept {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t stripe =
+      next.fetch_add(1, std::memory_order_relaxed) % kCounterStripes;
+  return stripe;
+}
+}  // namespace detail
+
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    cells_[detail::counter_stripe()].value.fetch_add(
+        n, std::memory_order_relaxed);
   }
+  /// The sum of every cell. Exact once the adds it should count have
+  /// happened-before the read, as for a single atomic.
   std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    for (const auto& cell : cells_)
+      sum += cell.value.load(std::memory_order_relaxed);
+    return sum;
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept {
+    for (auto& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  /// One cache line each, so threads on different stripes never share one.
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Cell, kCounterStripes> cells_{};
 };
 
 class Gauge {

@@ -83,6 +83,18 @@ class EnumerateFixture : public ::testing::Test {
     return o;
   }
 
+  /// Queries spent enumerating closed.com over the default wordlist
+  /// through chunk resolvers, at `threads` pool threads.
+  std::uint64_t factory_queries_spent(unsigned threads, bool attempt_axfr) {
+    exec::ScopedThreads guard{threads};
+    auto resolver = make_resolver();
+    auto opts = options(attempt_axfr);
+    opts.wordlist = default_wordlist();
+    opts.resolver_factory = [this] { return make_resolver(); };
+    Enumerator enumerator{resolver, opts};
+    return enumerator.enumerate(Name::must_parse("closed.com")).queries_spent;
+  }
+
   SimulatedDnsNetwork network;
 };
 
@@ -138,24 +150,26 @@ TEST_F(EnumerateFixture, QueriesSpentAccounted) {
   EXPECT_EQ(resolver.upstream_queries(), result.queries_spent);
 }
 
+// The factory path probes the wordlist in 48-word chunks, each through a
+// fresh resolver that starts at the zone cuts the domain's resolver holds.
+// The AXFR attempt has walked to closed.com's cut (5 queries, as above), so
+// every probe is one query to closed.com's server.
 TEST_F(EnumerateFixture, FactoryQueriesSpentAccountedAtAnyThreadCount) {
-  // The factory path probes the wordlist in 48-word chunks, each through
-  // a fresh resolver that walks root -> com once (2) before its cut for
-  // closed.com serves every probe; the AXFR attempt costs 5 as above.
-  const auto& words = default_wordlist();
-  const auto spent_at = [&](unsigned threads) {
-    exec::ScopedThreads guard{threads};
-    auto resolver = make_resolver();
-    auto opts = options();
-    opts.wordlist = words;
-    opts.resolver_factory = [this] { return make_resolver(); };
-    Enumerator enumerator{resolver, opts};
-    return enumerator.enumerate(Name::must_parse("closed.com")).queries_spent;
-  };
-  const std::size_t chunks = (words.size() + 47) / 48;
-  const auto one = spent_at(1);
-  EXPECT_EQ(one, 5u + 2u * chunks + words.size());
-  EXPECT_EQ(spent_at(8), one);
+  const std::size_t words = default_wordlist().size();
+  EXPECT_EQ(factory_queries_spent(1, /*attempt_axfr=*/true), 5u + words);
+  EXPECT_EQ(factory_queries_spent(8, /*attempt_axfr=*/true), 5u + words);
+}
+
+// Without the AXFR attempt the domain's resolver holds no cut, so each
+// chunk resolver walks root -> com once (2) before its own closed.com cut
+// serves the rest of its probes.
+TEST_F(EnumerateFixture, FactoryChunksWalkWhenTheDomainHoldsNoCut) {
+  const std::size_t words = default_wordlist().size();
+  const std::size_t chunks = (words + 47) / 48;
+  EXPECT_EQ(factory_queries_spent(1, /*attempt_axfr=*/false),
+            2u * chunks + words);
+  EXPECT_EQ(factory_queries_spent(8, /*attempt_axfr=*/false),
+            2u * chunks + words);
 }
 
 TEST_F(EnumerateFixture, NonexistentDomainYieldsNothing) {

@@ -112,6 +112,21 @@ TEST(Name, HashConsistentWithEquality) {
   EXPECT_NE(h(Name::must_parse("foo.com")), h(Name::must_parse("bar.com")));
 }
 
+// Tables keyed by Name are looked up by wire views read out of a
+// datagram, often a suffix of a longer name cut at a label boundary.
+TEST(Name, SuffixViewHashesLikeItsParent) {
+  const NameHash h;
+  const auto name = Name::must_parse("www.example.com");
+  const std::string_view wire = name.wire();
+  const std::string_view suffix = wire.substr(1 + wire.front());
+  ASSERT_EQ(suffix, name.parent().wire());
+  EXPECT_EQ(h(suffix), h(name.parent()));
+  EXPECT_EQ(h(suffix.substr(1 + suffix.front())),
+            h(Name::must_parse("com")));
+  EXPECT_EQ(h(std::string_view{}), h(Name{}));
+  EXPECT_NE(h(suffix), h(name));
+}
+
 TEST(Name, UnderscoreAndDigitsAllowed) {
   EXPECT_TRUE(Name::parse("_dmarc.example.com"));
   EXPECT_TRUE(Name::parse("ns1.route53.aws"));

@@ -268,6 +268,81 @@ TEST_F(ResolverFixture, CopiedResolverKeepsZoneCuts) {
   EXPECT_EQ(moved.delegation_hits(), 2u);
 }
 
+// A brute-force probe caches no answer for the candidate itself, whatever
+// the outcome; what the walk learns on the way is cached as by resolve().
+
+TEST_F(ResolverFixture, ProbeLeavesNoAnswerBehind) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  ASSERT_EQ(resolver.upstream_queries(), 3u);
+  const auto missing = Name::must_parse("nosuch.example.com");
+  EXPECT_EQ(resolver.probe(missing, RrType::kA).rcode, Rcode::kNxDomain);
+  EXPECT_EQ(resolver.probe(missing, RrType::kA).rcode, Rcode::kNxDomain);
+  EXPECT_EQ(resolver.upstream_queries(), 5u);
+  EXPECT_EQ(resolver.cache_hits(), 0u);
+  // resolve() of the same name still caches: one query, then one hit.
+  EXPECT_EQ(resolver.resolve(missing, RrType::kA).rcode, Rcode::kNxDomain);
+  EXPECT_EQ(resolver.resolve(missing, RrType::kA).rcode, Rcode::kNxDomain);
+  EXPECT_EQ(resolver.upstream_queries(), 6u);
+  EXPECT_EQ(resolver.cache_hits(), 1u);
+}
+
+TEST_F(ResolverFixture, ProbeOfAnExistingNameLeavesNoAnswerEither) {
+  Resolver resolver{network, options()};
+  const auto www = Name::must_parse("www.example.com");
+  EXPECT_EQ(resolver.probe(www, RrType::kA).addresses().size(), 1u);
+  EXPECT_EQ(resolver.probe(www, RrType::kA).addresses().size(), 1u);
+  EXPECT_EQ(resolver.upstream_queries(), 4u);
+  EXPECT_EQ(resolver.cache_hits(), 0u);
+}
+
+TEST_F(ResolverFixture, ProbeCachesTheCutItFollows) {
+  Resolver resolver{network, options()};
+  resolver.probe(Name::must_parse("nosuch.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 3u);
+  resolver.probe(Name::must_parse("absent.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 4u);
+  EXPECT_EQ(resolver.delegation_hits(), 1u);
+}
+
+TEST_F(ResolverFixture, ProbeCachesTheCnameTargetItChases) {
+  Resolver resolver{network, options()};
+  const auto r = resolver.probe(Name::must_parse("ext.example.com"),
+                                RrType::kA);
+  ASSERT_EQ(r.addresses().size(), 1u);
+  const auto queries = resolver.upstream_queries();
+  EXPECT_TRUE(
+      resolver.resolve(Name::must_parse("cdn.other.net"), RrType::kA).ok());
+  EXPECT_EQ(resolver.upstream_queries(), queries);
+  EXPECT_EQ(resolver.cache_hits(), 1u);
+}
+
+TEST_F(ResolverFixture, SeededCutsStartTheWalkWithoutAnswersOrTallies) {
+  Resolver source{network, options()};
+  source.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  Resolver seeded{network, options()};
+  seeded.seed_cuts(source);
+  EXPECT_EQ(seeded.upstream_queries(), 0u);
+  // The example.com cut serves the first query; no answer came along.
+  seeded.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  EXPECT_EQ(seeded.upstream_queries(), 1u);
+  EXPECT_EQ(seeded.cache_hits(), 0u);
+  EXPECT_EQ(seeded.delegation_hits(), 1u);
+  EXPECT_EQ(source.upstream_queries(), 3u);
+}
+
+TEST_F(ResolverFixture, SeededCutsKeepTheLifetimeTheyHadLeft) {
+  Resolver source{network, options()};
+  source.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  source.advance_time(299);  // 1 s left of the capped 300 s NS TTL
+  Resolver seeded{network, options()};
+  seeded.seed_cuts(source);
+  seeded.advance_time(2);
+  seeded.resolve(Name::must_parse("nosuch.example.com"), RrType::kA);
+  EXPECT_EQ(seeded.upstream_queries(), 3u);
+  EXPECT_EQ(seeded.delegation_hits(), 0u);
+}
+
 TEST_F(ResolverFixture, DeadRootYieldsServFail) {
   network.set_down(net::Ipv4(198, 41, 0, 4), true);
   Resolver resolver{network, options()};

@@ -83,6 +83,26 @@ TEST(MetricsTest, ConcurrentIncrementsSumExactly) {
   EXPECT_DOUBLE_EQ(h.sum(), static_cast<double>(kThreads) * kIncrements);
 }
 
+// More threads than stripes, so some share a cell: the sum is still exact.
+TEST(MetricsTest, StripedCounterSumsExactlyUnderThreads) {
+  static_assert(kCounterStripes < 16);
+  MetricsRegistry registry;
+  auto& c = registry.counter("striped.counter");
+  constexpr int kThreads = 16;
+  constexpr int kIncrements = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIncrements; ++i) c.inc();
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(c.value(), 1600000u);
+  EXPECT_EQ(registry.snapshot().counter("striped.counter"), 1600000u);
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(registry.snapshot().counter("striped.counter"), 0u);
+}
+
 TEST(MetricsTest, ConcurrentRegistrationIsSafe) {
   MetricsRegistry registry;
   constexpr int kThreads = 8;
