@@ -235,16 +235,21 @@ const analysis::RegionReport& Study::regions() {
 
 const proto::TraceLogs& Study::capture_logs() {
   return stage("capture_logs", capture_logs_, [&] {
-    // Streamed: each traffic unit feeds the flow assembler and is
-    // freed before the next one is generated, so the capture never
-    // materializes. Byte-identical to analyze_flows(assemble_flows(
-    // generator.generate())) — units are tuple-disjoint and the
-    // assembler imposes a batching-independent total order.
+    // Streamed, one unit at a time. Units are tuple-disjoint, so every
+    // flow of a unit is complete once the unit is assembled: its flows
+    // borrow the unit's frames, are analysed while those live, and only
+    // their records outlast the unit, which is freed before the next one
+    // is taken. The collector orders records by pcap::FlowOrder, so this
+    // is byte-identical to analyze_flows(assemble_flows(
+    // generator.generate())).
     synth::TrafficGenerator generator{*world_, config_.traffic};
-    pcap::FlowAssembler assembler;
-    generator.generate_units(
-        [&](std::vector<pcap::Packet>&& unit) { assembler.feed(unit); });
-    return proto::analyze_flows(assembler.finish());
+    proto::LogCollector logs;
+    generator.generate_units([&](std::vector<pcap::Packet>&& unit) {
+      obs::Span span{"capture.unit"};
+      const auto frames = std::move(unit);
+      logs.add(pcap::assemble_unit(frames));
+    });
+    return logs.finish();
   });
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <tuple>
 
 #include "exec/parallel.h"
 #include "obs/metrics.h"
@@ -10,9 +9,39 @@
 
 namespace cs::pcap {
 
+void Payload::append(std::span<const std::uint8_t> segment, std::size_t cap,
+                     bool borrow) {
+  const std::size_t room = size_ < cap ? cap - size_ : 0;
+  const auto take = segment.first(std::min(room, segment.size()));
+  if (take.empty()) return;
+  if (borrow)
+    views_.push_back(take);
+  else
+    owned_.insert(owned_.end(), take.begin(), take.end());
+  size_ += take.size();
+}
+
+std::span<const std::uint8_t> Payload::bytes(
+    std::vector<std::uint8_t>& scratch) const {
+  if (views_.empty()) return owned_;
+  if (views_.size() == 1) return views_.front();
+  scratch.clear();
+  for (const auto view : views_)
+    scratch.insert(scratch.end(), view.begin(), view.end());
+  return scratch;
+}
+
+bool Payload::operator==(const Payload& other) const {
+  std::vector<std::uint8_t> mine, theirs;
+  return std::ranges::equal(bytes(mine), other.bytes(theirs));
+}
+
 FlowTable::FlowTable() : FlowTable(Options{}) {}
 
-FlowTable::FlowTable(Options options) : options_(options) {}
+FlowTable::FlowTable(Options options) : FlowTable(options, false) {}
+
+FlowTable::FlowTable(Options options, bool borrow)
+    : options_(options), borrow_(borrow) {}
 
 void FlowTable::add(const Packet& packet) {
   const auto decoded = decode_frame(packet.bytes());
@@ -79,28 +108,25 @@ void FlowTable::add_decoded(const Decoded& decoded, double timestamp) {
     flow.icmp_type = decoded.icmp_type;
   }
 
-  if (!decoded.payload.empty()) {
-    auto& buf = from_initiator ? flow.payload_to_responder
-                               : flow.payload_to_initiator;
-    const std::size_t room =
-        buf.size() < options_.payload_cap ? options_.payload_cap - buf.size()
-                                          : 0;
-    const std::size_t take = std::min(room, decoded.payload.size());
-    buf.insert(buf.end(), decoded.payload.begin(),
-               decoded.payload.begin() + take);
-  }
+  auto& payload =
+      from_initiator ? flow.payload_to_responder : flow.payload_to_initiator;
+  payload.append(decoded.payload, options_.payload_cap, borrow_);
 }
 
 void FlowTable::finalize(Flow&& flow) { done_.push_back(std::move(flow)); }
 
 std::vector<Flow> FlowTable::finish() {
   obs::Span span{"pcap.flow.finish"};
+  auto flows = take_flows();
+  std::sort(flows.begin(), flows.end(), [](const Flow& a, const Flow& b) {
+    return a.first_ts < b.first_ts;
+  });
+  return flows;
+}
+
+std::vector<Flow> FlowTable::take_flows() {
   for (auto& [key, flow] : open_) done_.push_back(std::move(flow));
   open_.clear();
-  std::sort(done_.begin(), done_.end(),
-            [](const Flow& a, const Flow& b) {
-              return a.first_ts < b.first_ts;
-            });
   static auto& flows_metric = obs::counter("pcap.flow.flows");
   flows_metric.inc(done_.size());
   return std::move(done_);
@@ -116,14 +142,21 @@ constexpr std::size_t kFlowShards = 16;
 
 }  // namespace
 
-FlowAssembler::FlowAssembler(FlowTable::Options options) {
+FlowAssembler::FlowAssembler(FlowTable::Options options)
+    : FlowAssembler(options, false) {}
+
+FlowAssembler::FlowAssembler(FlowTable::Options options, bool borrow) {
   tables_.reserve(kFlowShards);
-  for (std::size_t s = 0; s < kFlowShards; ++s) tables_.emplace_back(options);
+  for (std::size_t s = 0; s < kFlowShards; ++s)
+    tables_.push_back(FlowTable{options, borrow});
 }
 
 void FlowAssembler::feed(std::span<const Packet> packets) {
   obs::Span span{"pcap.flow.feed"};
+  add(packets);
+}
 
+void FlowAssembler::add(std::span<const Packet> packets) {
   // Stage 1: decode every frame of the batch in parallel. Decoded payload
   // views point into the caller's packet buffers, which outlive the call.
   auto decoded = exec::parallel_map(packets.size(), [&](std::size_t i) {
@@ -169,13 +202,16 @@ void FlowAssembler::feed(std::span<const Packet> packets) {
 
 std::vector<Flow> FlowAssembler::finish() {
   obs::Span span{"pcap.flow.merge"};
+  return take_flows();
+}
+
+std::vector<Flow> FlowAssembler::take_flows() {
   auto shard_flows = exec::parallel_map(
-      tables_.size(), [&](std::size_t s) { return tables_[s].finish(); },
+      tables_.size(), [&](std::size_t s) { return tables_[s].take_flows(); },
       /*grain=*/1);
 
-  // Merge and impose a total order. first_ts alone (the single table's
-  // sort key) leaves equal-timestamp flows in hash order; the extra keys
-  // make the result independent of the sharding entirely.
+  // Merge and impose the total order, which makes the result independent
+  // of the sharding entirely.
   std::vector<Flow> flows;
   std::size_t total = 0;
   for (const auto& sf : shard_flows) total += sf.size();
@@ -183,11 +219,15 @@ std::vector<Flow> FlowAssembler::finish() {
   for (auto& sf : shard_flows)
     flows.insert(flows.end(), std::make_move_iterator(sf.begin()),
                  std::make_move_iterator(sf.end()));
-  std::sort(flows.begin(), flows.end(), [](const Flow& a, const Flow& b) {
-    return std::tie(a.first_ts, a.tuple, a.packets, a.bytes) <
-           std::tie(b.first_ts, b.tuple, b.packets, b.bytes);
-  });
+  std::sort(flows.begin(), flows.end(), FlowOrder{});
   return flows;
+}
+
+std::vector<Flow> assemble_unit(std::span<const Packet> unit,
+                                FlowTable::Options options) {
+  FlowAssembler assembler{options, /*borrow=*/true};
+  assembler.add(unit);
+  return assembler.take_flows();
 }
 
 std::vector<Flow> assemble_flows(std::span<const Packet> packets,

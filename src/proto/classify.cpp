@@ -38,29 +38,32 @@ std::string to_string(Service service) {
   return "?";
 }
 
-Service classify(const pcap::Flow& flow) {
-  switch (flow.tuple.proto) {
+Service classify(const net::FiveTuple& tuple,
+                 std::span<const std::uint8_t> to_responder) {
+  switch (tuple.proto) {
     case net::IpProto::kIcmp:
       return Service::kIcmp;
     case net::IpProto::kTcp: {
-      if (payload_is_http_request(flow.payload_to_responder))
-        return Service::kHttp;
-      if (looks_like_tls(flow.payload_to_responder))
-        return Service::kHttps;
-      const auto port = flow.tuple.dst.port;
+      if (payload_is_http_request(to_responder)) return Service::kHttp;
+      if (looks_like_tls(to_responder)) return Service::kHttps;
+      const auto port = tuple.dst.port;
       if (port == 80 || port == 8080) return Service::kHttp;
       if (port == 443) return Service::kHttps;
       return Service::kOtherTcp;
     }
     case net::IpProto::kUdp: {
-      if (flow.tuple.dst.port == 53 || flow.tuple.src.port == 53)
-        return Service::kDns;
+      if (tuple.dst.port == 53 || tuple.src.port == 53) return Service::kDns;
       return Service::kOtherUdp;
     }
     case net::IpProto::kOther:
       return Service::kOtherTcp;
   }
   return Service::kOtherTcp;
+}
+
+Service classify(const pcap::Flow& flow) {
+  std::vector<std::uint8_t> scratch;
+  return classify(flow.tuple, flow.payload_to_responder.bytes(scratch));
 }
 
 }  // namespace cs::proto

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "pcap/flow.h"
@@ -20,7 +22,12 @@ enum class Service {
 std::string to_string(Service service);
 
 /// Classifies a flow by payload evidence first, well-known port second —
-/// the same precedence Bro's detectors use.
+/// the same precedence Bro's detectors use. `to_responder` is the flow's
+/// initiator-to-responder payload, as pcap::Payload::bytes gives it.
+Service classify(const net::FiveTuple& tuple,
+                 std::span<const std::uint8_t> to_responder);
+
+/// classify() over a flow's own payload.
 Service classify(const pcap::Flow& flow);
 
 }  // namespace cs::proto

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,27 @@ struct TraceLogs {
   std::vector<SslRecord> ssl;
 };
 
-/// Runs classification plus HTTP/TLS extraction over all flows.
+/// Runs classification plus HTTP/TLS extraction over all flows; records
+/// come out in flow order. Flows are analysed in fixed chunks over the
+/// exec pool, so the result is the same at every CS_THREADS.
 TraceLogs analyze_flows(const std::vector<pcap::Flow>& flows);
+
+/// Builds a capture's logs one closed unit at a time: add() analyses a
+/// unit's flows while the frames they borrow are alive and keeps only
+/// their records; finish() hands back every flow's records ordered by
+/// pcap::FlowOrder and leaves the collector empty. For tuple-disjoint
+/// units that is byte-identical to analyze_flows over the
+/// FlowAssembler-assembled whole capture.
+class LogCollector {
+ public:
+  void add(std::span<const pcap::Flow> flows);
+  TraceLogs finish();
+
+ private:
+  TraceLogs logs_;  ///< in the order flows were added
+  /// Per conn, one past its last record in logs_.http / logs_.ssl.
+  std::vector<std::size_t> http_end_;
+  std::vector<std::size_t> ssl_end_;
+};
 
 }  // namespace cs::proto

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analysis/snapshot.h"
 #include "core/report.h"
+#include "exec/config.h"
+#include "pcap/flow.h"
+#include "proto/logs.h"
+#include "synth/traffic.h"
 
 namespace cs::core {
 namespace {
@@ -118,6 +125,30 @@ TEST_F(StudyTest, HeadlineNumbersInPaperBands) {
 
   const auto& zones = study_->zone_study();
   EXPECT_GT(zones.combined_identified_fraction, 0.5);
+}
+
+// capture_logs analyses each unit while its frames live and orders the
+// records at the end; it must encode to exactly the bytes of analysing
+// the FlowAssembler-assembled whole capture, at any thread count.
+TEST(StudyCapture, UnitPathMatchesWholeCaptureAnalysis) {
+  StudyConfig config;
+  config.world.domain_count = 150;
+  config.traffic.total_web_bytes = 3ull * 1024 * 1024;
+  for (const unsigned threads : {1u, 4u}) {
+    exec::ScopedThreads guard{threads};
+    Study study{config};
+    snap::Writer got;
+    snap::encode_artifact(got, study.capture_logs());
+
+    synth::TrafficGenerator generator{study.world(), config.traffic};
+    pcap::FlowAssembler assembler;
+    generator.generate_units(
+        [&](std::vector<pcap::Packet>&& unit) { assembler.feed(unit); });
+    snap::Writer want;
+    snap::encode_artifact(want, proto::analyze_flows(assembler.finish()));
+    EXPECT_TRUE(std::ranges::equal(got.bytes(), want.bytes()))
+        << "CS_THREADS=" << threads;
+  }
 }
 
 }  // namespace
