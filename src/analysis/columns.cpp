@@ -27,20 +27,14 @@ DatasetColumns DatasetColumns::from_dataset(const AlexaDataset& dataset) {
   const std::size_t subs = dataset.cloud_subdomains.size();
   sub.name.reserve(subs);
   sub.domain.reserve(subs);
-  sub.domain_rank.reserve(subs);
   sub.flags.reserve(subs);
-  sub.record_off.reserve(subs + 1);
   sub.address_off.reserve(subs + 1);
   sub.cname_off.reserve(subs + 1);
   sub.ns_off.reserve(subs + 1);
   for (const auto& s : dataset.cloud_subdomains) {
     sub.name.push_back(c.names.intern(s.name.to_string()));
     sub.domain.push_back(c.names.intern(s.domain.to_string()));
-    sub.domain_rank.push_back(s.domain_rank);
     sub.flags.push_back(pack_flags(s));
-    sub.record_pool.insert(sub.record_pool.end(), s.records.begin(),
-                           s.records.end());
-    sub.record_off.push_back(sub.record_pool.size());
     sub.address_pool.insert(sub.address_pool.end(), s.addresses.begin(),
                             s.addresses.end());
     sub.address_off.push_back(sub.address_pool.size());
@@ -98,15 +92,12 @@ AlexaDataset DatasetColumns::to_dataset() const {
     auto& s = dataset.cloud_subdomains[i];
     s.name = name_of(names, sub.name[i]);
     s.domain = name_of(names, sub.domain[i]);
-    s.domain_rank = static_cast<std::size_t>(sub.domain_rank[i]);
     const auto flags = sub.flags[i];
     s.direct_a_record = (flags & kDirectA) != 0;
     s.has_other_address = (flags & kOtherAddress) != 0;
     s.has_ec2_address = (flags & kEc2Address) != 0;
     s.has_azure_address = (flags & kAzureAddress) != 0;
     s.has_cloudfront_address = (flags & kCloudFrontAddress) != 0;
-    s.records.assign(sub.record_pool.begin() + sub.record_off[i],
-                     sub.record_pool.begin() + sub.record_off[i + 1]);
     s.addresses.assign(sub.address_pool.begin() + sub.address_off[i],
                        sub.address_pool.begin() + sub.address_off[i + 1]);
     s.cnames.reserve(sub.cname_off[i + 1] - sub.cname_off[i]);

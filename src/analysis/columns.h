@@ -16,6 +16,9 @@
 /// interned once in a StringArena and referenced by u32 id, per-field
 /// data lives in parallel columns, and variable-length attachments are
 /// flattened into shared pools addressed by [off[i], off[i+1]) ranges.
+/// Both forms hold only what the analyses read: a subdomain's addresses,
+/// CNAME targets, name servers and flags, not the record chains its
+/// lookups returned; its domain's rank lives on the domain row.
 ///
 /// The conversion is exactly lossless: to_dataset(from_dataset(d)) == d
 /// field for field (pinned by snap_codec_test), so the columnar form can
@@ -34,10 +37,7 @@ struct DatasetColumns {
   struct Subdomains {
     std::vector<std::uint32_t> name;    ///< arena ids
     std::vector<std::uint32_t> domain;  ///< arena ids
-    std::vector<std::uint64_t> domain_rank;
-    std::vector<std::uint8_t> flags;  ///< kDirectA .. kCloudFront bits
-    std::vector<std::uint64_t> record_off{0};
-    std::vector<dns::ResourceRecord> record_pool;
+    std::vector<std::uint8_t> flags;    ///< kDirectA .. kCloudFront bits
     std::vector<std::uint64_t> address_off{0};
     std::vector<net::Ipv4> address_pool;
     std::vector<std::uint64_t> cname_off{0};

@@ -24,7 +24,7 @@ constexpr std::size_t kDefaultChunkDomains = 4096;
 
 VantageLookups lookup_from_vantages(
     dns::Resolver& resolver, const dns::Name& name,
-    const std::vector<internet::VantagePoint>& vantages, bool keep_records) {
+    const std::vector<internet::VantagePoint>& vantages) {
   obs::Span span{"analysis.dataset.vantage_lookups"};
   VantageLookups seen;
   const std::uint64_t queries_before = resolver.upstream_queries();
@@ -37,9 +37,6 @@ VantageLookups lookup_from_vantages(
       continue;
     }
     ++seen.ok;
-    if (keep_records)
-      seen.records.insert(seen.records.end(), result.records.begin(),
-                          result.records.end());
     const auto addresses = result.addresses();
     const auto chain = result.cname_chain();
     seen.addresses.insert(addresses.begin(), addresses.end());
@@ -159,10 +156,8 @@ DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(
     SubdomainObservation obs;
     obs.name = subdomain;
     obs.domain = domain_truth.name;
-    obs.domain_rank = domain_truth.rank;
 
-    auto seen = lookup_from_vantages(resolver, subdomain, vantages,
-                                     options_.keep_records);
+    const auto seen = lookup_from_vantages(resolver, subdomain, vantages);
     vantage_exchanges += seen.exchanges;
     domain_obs.failed_lookups.merge(seen.failed);
 
@@ -173,7 +168,6 @@ DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(
       ++domain_obs.unresolved_subdomains;
       continue;
     }
-    obs.records = std::move(seen.records);
     obs.direct_a_record = seen.direct_a_record;
 
     bool any_cloud = false;

@@ -18,15 +18,11 @@
 /// input to every deployment-posture analysis in §4.
 namespace cs::analysis {
 
-/// One cloud-using subdomain with its observed DNS evidence.
+/// One cloud-using subdomain with the DNS evidence §4's heuristics read.
+/// The record chains the lookups returned are summarised here, not kept.
 struct SubdomainObservation {
   dns::Name name;
   dns::Name domain;
-  std::size_t domain_rank = 0;
-  /// Full record chains gathered across vantages (CNAMEs + A records).
-  /// Never consumed by any analysis; retained by default for forensics
-  /// and dropped at paper scale (DatasetBuilder::Options::keep_records).
-  std::vector<dns::ResourceRecord> records;
   /// Deduplicated resolved addresses.
   std::vector<net::Ipv4> addresses;
   /// Deduplicated CNAME targets in chase order.
@@ -156,9 +152,6 @@ struct AlexaDataset {
 struct VantageLookups {
   std::set<net::Ipv4> addresses;
   std::set<dns::Name> cnames;
-  /// Every successful vantage's record chain, in vantage order; left
-  /// empty unless asked for.
-  std::vector<dns::ResourceRecord> records;
   std::size_t ok = 0;  ///< vantages whose lookup succeeded
   /// The first vantage got an address with no CNAME indirection.
   bool direct_a_record = false;
@@ -175,7 +168,7 @@ struct VantageLookups {
 /// Traffic Manager member pick) is still asked afresh from every vantage.
 VantageLookups lookup_from_vantages(
     dns::Resolver& resolver, const dns::Name& name,
-    const std::vector<internet::VantagePoint>& vantages, bool keep_records);
+    const std::vector<internet::VantagePoint>& vantages);
 
 class DatasetBuilder {
  public:
@@ -186,11 +179,6 @@ class DatasetBuilder {
     /// paper used 200) and for NS location probing (50).
     std::size_t lookup_vantages = 8;
     bool collect_name_servers = true;
-    /// Retain SubdomainObservation::records. No analysis reads them; at
-    /// paper scale (34M subdomains) they are the dataset's largest
-    /// allocation, so the scale path turns them off. Participates in the
-    /// study config hash (it changes the artifact bytes).
-    bool keep_records = true;
     /// Domains probed per parallel chunk of the streaming build. 0 defers
     /// to CS_CHUNK_DOMAINS (default 4096). Chunking never changes the
     /// artifact — per-domain probes are independent and merge in rank

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <utility>
-#include <variant>
 
 #include "util/format.h"
 
@@ -26,9 +25,7 @@ bool valid(proto::Service service) {
 //
 // The formats that are not a walk over the struct's own fields: a name is
 // stored as its labels and re-parsed on decode, an address as its u32, a
-// CDF as its sorted samples, an arena as its strings in id order, and a
-// resource record as its rdata alternative's index followed by that
-// alternative's field list.
+// CDF as its sorted samples, and an arena as its strings in id order.
 
 static void encode(Writer& w, net::Ipv4 v) { w.u32(v.value()); }
 static void decode(Reader& r, net::Ipv4& v) { v = net::Ipv4{r.u32()}; }
@@ -71,29 +68,6 @@ static void decode(Reader& r, util::StringArena& names) {
   for (std::size_t id = 0; id < n; ++id)
     if (names.intern(r.str()) != id)
       throw SnapshotError{"snapshot string arena is not in first-intern order"};
-}
-
-void fields(auto& io, Field<dns::ARecord> auto& v) { io(v.address); }
-void fields(auto& io, Field<dns::NsRecord> auto& v) { io(v.nameserver); }
-void fields(auto& io, Field<dns::CnameRecord> auto& v) { io(v.target); }
-void fields(auto& io, Field<dns::SoaRecord> auto& v) {
-  io(v.mname, v.rname, v.serial, v.refresh, v.retry, v.expire, v.minimum);
-}
-void fields(auto& io, Field<dns::TxtRecord> auto& v) { io(v.strings); }
-
-static void encode(Writer& w, const dns::ResourceRecord& v) {
-  w(v.name, v.ttl, static_cast<std::uint8_t>(v.data.index()));
-  std::visit([&](const auto& data) { w(data); }, v.data);
-}
-static void decode(Reader& r, dns::ResourceRecord& v) {
-  r(v.name, v.ttl);
-  const auto tag = r.u8();
-  const bool known = [&]<std::size_t... I>(std::index_sequence<I...>) {
-    return ((tag == I && (r(v.data.template emplace<I>()), true)) || ...);
-  }(std::make_index_sequence<std::variant_size_v<dns::Rdata>>{});
-  if (!known)
-    throw SnapshotError{
-        util::fmt("snapshot resource record has unknown rdata tag {}", tag)};
 }
 
 // --- dataset (columnar) ---------------------------------------------------
@@ -146,10 +120,8 @@ void require_consistent(const analysis::DatasetColumns& v) {
        {&sub.name, &sub.domain, &sub.cname_pool, &sub.ns_name_pool})
     require_ids(*ids, v.names);
   const std::size_t subs = sub.name.size();
-  require_columns(sub.domain.size() == subs && sub.domain_rank.size() == subs &&
-                      sub.flags.size() == subs,
+  require_columns(sub.domain.size() == subs && sub.flags.size() == subs,
                   "subdomain column lengths differ");
-  require_offsets(sub.record_off, subs, sub.record_pool.size(), "record");
   require_offsets(sub.address_off, subs, sub.address_pool.size(), "address");
   require_offsets(sub.cname_off, subs, sub.cname_pool.size(), "cname");
   require_offsets(sub.ns_off, subs, sub.ns_name_pool.size(), "name-server");
@@ -185,9 +157,8 @@ void require_consistent(const analysis::DatasetColumns& v) {
 }  // namespace
 
 void fields(auto& io, Field<analysis::DatasetColumns::Subdomains> auto& v) {
-  io(v.name, v.domain, v.domain_rank, v.flags, v.record_off, v.record_pool,
-     v.address_off, v.address_pool, v.cname_off, v.cname_pool, v.ns_off,
-     v.ns_name_pool, v.ns_addr_off, v.ns_addr_pool);
+  io(v.name, v.domain, v.flags, v.address_off, v.address_pool, v.cname_off,
+     v.cname_pool, v.ns_off, v.ns_name_pool, v.ns_addr_off, v.ns_addr_pool);
 }
 void fields(auto& io, Field<analysis::DatasetColumns::Domains> auto& v) {
   io(v.name, v.rank, v.axfr, v.subdomains_probed, v.cloud_off, v.cloud_pool,

@@ -119,10 +119,8 @@ std::uint64_t Study::config_hash() const {
   w.boolean(config_.dataset.attempt_axfr);
   w.u64(config_.dataset.lookup_vantages);
   w.boolean(config_.dataset.collect_name_servers);
-  // keep_records changes the dataset artifact's contents; chunk_domains
-  // and on_chunk deliberately do NOT participate — chunking is
-  // artifact-invariant, so any chunk size may resume any checkpoint.
-  w.boolean(config_.dataset.keep_records);
+  // chunk_domains and on_chunk deliberately do NOT participate — chunking
+  // is artifact-invariant, so any chunk size may resume any checkpoint.
   w.u64(config_.campaign_vantages);
   w.f64(config_.campaign_days);
   w.u64(config_.isp_vantages);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "exec/parallel.h"
 #include "obs/metrics.h"
@@ -16,10 +17,9 @@ namespace {
 /// CS_THREADS.
 constexpr std::size_t kBruteChunkWords = 48;
 
-/// The dnsmap existence test shared by both probing paths: a candidate
-/// exists if its A lookup returns records (NXDOMAIN and NODATA count as
-/// absent). Each candidate is asked about once, so the probe leaves no
-/// cache entry for it.
+/// The dnsmap existence test: a candidate exists if its A lookup returns
+/// records (NXDOMAIN and NODATA count as absent). Each candidate is asked
+/// about once, so the probe leaves no cache entry for it.
 bool candidate_exists(Resolver& resolver, const Name& candidate) {
   const auto res = resolver.probe(candidate, RrType::kA);
   return res.rcode == Rcode::kNoError && !res.records.empty();
@@ -28,7 +28,10 @@ bool candidate_exists(Resolver& resolver, const Name& candidate) {
 }  // namespace
 
 Enumerator::Enumerator(Resolver& resolver, Options options)
-    : resolver_(resolver), options_(std::move(options)) {}
+    : resolver_(resolver), options_(std::move(options)) {
+  if (!options_.resolver_factory)
+    throw std::invalid_argument{"dns::Enumerator needs a resolver_factory"};
+}
 
 EnumerationResult Enumerator::enumerate(const Name& domain) {
   static auto& axfr_hits = obs::counter("dns.enumerate.axfr_success");
@@ -59,75 +62,51 @@ EnumerationResult Enumerator::enumerate(const Name& domain) {
 
   std::uint64_t chunk_queries = 0;
   if (!result.axfr_succeeded) {
-    const auto& words = options_.wordlist;
-    if (options_.resolver_factory && !words.empty()) {
-      // Parallel fan-out: fixed-size wordlist chunks, one fresh resolver
-      // per chunk, merged in chunk order. Each chunk resolver starts at
-      // the cuts this task's resolver holds (the AXFR attempt has walked
-      // to the zone), so no chunk walks root -> TLD again; the domain
-      // task only waits meanwhile, and its resolver's state is the same
-      // at every CS_THREADS. Hits/misses are aggregated per chunk and
-      // added once, so counter totals match the sequential path.
-      struct ChunkResult {
-        std::vector<Name> found;
-        std::uint64_t queries = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-      };
-      const std::size_t chunk_count =
-          (words.size() + kBruteChunkWords - 1) / kBruteChunkWords;
-      const auto chunks = exec::parallel_map(
-          chunk_count,
-          [&](std::size_t chunk) {
-            ChunkResult out;
-            Resolver resolver = options_.resolver_factory();
-            resolver.seed_cuts(resolver_);
-            const std::size_t begin = chunk * kBruteChunkWords;
-            const std::size_t end =
-                std::min(words.size(), begin + kBruteChunkWords);
-            for (std::size_t w = begin; w < end; ++w) {
-              const auto candidate = domain.child(words[w]);
-              if (!candidate) continue;
-              if (candidate_exists(resolver, *candidate)) {
-                out.found.push_back(*candidate);
-                ++out.hits;
-              } else {
-                ++out.misses;
-              }
-            }
-            out.queries = resolver.upstream_queries();
-            return out;
-          },
-          /*grain=*/1);
-      for (const auto& chunk : chunks) {
-        found.insert(chunk.found.begin(), chunk.found.end());
-        chunk_queries += chunk.queries;
-        brute_hits.inc(chunk.hits);
-        brute_misses.inc(chunk.misses);
-      }
-    } else {
-      // Aggregated like the parallel path: one counter delta per domain,
-      // not one shared atomic bump per wordlist probe.
+    // Fixed-size wordlist chunks, one fresh resolver per chunk, merged in
+    // chunk order. Each chunk resolver starts at the cuts this task's
+    // resolver holds (the AXFR attempt has walked to the zone), so no
+    // chunk walks root -> TLD again; the domain task only waits
+    // meanwhile, and its resolver's state is the same at every
+    // CS_THREADS. Hits/misses are aggregated per chunk and added once,
+    // not one shared atomic bump per wordlist probe.
+    struct ChunkResult {
+      std::vector<Name> found;
+      std::uint64_t queries = 0;
       std::uint64_t hits = 0;
       std::uint64_t misses = 0;
-      for (const auto& word : words) {
-        const auto candidate = domain.child(word);
-        if (!candidate) continue;
-        if (candidate_exists(resolver_, *candidate)) {
-          found.insert(*candidate);
-          ++hits;
-        } else {
-          ++misses;
-        }
-      }
-      brute_hits.inc(hits);
-      brute_misses.inc(misses);
+    };
+    const auto& words = options_.wordlist;
+    const std::size_t chunk_count =
+        (words.size() + kBruteChunkWords - 1) / kBruteChunkWords;
+    const auto chunks = exec::parallel_map(
+        chunk_count,
+        [&](std::size_t chunk) {
+          ChunkResult out;
+          Resolver resolver = options_.resolver_factory();
+          resolver.seed_cuts(resolver_);
+          const std::size_t begin = chunk * kBruteChunkWords;
+          const std::size_t end =
+              std::min(words.size(), begin + kBruteChunkWords);
+          for (std::size_t w = begin; w < end; ++w) {
+            const auto candidate = domain.child(words[w]);
+            if (!candidate) continue;
+            if (candidate_exists(resolver, *candidate)) {
+              out.found.push_back(*candidate);
+              ++out.hits;
+            } else {
+              ++out.misses;
+            }
+          }
+          out.queries = resolver.upstream_queries();
+          return out;
+        },
+        /*grain=*/1);
+    for (const auto& chunk : chunks) {
+      found.insert(chunk.found.begin(), chunk.found.end());
+      chunk_queries += chunk.queries;
+      brute_hits.inc(chunk.hits);
+      brute_misses.inc(chunk.misses);
     }
-  }
-
-  if (options_.include_apex) {
-    const auto res = resolver_.resolve(domain, RrType::kA);
-    if (res.ok() && !res.records.empty()) found.insert(domain);
   }
 
   result.subdomains.assign(found.begin(), found.end());

@@ -18,8 +18,7 @@ namespace cs::dns {
 struct EnumerationResult {
   Name domain;
   bool axfr_succeeded = false;
-  /// Discovered existing subdomains (not including the apex), with the
-  /// records found for them.
+  /// Discovered existing subdomains, never the apex itself.
   std::vector<Name> subdomains;
   std::uint64_t queries_spent = 0;
 };
@@ -29,19 +28,17 @@ class Enumerator {
   struct Options {
     std::vector<std::string> wordlist;
     bool attempt_axfr = true;
-    /// Probe the apex itself too (the paper's dataset keys on subdomains,
-    /// apex A records count as the bare domain).
-    bool include_apex = false;
-    /// When set, the brute-force wordlist fans out over the exec pool in
+    /// Required. The brute-force wordlist fans out over the exec pool in
     /// fixed-size chunks, each chunk confirming candidates through its own
     /// resolver built by this factory (resolvers are stateful, so threads
     /// cannot share one). The chunking is independent of CS_THREADS, so
     /// discovered names *and query counts* are byte-identical at any
-    /// thread count. Unset = sequential probing through the shared
-    /// resolver, as before.
+    /// thread count.
     std::function<Resolver()> resolver_factory;
   };
 
+  /// `resolver` makes the AXFR attempt; throws std::invalid_argument if
+  /// `options` has no resolver_factory.
   Enumerator(Resolver& resolver, Options options);
 
   /// Enumerates subdomains of one registered domain.

@@ -52,8 +52,9 @@ namespace cs::snap {
 
 /// Bump whenever any artifact codec changes shape; a mismatch rejects the
 /// snapshot and forces a rebuild. v2: the dataset artifact moved to its
-/// columnar (interned-name) form.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// columnar (interned-name) form. v3: the dataset columns dropped each
+/// subdomain's record chains and its copy of the domain rank.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Raised by the reader/unframer on any malformed snapshot.
 class SnapshotError : public std::runtime_error {

@@ -180,8 +180,7 @@ TEST_F(DatasetTest, WwwIsTheTopPrefix) {
 
 /// Field-by-field dataset equality (the structs carry no operator==; the
 /// snapshot-byte comparison lives in snap_codec_test, which links snap).
-void expect_same_dataset(const AlexaDataset& a, const AlexaDataset& b,
-                         bool compare_records = true) {
+void expect_same_dataset(const AlexaDataset& a, const AlexaDataset& b) {
   EXPECT_EQ(a.dns_queries_spent, b.dns_queries_spent);
   ASSERT_EQ(a.domains.size(), b.domains.size());
   ASSERT_EQ(a.cloud_subdomains.size(), b.cloud_subdomains.size());
@@ -202,10 +201,6 @@ void expect_same_dataset(const AlexaDataset& a, const AlexaDataset& b,
     const auto& sb = b.cloud_subdomains[i];
     EXPECT_EQ(sa.name, sb.name) << i;
     EXPECT_EQ(sa.domain, sb.domain) << i;
-    EXPECT_EQ(sa.domain_rank, sb.domain_rank) << i;
-    if (compare_records) {
-      EXPECT_EQ(sa.records.size(), sb.records.size()) << i;
-    }
     EXPECT_EQ(sa.addresses, sb.addresses) << i;
     EXPECT_EQ(sa.cnames, sb.cnames) << i;
     EXPECT_EQ(sa.direct_a_record, sb.direct_a_record) << i;
@@ -267,23 +262,6 @@ TEST_F(DatasetTest, ResumeFromPartialMatchesFullBuild) {
 
   DatasetBuilder resumed{*world_, {.lookup_vantages = 3}};
   expect_same_dataset(resumed.build(std::move(checkpoint)), *dataset_);
-}
-
-// keep_records=false is the paper-scale memory switch: it may drop ONLY
-// the forensic record chains; every analysis-visible field stays put.
-TEST_F(DatasetTest, KeepRecordsFalseDropsOnlyRecords) {
-  DatasetBuilder builder{*world_,
-                         {.lookup_vantages = 3, .keep_records = false}};
-  const auto trimmed = builder.build();
-  std::size_t retained_records = 0;
-  for (const auto& obs : trimmed.cloud_subdomains)
-    retained_records += obs.records.size();
-  EXPECT_EQ(retained_records, 0u);
-  std::size_t baseline_records = 0;
-  for (const auto& obs : dataset_->cloud_subdomains)
-    baseline_records += obs.records.size();
-  EXPECT_GT(baseline_records, 0u);  // the default build does keep them
-  expect_same_dataset(trimmed, *dataset_, /*compare_records=*/false);
 }
 
 // Traffic Manager picks a member per client network, so every vantage
@@ -391,7 +369,7 @@ class VantageLookupTest : public ::testing::Test {
     dns::Resolver resolver{network_, {.root_servers = {kRoot}}};
     const auto seen =
         lookup_from_vantages(resolver, dns::Name::must_parse(name),
-                             internet::planetlab_vantages(vantages), false);
+                             internet::planetlab_vantages(vantages));
     EXPECT_EQ(seen.ok, vantages);
     EXPECT_EQ(seen.addresses.size(), 1u);
     EXPECT_EQ(seen.exchanges, resolver.upstream_queries());

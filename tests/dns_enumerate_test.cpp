@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "dns/wordlist.h"
 #include "exec/config.h"
@@ -73,14 +74,10 @@ class EnumerateFixture : public ::testing::Test {
     return Resolver{network, o};
   }
 
-  // Spelled out (not designated-initialized) so -Wextra's
-  // missing-field-initializers stays quiet about resolver_factory,
-  // which these sequential tests deliberately leave unset.
   Enumerator::Options options(bool attempt_axfr = true) {
-    Enumerator::Options o;
-    o.wordlist = small_wordlist();
-    o.attempt_axfr = attempt_axfr;
-    return o;
+    return {.wordlist = small_wordlist(),
+            .attempt_axfr = attempt_axfr,
+            .resolver_factory = [this] { return make_resolver(); }};
   }
 
   /// Queries spent enumerating closed.com over the default wordlist
@@ -90,7 +87,6 @@ class EnumerateFixture : public ::testing::Test {
     auto resolver = make_resolver();
     auto opts = options(attempt_axfr);
     opts.wordlist = default_wordlist();
-    opts.resolver_factory = [this] { return make_resolver(); };
     Enumerator enumerator{resolver, opts};
     return enumerator.enumerate(Name::must_parse("closed.com")).queries_spent;
   }
@@ -140,17 +136,25 @@ TEST_F(EnumerateFixture, AxfrDisabledFallsStraightToBruteForce) {
 // Exact exchange counts for closed.com, whose AXFR is refused. The AXFR
 // attempt costs 5: the NS lookup walks root -> com -> closed.com (3), the
 // A lookup for ns1.closed.com starts at the cached closed.com cut (1), and
-// the refused transfer itself (1). Each brute-force probe then costs one
-// query to closed.com's own server, never another root/TLD walk.
+// the refused transfer itself (1). Those 5 are the domain resolver's own.
+// Each brute-force probe then costs one query to closed.com's own server
+// through a chunk resolver, never another root/TLD walk.
 TEST_F(EnumerateFixture, QueriesSpentAccounted) {
   auto resolver = make_resolver();
   Enumerator enumerator{resolver, options()};
   const auto result = enumerator.enumerate(Name::must_parse("closed.com"));
   EXPECT_EQ(result.queries_spent, 5u + small_wordlist().size());
-  EXPECT_EQ(resolver.upstream_queries(), result.queries_spent);
+  EXPECT_EQ(resolver.upstream_queries(), 5u);
 }
 
-// The factory path probes the wordlist in 48-word chunks, each through a
+TEST_F(EnumerateFixture, MissingResolverFactoryIsRejected) {
+  auto resolver = make_resolver();
+  auto opts = options();
+  opts.resolver_factory = nullptr;
+  EXPECT_THROW((Enumerator{resolver, opts}), std::invalid_argument);
+}
+
+// Brute force probes the wordlist in 48-word chunks, each through a
 // fresh resolver that starts at the zone cuts the domain's resolver holds.
 // The AXFR attempt has walked to closed.com's cut (5 queries, as above), so
 // every probe is one query to closed.com's server.

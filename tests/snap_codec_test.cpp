@@ -107,41 +107,20 @@ TEST(ArtifactRoundTrip, EmptyArtifactsRoundTripToo) {
 // ---------------------------------------------------------------------
 // Golden bytes. Round trips only prove that encode and decode agree with
 // each other; these pin the format itself. Each artifact type gets one
-// small hand-built value with every field away from its default, all five
-// rdata alternatives, and optionals both set and unset. The constants are
-// the FNV-1a of the encoding: a change that moves a byte must bump
-// kFormatVersion, not re-capture them.
+// small hand-built value with every field away from its default and
+// optionals both set and unset. The constants are the FNV-1a of the
+// encoding: a change that moves a byte must bump kFormatVersion, not
+// re-capture them.
 
 dns::Name name(const char* text) { return dns::Name::must_parse(text); }
 
 util::Cdf cdf(std::vector<double> samples) { return util::Cdf{samples}; }
-
-std::vector<dns::ResourceRecord> every_rdata() {
-  return {
-      dns::ResourceRecord::a(name("www.example.com"), net::Ipv4{10, 0, 0, 1},
-                             60),
-      dns::ResourceRecord::ns(name("example.com"), name("ns1.example.com")),
-      dns::ResourceRecord::cname(name("www.example.com"),
-                                 name("lb-1.us-east-1.elb.amazonaws.com")),
-      dns::ResourceRecord::soa(name("example.com"),
-                               {.mname = name("ns1.example.com"),
-                                .rname = name("admin.example.com"),
-                                .serial = 7,
-                                .refresh = 1,
-                                .retry = 2,
-                                .expire = 3,
-                                .minimum = 4}),
-      dns::ResourceRecord::txt(name("example.com"), {"v=spf1 -all", ""}),
-  };
-}
 
 analysis::AlexaDataset golden_dataset() {
   analysis::AlexaDataset d;
   analysis::SubdomainObservation& s = d.cloud_subdomains.emplace_back();
   s.name = name("www.example.com");
   s.domain = name("example.com");
-  s.domain_rank = 7;
-  s.records = every_rdata();
   s.addresses = {net::Ipv4{54, 0, 0, 1}, net::Ipv4{23, 0, 0, 2}};
   s.cnames = {name("lb-1.us-east-1.elb.amazonaws.com")};
   s.direct_a_record = true;
@@ -175,11 +154,8 @@ analysis::DatasetColumns golden_columns() {
   auto& sub = c.subdomains;
   sub.name = {www};
   sub.domain = {apex};
-  sub.domain_rank = {3};
   sub.flags = {analysis::DatasetColumns::kDirectA |
                analysis::DatasetColumns::kAzureAddress};
-  sub.record_off = {0, 5};
-  sub.record_pool = every_rdata();
   sub.address_off = {0, 1};
   sub.address_pool = {net::Ipv4{40, 0, 0, 9}};
   sub.cname_off = {0, 1};
@@ -407,13 +383,13 @@ void expect_golden(const T& value, std::uint64_t expected) {
 }
 
 TEST(ArtifactGolden, Dataset) {
-  expect_golden(golden_dataset(), 0xf986c94c29f8f9fbULL);
+  expect_golden(golden_dataset(), 0xa96d74172634e794ULL);
 }
 TEST(ArtifactGolden, DatasetColumns) {
-  expect_golden(golden_columns(), 0xf5a689e7fc453f80ULL);
+  expect_golden(golden_columns(), 0xdca2ad260b368859ULL);
 }
 TEST(ArtifactGolden, PartialDataset) {
-  expect_golden(golden_partial(), 0x728a917ddcb779a1ULL);
+  expect_golden(golden_partial(), 0xd8d11d79ef990358ULL);
 }
 TEST(ArtifactGolden, CloudUsage) {
   expect_golden(golden_cloud_usage(), 0x03d7c51c7fb01ebeULL);
@@ -870,7 +846,6 @@ TEST(ColumnarDataset, UnparsableStoredNameIsASnapshotError) {
   columns.domains.other_only.push_back(0);
   columns.domains.unresolved.push_back(0);
   columns.domains.failed_off = {0, 0};
-  columns.subdomains.record_off = {0};
   columns.subdomains.address_off = {0};
   columns.subdomains.cname_off = {0};
   columns.subdomains.ns_off = {0};
