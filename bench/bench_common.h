@@ -1,8 +1,6 @@
 #pragma once
 
-#include <fstream>
 #include <iostream>
-#include <iterator>
 #include <string>
 
 #include "core/report.h"
@@ -14,7 +12,6 @@
 #include "obs/trace.h"
 #include "util/env.h"
 #include "util/format.h"
-#include "util/json.h"
 
 /// Shared scaffolding for the table/figure benches.
 ///
@@ -32,10 +29,6 @@
 ///   CS_THREADS        - exec pool workers (default: hardware
 ///                       concurrency); the sidecar records it plus the
 ///                       pool's task count.
-///   CS_BENCH_BASELINE - path to a previous sidecar (typically a
-///                       CS_THREADS=1 run of the same bench); the new
-///                       sidecar then reports baseline_wall_ms and the
-///                       speedup over it.
 /// The output is the reproduced table plus, where stated, an ablation.
 namespace cs::bench {
 
@@ -70,30 +63,6 @@ inline std::string& sidecar_bench_name() {
   return name;
 }
 
-/// Pulls "wall_ms" out of a previous sidecar through the shared JSON
-/// reader (a substring scan used to silently return 0.0 whenever the
-/// writer's key formatting drifted).
-inline double read_baseline_wall_ms(const std::string& path) {
-  std::ifstream file{path, std::ios::binary};
-  if (!file) {
-    obs::log_warn("bench", "cannot read CS_BENCH_BASELINE path '{}'", path);
-    return 0.0;
-  }
-  std::string text{std::istreambuf_iterator<char>{file},
-                   std::istreambuf_iterator<char>{}};
-  const auto parsed = util::parse_json(text);
-  if (!parsed) {
-    obs::log_warn("bench", "CS_BENCH_BASELINE '{}' is not valid JSON", path);
-    return 0.0;
-  }
-  const auto* wall = parsed->find("wall_ms");
-  if (!wall || !wall->is_number()) {
-    obs::log_warn("bench", "CS_BENCH_BASELINE '{}' has no wall_ms", path);
-    return 0.0;
-  }
-  return wall->number;
-}
-
 /// Writes the CS_BENCH_JSON sidecar via obs::RunReport — one consistent
 /// metrics snapshot covering wall time, per-stage spans, resource usage,
 /// pool task count, snap/fault activity, histogram percentiles, and every
@@ -104,8 +73,6 @@ inline void write_bench_sidecar() {
   if (!path) return;
   auto report = obs::RunReport::capture(sidecar_bench_name());
   report.threads = exec::thread_count();
-  if (const auto baseline = util::env_text("CS_BENCH_BASELINE"))
-    report.baseline_wall_ms = read_baseline_wall_ms(*baseline);
   report.write(*path);
 }
 

@@ -8,7 +8,6 @@
 #include "dns/resolver.h"
 #include "dns/server.h"
 #include "fault/fault.h"
-#include "obs/metrics.h"
 #include "pcap/decode.h"
 #include "pcap/flow.h"
 #include "proto/http.h"
@@ -246,27 +245,6 @@ void BM_FaultDecideEnabled(benchmark::State& state) {
     benchmark::DoNotOptimize(plan.decide(fault::Kind::kLoss, key++));
 }
 BENCHMARK(BM_FaultDecideEnabled);
-
-// Guard number for the metrics-overhead contract: resolver tallies are
-// plain members flushed as one delta at destruction, so iterative
-// resolution under CS_METRICS=1 (arg 1) must time the same as with
-// detailed metrics off (arg 0). A gap opening up here means a per-query
-// shared atomic crept back into the enumeration hot path.
-void BM_MetricsOverhead(benchmark::State& state) {
-  const bool was_on = obs::detailed_metrics();
-  obs::set_detailed_metrics(state.range(0) != 0);
-  synth::WorldConfig config;
-  config.domain_count = 200;
-  synth::World world{config};
-  auto resolver = world.make_resolver(net::Ipv4(199, 16, 0, 10));
-  const auto name = dns::Name::must_parse("www.pinterest.com");
-  for (auto _ : state) {
-    resolver.flush_cache();
-    benchmark::DoNotOptimize(resolver.resolve(name, dns::RrType::kA));
-  }
-  obs::set_detailed_metrics(was_on);
-}
-BENCHMARK(BM_MetricsOverhead)->Arg(0)->Arg(1);
 
 void BM_WorldBuild(benchmark::State& state) {
   for (auto _ : state) {

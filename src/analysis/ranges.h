@@ -15,8 +15,6 @@ struct IpClassification {
   enum class Kind { kEc2, kAzure, kCloudFront, kOther };
   Kind kind = Kind::kOther;
   std::string region;  ///< empty for CloudFront / Other
-
-  bool is_cloud() const noexcept { return kind != Kind::kOther; }
 };
 
 class CloudRanges {
@@ -25,7 +23,6 @@ class CloudRanges {
   CloudRanges(const cloud::Provider& ec2, const cloud::Provider& azure);
 
   IpClassification classify(net::Ipv4 addr) const;
-  bool is_cloud(net::Ipv4 addr) const { return classify(addr).is_cloud(); }
   bool is_ec2(net::Ipv4 addr) const {
     return classify(addr).kind == IpClassification::Kind::kEc2;
   }

@@ -217,10 +217,6 @@ std::optional<int> Provider::zone_of_public_ip(net::Ipv4 addr) const {
   return inst->zone;
 }
 
-std::optional<int> Provider::zone_of_internal_ip(net::Ipv4 addr) const {
-  return zone_of_internal_block(addr);
-}
-
 std::optional<int> Provider::zone_of_internal_block(
     net::Ipv4 any_addr_in_block) const {
   if (any_addr_in_block.octet(0) != 10) return std::nullopt;

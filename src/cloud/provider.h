@@ -104,7 +104,6 @@ class Provider {
 
   /// Ground truth: physical zone of an instance address.
   std::optional<int> zone_of_public_ip(net::Ipv4 addr) const;
-  std::optional<int> zone_of_internal_ip(net::Ipv4 addr) const;
 
   /// Ground truth: physical zone that a /16 internal block belongs to.
   std::optional<int> zone_of_internal_block(net::Ipv4 any_addr_in_block) const;

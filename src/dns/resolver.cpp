@@ -10,6 +10,25 @@ namespace {
 constexpr bool kRecursionDesired = false;  ///< the paper queried with norecurse
 constexpr int kMaxReferrals = 32;          ///< delegation-depth guard
 constexpr int kMaxCnameHops = 12;
+/// Servers tried per delegation step before giving up: the first attempt
+/// plus up to two retries against alternate servers.
+constexpr int kMaxServerAttempts = 3;
+
+/// The shared counters each resolver tally also feeds.
+struct ResolverMetrics {
+  obs::Counter& upstream_queries =
+      obs::counter("dns.resolver.upstream_queries");
+  obs::Counter& cache_hits = obs::counter("dns.resolver.cache_hits");
+  obs::Counter& delegation_hits =
+      obs::counter("dns.resolver.delegation_hits");
+  obs::Counter& retries = obs::counter("dns.resolver.retries");
+  obs::Counter& timeouts = obs::counter("dns.resolver.timeouts");
+
+  static ResolverMetrics& get() {
+    static ResolverMetrics metrics;
+    return metrics;
+  }
+};
 
 }  // namespace
 
@@ -31,78 +50,6 @@ std::vector<Name> ResolveResult::cname_chain() const {
 
 Resolver::Resolver(DnsTransport& transport, Options options)
     : transport_(transport), options_(std::move(options)) {}
-
-Resolver::Resolver(const Resolver& other)
-    : transport_(other.transport_),
-      options_(other.options_),
-      cache_(other.cache_),
-      cuts_(other.cuts_),
-      now_(other.now_),
-      next_id_(other.next_id_),
-      cache_hits_(other.cache_hits_),
-      delegation_hits_(other.delegation_hits_),
-      upstream_queries_(other.upstream_queries_),
-      timeouts_(other.timeouts_),
-      retries_(other.retries_),
-      // The copy keeps the tallies for its accessors but must not flush
-      // history the source will already report.
-      reported_cache_hits_(other.cache_hits_),
-      reported_delegation_hits_(other.delegation_hits_),
-      reported_upstream_queries_(other.upstream_queries_),
-      reported_timeouts_(other.timeouts_),
-      reported_retries_(other.retries_) {}
-
-Resolver::Resolver(Resolver&& other) noexcept
-    : transport_(other.transport_),
-      options_(std::move(other.options_)),
-      cache_(std::move(other.cache_)),
-      cuts_(std::move(other.cuts_)),
-      now_(other.now_),
-      next_id_(other.next_id_),
-      cache_hits_(other.cache_hits_),
-      delegation_hits_(other.delegation_hits_),
-      upstream_queries_(other.upstream_queries_),
-      timeouts_(other.timeouts_),
-      retries_(other.retries_),
-      reported_cache_hits_(other.reported_cache_hits_),
-      reported_delegation_hits_(other.reported_delegation_hits_),
-      reported_upstream_queries_(other.reported_upstream_queries_),
-      reported_timeouts_(other.reported_timeouts_),
-      reported_retries_(other.reported_retries_) {
-  // The unflushed delta now belongs to the destination.
-  other.reported_cache_hits_ = other.cache_hits_;
-  other.reported_delegation_hits_ = other.delegation_hits_;
-  other.reported_upstream_queries_ = other.upstream_queries_;
-  other.reported_timeouts_ = other.timeouts_;
-  other.reported_retries_ = other.retries_;
-}
-
-Resolver::~Resolver() { flush_metrics(); }
-
-void Resolver::flush_metrics() {
-  static auto& upstream_metric =
-      obs::counter("dns.resolver.upstream_queries");
-  static auto& cache_hit_metric = obs::counter("dns.resolver.cache_hits");
-  static auto& delegation_hit_metric =
-      obs::counter("dns.resolver.delegation_hits");
-  static auto& retry_metric = obs::counter("dns.resolver.retries");
-  static auto& timeout_metric = obs::counter("dns.resolver.timeouts");
-  if (upstream_queries_ > reported_upstream_queries_)
-    upstream_metric.inc(upstream_queries_ - reported_upstream_queries_);
-  if (cache_hits_ > reported_cache_hits_)
-    cache_hit_metric.inc(cache_hits_ - reported_cache_hits_);
-  if (delegation_hits_ > reported_delegation_hits_)
-    delegation_hit_metric.inc(delegation_hits_ - reported_delegation_hits_);
-  if (retries_ > reported_retries_)
-    retry_metric.inc(retries_ - reported_retries_);
-  if (timeouts_ > reported_timeouts_)
-    timeout_metric.inc(timeouts_ - reported_timeouts_);
-  reported_upstream_queries_ = upstream_queries_;
-  reported_cache_hits_ = cache_hits_;
-  reported_delegation_hits_ = delegation_hits_;
-  reported_retries_ = retries_;
-  reported_timeouts_ = timeouts_;
-}
 
 ResolveResult Resolver::resolve(const Name& name, RrType type) {
   ResolveResult result;
@@ -130,6 +77,7 @@ std::optional<MessageView> Resolver::ask(net::Ipv4 server, const Name& name,
                                          std::vector<std::uint8_t>& reply) {
   const std::uint16_t id = next_id_++;
   ++upstream_queries_;
+  ResolverMetrics::get().upstream_queries.inc();
   auto wire = transport_.exchange(
       options_.client_address, server,
       encode_query(id, name, type, kRecursionDesired));
@@ -144,7 +92,6 @@ std::optional<MessageView> Resolver::ask(net::Ipv4 server, const Name& name,
 void Resolver::cache_put(const Name& name, RrType type, Rcode rcode,
                          const std::vector<ResourceRecord>& records,
                          std::optional<std::uint32_t> ttl_override) {
-  if (!options_.use_cache) return;
   std::uint32_t ttl = 300;
   for (const auto& rr : records) ttl = std::min(ttl, rr.ttl);
   if (ttl_override) ttl = *ttl_override;
@@ -157,7 +104,6 @@ void Resolver::cache_put(const Name& name, RrType type, Rcode rcode,
 
 const Resolver::CacheEntry* Resolver::cache_get(std::string_view name_wire,
                                                 RrType type) {
-  if (!options_.use_cache) return nullptr;
   const auto it = cache_.find(CacheKeyView{name_wire, type});
   if (it == cache_.end()) return nullptr;
   if (it->second.expires_at <= now_) {
@@ -165,13 +111,14 @@ const Resolver::CacheEntry* Resolver::cache_get(std::string_view name_wire,
     return nullptr;
   }
   ++cache_hits_;
+  ResolverMetrics::get().cache_hits.inc();
   return &it->second;
 }
 
 void Resolver::cut_put(const NameBuf& owner,
                        const std::vector<net::Ipv4>& servers,
                        std::uint32_t ttl) {
-  if (!options_.use_cache || servers.empty()) return;
+  if (servers.empty()) return;
   const std::uint64_t expires_at = now_ + std::min<std::uint32_t>(ttl, 300);
   for (auto& cut : cuts_) {
     if (cut.owner.wire() == owner.wire()) {
@@ -184,7 +131,6 @@ void Resolver::cut_put(const NameBuf& owner,
 }
 
 const Resolver::CutEntry* Resolver::closest_cut(const Name& name) const {
-  if (!options_.use_cache) return nullptr;
   const CutEntry* best = nullptr;
   for (const auto& cut : cuts_) {
     if (cut.expires_at <= now_ || !name.is_subdomain_of(cut.owner)) continue;
@@ -256,6 +202,7 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
     zone = cut->owner.wire().size();
     servers = cut->servers;
     ++delegation_hits_;
+    ResolverMetrics::get().delegation_hits.inc();
   }
 
   // The walk's outcome for (name, type), cached unless this is a probe.
@@ -277,17 +224,22 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
     if (servers.empty()) return servfail();
 
     std::optional<MessageView> response;
-    // Try servers in order (up to max_server_attempts of them) until one
+    // Try servers in order (up to kMaxServerAttempts of them) until one
     // responds — the paper's dig runs tolerated flaky authoritatives the
     // same way.
+    auto& metrics = ResolverMetrics::get();
     int attempts = 0;
     for (const auto server : servers) {
-      if (attempts >= options_.max_server_attempts) break;
-      if (attempts > 0) ++retries_;
+      if (attempts >= kMaxServerAttempts) break;
+      if (attempts > 0) {
+        ++retries_;
+        metrics.retries.inc();
+      }
       ++attempts;
       response = ask(server, name, type, reply);
       if (response) break;
       ++timeouts_;
+      metrics.timeouts.inc();
     }
     if (!response) return servfail();
 

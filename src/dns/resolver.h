@@ -16,9 +16,9 @@
 /// from root hints) and follows referrals down the delegation tree,
 /// resolving out-of-bailiwick name servers as needed, chasing CNAME chains
 /// across zones, and caching answers and zone cuts by TTL against a
-/// simulated clock. The cache can be flushed and recursion-desired can be
-/// cleared, mirroring the paper's `norecurse` + cache-reset methodology
-/// for locating authoritative name servers.
+/// simulated clock. Every query goes out with recursion-desired cleared
+/// and the cache can be flushed, mirroring the paper's `norecurse` +
+/// cache-reset methodology for locating authoritative name servers.
 namespace cs::dns {
 
 /// Outcome of one resolution.
@@ -40,11 +40,6 @@ class Resolver {
   struct Options {
     std::vector<net::Ipv4> root_servers;
     net::Ipv4 client_address{net::Ipv4{192, 0, 2, 1}};
-    bool use_cache = true;
-    /// Total servers tried per delegation step before giving up: the
-    /// first attempt plus up to (max_server_attempts - 1) retries against
-    /// alternate servers.
-    int max_server_attempts = 3;
   };
 
   /// TTL for negatively cached timeout-driven SERVFAIL: long enough that
@@ -53,23 +48,6 @@ class Resolver {
   static constexpr std::uint32_t kServFailCacheTtl = 30;
 
   Resolver(DnsTransport& transport, Options options);
-
-  /// Counter discipline: per-query tallies accumulate in plain members
-  /// and reach the shared obs counters as one delta when the resolver
-  /// dies (or on flush_metrics()). A paper-scale enumeration pushes tens
-  /// of millions of queries through short-lived chunk resolvers; one
-  /// shared atomic increment per query measurably dominated that hot
-  /// path. A copy only flushes tallies it accrues after the copy; a
-  /// moved-from resolver flushes nothing.
-  Resolver(const Resolver& other);
-  Resolver(Resolver&& other) noexcept;
-  Resolver& operator=(const Resolver&) = delete;
-  Resolver& operator=(Resolver&&) = delete;
-  ~Resolver();
-
-  /// Pushes not-yet-reported tallies to the obs counters now. Useful for
-  /// long-lived resolvers whose metrics should appear before teardown.
-  void flush_metrics();
 
   /// Resolves (name, type) iteratively from the roots.
   ResolveResult resolve(const Name& name, RrType type);
@@ -111,6 +89,10 @@ class Resolver {
 
   /// Advances the simulated clock, expiring cache entries whose TTL passed.
   void advance_time(std::uint32_t seconds);
+
+  // This resolver's tallies. Each one also adds to its `dns.resolver.*`
+  // counter as it happens, so a counter read while the resolver lives
+  // already holds its work.
 
   /// Answer-cache hits: lookups served without any upstream query.
   std::uint64_t cache_hits() const noexcept { return cache_hits_; }
@@ -211,12 +193,6 @@ class Resolver {
   std::uint64_t upstream_queries_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
-  /// Watermarks: the portion of each tally already flushed to obs.
-  std::uint64_t reported_cache_hits_ = 0;
-  std::uint64_t reported_delegation_hits_ = 0;
-  std::uint64_t reported_upstream_queries_ = 0;
-  std::uint64_t reported_timeouts_ = 0;
-  std::uint64_t reported_retries_ = 0;
 };
 
 }  // namespace cs::dns

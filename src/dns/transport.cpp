@@ -7,7 +7,7 @@
 namespace cs::dns {
 
 /// RAII guard counting in-flight serve() calls (debug builds only), so
-/// the mutators can assert the build-phase / query-phase separation.
+/// attach() can assert the build-phase / query-phase separation.
 class SimulatedDnsNetwork::ExchangeScope {
  public:
   explicit ExchangeScope(const SimulatedDnsNetwork& net) : net_(net) {
@@ -31,23 +31,14 @@ void SimulatedDnsNetwork::assert_quiescent() const {
 #ifndef NDEBUG
   assert(active_exchanges_.load(std::memory_order_acquire) == 0 &&
          "SimulatedDnsNetwork mutated while exchanges are in flight; "
-         "attach/set_down are build-phase only");
+         "attach is build-phase only");
 #endif
 }
 
 void SimulatedDnsNetwork::attach(net::Ipv4 address,
                                  std::shared_ptr<AuthoritativeServer> server) {
   assert_quiescent();
-  // try_emplace so Entry (which holds an atomic) never needs to move;
-  // unordered_map nodes are address-stable across rehashes.
-  const auto [it, inserted] = servers_.try_emplace(address.value());
-  it->second.server = std::move(server);
-  it->second.down.store(false, std::memory_order_relaxed);
-}
-
-void SimulatedDnsNetwork::set_down(net::Ipv4 address, bool down) {
-  if (const auto it = servers_.find(address.value()); it != servers_.end())
-    it->second.down.store(down, std::memory_order_release);
+  servers_.insert_or_assign(address.value(), std::move(server));
 }
 
 WireReply SimulatedDnsNetwork::serve(net::Ipv4 client, net::Ipv4 server,
@@ -55,9 +46,7 @@ WireReply SimulatedDnsNetwork::serve(net::Ipv4 client, net::Ipv4 server,
     const {
   ExchangeScope scope{*this};
   const auto it = servers_.find(server.value());
-  if (it == servers_.end() ||
-      it->second.down.load(std::memory_order_acquire))
-    return WireReply{WireVerdict::kUnreachable, {}};
+  if (it == servers_.end()) return WireReply{WireVerdict::kUnreachable, {}};
 
   // Fault injection sits on the wire, not in the server: the resolver
   // sees exactly what a lossy network would show it. Decisions key off
@@ -90,7 +79,7 @@ WireReply SimulatedDnsNetwork::serve(net::Ipv4 client, net::Ipv4 server,
     }
   }
 
-  auto response = it->second.server->handle_wire(client, query);
+  auto response = it->second->handle_wire(client, query);
   if (plan && plan->decide(fault::Kind::kTruncate, key)) [[unlikely]] {
     static auto& truncations = obs::counter("fault.dns.truncate");
     truncations.inc();
@@ -136,7 +125,7 @@ std::optional<std::vector<std::uint8_t>> SimulatedDnsNetwork::exchange(
 std::shared_ptr<AuthoritativeServer> SimulatedDnsNetwork::server_at(
     net::Ipv4 address) const {
   const auto it = servers_.find(address.value());
-  return it == servers_.end() ? nullptr : it->second.server;
+  return it == servers_.end() ? nullptr : it->second;
 }
 
 }  // namespace cs::dns

@@ -40,7 +40,7 @@ class DnsTransport {
 enum class WireVerdict : std::uint8_t {
   kAnswer,       ///< `bytes` holds the response datagram
   kDrop,         ///< injected loss/timeout: the wire stays silent
-  kUnreachable,  ///< no server at that address (or marked down)
+  kUnreachable,  ///< no server attached at that address
 };
 
 struct WireReply {
@@ -49,6 +49,7 @@ struct WireReply {
 };
 
 /// In-process transport mapping server IPs to AuthoritativeServer objects.
+/// An address with no server attached is unreachable.
 ///
 /// ## Concurrency contract
 ///
@@ -56,26 +57,17 @@ struct WireReply {
 /// threads at once: resolver threads during parallel dataset phases, and
 /// netio server worker threads when the socket backend fronts this table.
 /// `serve()`/`exchange()`/`server_count()`/`server_at()` are safe to call
-/// concurrently with each other. The mutators — `attach` and `set_down` —
-/// are NOT safe concurrently with reads: they must run before (or
-/// between) query phases, which is how World uses them (servers attach
-/// during world construction, fault phases flip `set_down` between
-/// builder passes). Debug builds enforce `attach`'s phasing with an
-/// active-exchange assertion; release builds rely on the contract.
-///
-/// The `down` flag itself is atomic, so a `set_down` that does overlap
-/// queries in flight is still no data race: each in-flight exchange sees
-/// either verdict, exactly like a real outage edge.
+/// concurrently with each other. `attach` is NOT safe concurrently with
+/// reads: it must run before (or between) query phases, which is how
+/// World uses it (servers attach during world construction). Debug builds
+/// enforce this phasing with an active-exchange assertion; release builds
+/// rely on the contract.
 class SimulatedDnsNetwork final : public DnsTransport {
  public:
   /// Registers a server reachable at `address`. One server object may be
   /// registered at several addresses (anycast/fleet behaviour).
   /// Build-phase only — see the concurrency contract above.
   void attach(net::Ipv4 address, std::shared_ptr<AuthoritativeServer> server);
-
-  /// Marks an address unreachable (queries time out) / reachable again.
-  /// Build-phase only; the flag itself is atomic (see contract above).
-  void set_down(net::Ipv4 address, bool down);
 
   /// Serves one query datagram exactly as the authoritative side of the
   /// wire would: routing, seeded fault injection, and zone answering in
@@ -109,18 +101,12 @@ class SimulatedDnsNetwork final : public DnsTransport {
   std::shared_ptr<AuthoritativeServer> server_at(net::Ipv4 address) const;
 
  private:
-  /// Map values hold an atomic, so entries are built in place via
-  /// try_emplace (node stability makes that sufficient — no moves).
-  struct Entry {
-    std::shared_ptr<AuthoritativeServer> server;
-    std::atomic<bool> down{false};
-  };
-
-  /// Debug-mode phasing check: mutators assert no serve() is in flight.
+  /// Debug-mode phasing check: attach() asserts no serve() is in flight.
   class ExchangeScope;
   void assert_quiescent() const;
 
-  std::unordered_map<std::uint32_t, Entry> servers_;
+  std::unordered_map<std::uint32_t, std::shared_ptr<AuthoritativeServer>>
+      servers_;
 #ifndef NDEBUG
   mutable std::atomic<int> active_exchanges_{0};
 #endif

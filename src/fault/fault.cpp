@@ -234,15 +234,13 @@ WireDecision Plan::wire(Direction direction, std::uint64_t key,
 
 std::uint64_t exchange_key(std::uint32_t client, std::uint32_t server,
                            std::span<const std::uint8_t> query) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 1099511628211ULL;
-  };
-  for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(client >> (8 * i)));
-  for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(server >> (8 * i)));
-  for (const auto byte : query) mix(byte);
-  return h;
+  // Both addresses little-endian, then the query.
+  std::uint8_t ends[8];
+  for (int i = 0; i < 4; ++i) {
+    ends[i] = static_cast<std::uint8_t>(client >> (8 * i));
+    ends[4 + i] = static_cast<std::uint8_t>(server >> (8 * i));
+  }
+  return util::fnv1a(query, util::fnv1a(ends, util::kFnv1aShortBasis));
 }
 
 std::uint64_t query_key(std::uint32_t client, std::uint32_t server,
@@ -252,12 +250,9 @@ std::uint64_t query_key(std::uint32_t client, std::uint32_t server,
 }
 
 std::uint64_t stage_abort_key(std::string_view stage) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const char c : stage) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::fnv1a({reinterpret_cast<const std::uint8_t*>(stage.data()),
+                      stage.size()},
+                     util::kFnv1aShortBasis);
 }
 
 namespace detail {

@@ -22,8 +22,8 @@
 /// read-only zone data via SimulatedDnsNetwork::serve(), so the answer
 /// bytes — and every seeded fault decision — are identical to what the
 /// in-process backend would have produced. Injected loss/timeout is
-/// served as genuine silence (the client really retransmits); a down or
-/// unknown server address is answered with a kUnreachable control frame
+/// served as genuine silence (the client really retransmits); an address
+/// with no server attached is answered with a kUnreachable control frame
 /// so the client can fail the exchange fast instead of waiting out its
 /// retransmit schedule.
 ///

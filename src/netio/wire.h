@@ -28,8 +28,8 @@
 ///                                    u32 BE   u32 BE
 ///
 /// kQuery travels client->server; kResponse carries the authoritative
-/// answer back; kUnreachable is the server's fast-fail for a simulated-
-/// down or unknown server address (the stand-in for an ICMP port
+/// answer back; kUnreachable is the server's fast-fail for a server
+/// address with no server attached (the stand-in for an ICMP port
 /// unreachable), its payload echoing the query's 2-byte DNS ID so the
 /// client can settle its exchange immediately instead of waiting out the
 /// retransmit schedule. `attempt` is the query's send index within its

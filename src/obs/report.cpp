@@ -101,10 +101,6 @@ std::string RunReport::to_json() const {
   out += "\",\n  \"wall_ms\": ";
   out += util::fmt("{:.3f}", wall_ms);
   out += util::fmt(",\n  \"threads\": {}", threads);
-  if (baseline_wall_ms > 0.0 && wall_ms > 0.0) {
-    out += util::fmt(",\n  \"baseline_wall_ms\": {:.3f}", baseline_wall_ms);
-    out += util::fmt(",\n  \"speedup\": {:.3f}", baseline_wall_ms / wall_ms);
-  }
   out += util::fmt(
       ",\n  \"resources\": {{\"user_cpu_ms\": {:.3f}, "
       "\"system_cpu_ms\": {:.3f}, \"peak_rss_kb\": {}, "

@@ -45,7 +45,6 @@ struct RunReport {
   double wall_ms = 0.0;      ///< process wall time (process start to now)
   unsigned threads = 0;      ///< exec pool width; callers set it (obs
                              ///< cannot depend on exec), 0 = unrecorded
-  double baseline_wall_ms = 0.0;  ///< CS_BENCH_BASELINE wall, 0 = none
   ResourceUsage resources;
   std::vector<SpanStats> stages;  ///< Tracer::stats() at capture time
   MetricsSnapshot metrics;        ///< the single consistent snapshot

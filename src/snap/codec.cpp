@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "util/format.h"
+#include "util/rng.h"
 
 namespace cs::snap {
 namespace {
@@ -24,12 +25,7 @@ void reject_field(const char* kind, std::int64_t value) {
 }  // namespace detail
 
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const auto byte : bytes) {
-    h ^= byte;
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::fnv1a(bytes, util::kFnv1aShortBasis);
 }
 
 void Writer::u16(std::uint16_t v) {

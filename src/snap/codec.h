@@ -62,7 +62,8 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// FNV-1a over a byte span (the same hash family the fault keys use).
+/// FNV-1a over a byte span: util::fnv1a from util::kFnv1aShortBasis, as
+/// the fault keys use.
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept;
 
 static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),

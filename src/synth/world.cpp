@@ -1,6 +1,7 @@
 #include "synth/world.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 
 #include "dns/wordlist.h"
@@ -236,7 +237,6 @@ class World::Builder {
     tm_zone_ = host_infra("trafficmanager.net");
     // Traffic Manager's client-dependent answers (see deploy_traffic_manager).
     tm_members_ = std::make_shared<std::map<Name, std::vector<Name>>>();
-    world_.tm_members_ = tm_members_;
     infra_server_->set_dynamic_answer(
         [members = tm_members_](net::Ipv4 client, const Name& qname)
             -> std::optional<ResourceRecord> {
@@ -1089,12 +1089,6 @@ const SubdomainTruth* World::subdomain_truth(const dns::Name& name) const {
   if (it == subdomain_index_.end()) return nullptr;
   const SubdomainTruth& truth = domains_[it->first].subdomains[it->second];
   return truth.name == name ? &truth : nullptr;
-}
-
-const std::vector<dns::Name>* World::traffic_manager_members(
-    const dns::Name& profile) const {
-  const auto it = tm_members_->find(profile);
-  return it == tm_members_->end() ? nullptr : &it->second;
 }
 
 std::vector<const SubdomainTruth*> World::cloud_subdomains() const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -134,12 +133,6 @@ class World {
   /// All cloud-using subdomains (truth view).
   std::vector<const SubdomainTruth*> cloud_subdomains() const;
 
-  /// Ground truth for a Traffic Manager profile CNAME: its members'
-  /// CNAMEs, in the order the infra server picks from. nullptr for any
-  /// other name.
-  const std::vector<dns::Name>* traffic_manager_members(
-      const dns::Name& profile) const;
-
  private:
   class Builder;
 
@@ -158,10 +151,6 @@ class World {
   /// Domain positions sorted by canonical name, for domain() lookups
   /// (domains_ itself stays in rank order).
   std::vector<std::uint32_t> domain_index_;
-  /// Profile CNAME -> member CNAMEs, shared with the infra server's
-  /// dynamic answer.
-  std::shared_ptr<const std::map<dns::Name, std::vector<dns::Name>>>
-      tm_members_;
 };
 
 }  // namespace cs::synth

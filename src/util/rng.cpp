@@ -162,12 +162,9 @@ Rng Rng::fork() {
 }
 
 std::uint64_t stable_hash(std::string_view text) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a({reinterpret_cast<const std::uint8_t*>(text.data()),
+                text.size()},
+               kFnv1aBasis);
 }
 
 }  // namespace cs::util

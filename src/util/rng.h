@@ -77,8 +77,27 @@ class Rng {
   double spare_normal_ = 0.0;
 };
 
-/// Stable 64-bit hash of a string (FNV-1a). Handy for deriving
-/// per-entity seeds from names so entity behaviour is order-independent.
+/// The standard 64-bit FNV-1a offset basis.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+/// The standard basis's decimal spelling, 14695981039346656037, short of
+/// its last digit. Snapshot checksums and fault keys hash from it, so it
+/// stays: changing it would move every pinned checksum and fault draw.
+inline constexpr std::uint64_t kFnv1aShortBasis = 1469598103934665603ULL;
+
+/// 64-bit FNV-1a over `bytes`, starting from `basis`. Spans chain: a
+/// call's result is the basis that continues the hash over more bytes.
+constexpr std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                              std::uint64_t basis) noexcept {
+  for (const auto byte : bytes) {
+    basis ^= byte;
+    basis *= 0x100000001b3ULL;
+  }
+  return basis;
+}
+
+/// Stable 64-bit hash of a string (FNV-1a from kFnv1aBasis). Handy for
+/// deriving per-entity seeds from names so entity behaviour is
+/// order-independent.
 std::uint64_t stable_hash(std::string_view text) noexcept;
 
 }  // namespace cs::util

@@ -268,7 +268,8 @@ TEST_F(DatasetTest, ResumeFromPartialMatchesFullBuild) {
 // must ask for the profile afresh. Traffic Manager is rare (1.5% of Azure
 // subdomains); seed 127's 250-domain world holds a two-member profile,
 // m.w16site.com. With as many vantages as members, the lookups must see
-// every member the world deployed.
+// every member the world deployed: a Traffic Manager subdomain's front
+// IPs are exactly its members' addresses.
 TEST(DatasetTrafficManagerTest, LookupsSeeEveryMember) {
   synth::WorldConfig config;
   config.seed = 127;
@@ -284,15 +285,14 @@ TEST(DatasetTrafficManagerTest, LookupsSeeEveryMember) {
     const auto* truth = world.subdomain_truth(obs.name);
     ASSERT_NE(truth, nullptr);
     if (truth->front_end != synth::FrontEnd::kTrafficManager) continue;
-    const std::vector<dns::Name>* members = nullptr;
-    for (const auto& cname : obs.cnames)
-      if (const auto* m = world.traffic_manager_members(cname)) members = m;
-    ASSERT_NE(members, nullptr) << obs.name.to_string();
-    ASSERT_LE(members->size(), kVantages) << obs.name.to_string();
-    if (members->size() > 1) ++multi_member;
-    for (const auto& member : *members) {
-      EXPECT_NE(std::find(obs.cnames.begin(), obs.cnames.end(), member),
-                obs.cnames.end())
+    const auto& members = truth->front_ips;
+    ASSERT_FALSE(members.empty()) << obs.name.to_string();
+    ASSERT_LE(members.size(), kVantages) << obs.name.to_string();
+    if (members.size() > 1) ++multi_member;
+    for (const auto member : members) {
+      EXPECT_NE(
+          std::find(obs.addresses.begin(), obs.addresses.end(), member),
+          obs.addresses.end())
           << obs.name.to_string() << " never saw " << member.to_string();
     }
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_set>
 
 #include "analysis/dataset.h"
 #include "dns/resolver.h"
@@ -49,11 +50,32 @@ struct MiniTree {
     network.attach(net::Ipv4(192, 0, 2, 77), leaf);
   }
 
-  Resolver make_resolver() {
+  /// A resolver over `transport`, or over the tree's network if null.
+  Resolver make_resolver(DnsTransport* transport = nullptr) {
     Resolver::Options options;
     options.root_servers = {net::Ipv4(198, 41, 0, 4)};
-    return Resolver{network, options};
+    return Resolver{transport ? *transport : network, options};
   }
+};
+
+/// Forwards every exchange to a network, except that the servers at the
+/// addresses in `dead` never answer: servers that die, and may come back,
+/// while resolvers keep running over the same wire.
+class DeadServers final : public DnsTransport {
+ public:
+  explicit DeadServers(SimulatedDnsNetwork& inner) : inner_(inner) {}
+
+  std::optional<std::vector<std::uint8_t>> exchange(
+      net::Ipv4 client, net::Ipv4 server,
+      std::span<const std::uint8_t> query) override {
+    if (dead.contains(server.value())) return std::nullopt;
+    return inner_.exchange(client, server, query);
+  }
+
+  std::unordered_set<std::uint32_t> dead;
+
+ private:
+  SimulatedDnsNetwork& inner_;
 };
 
 TEST(DnsHardening, InZoneCnameCycleTerminates) {
@@ -123,15 +145,16 @@ TEST(DnsHardening, ServerDiesMidRun) {
   MiniTree tree;
   tree.leaf_zone->add(ResourceRecord::a(Name::must_parse("www.trap.com"),
                                         net::Ipv4(9, 9, 9, 1)));
-  auto resolver = tree.make_resolver();
+  DeadServers wire{tree.network};
+  auto resolver = tree.make_resolver(&wire);
   EXPECT_TRUE(
       resolver.resolve(Name::must_parse("www.trap.com"), RrType::kA).ok());
-  tree.network.set_down(net::Ipv4(192, 0, 2, 77), true);
+  wire.dead.insert(net::Ipv4(192, 0, 2, 77).value());
   resolver.flush_cache();
   const auto dead =
       resolver.resolve(Name::must_parse("www.trap.com"), RrType::kA);
   EXPECT_EQ(dead.rcode, Rcode::kServFail);
-  tree.network.set_down(net::Ipv4(192, 0, 2, 77), false);
+  wire.dead.clear();
   resolver.flush_cache();
   EXPECT_TRUE(
       resolver.resolve(Name::must_parse("www.trap.com"), RrType::kA).ok());
@@ -150,8 +173,10 @@ TEST(DnsHardening, DatasetSurvivesDeadFleet) {
 
   // Take down a band of the non-cloud hosting space where external DNS
   // fleets live (70.0.0.x addresses).
+  DeadServers wire{world.network()};
   for (std::uint32_t tail = 0; tail < 256; tail += 2)
-    world.network().set_down(net::Ipv4{(70u << 24) + tail}, true);
+    wire.dead.insert((70u << 24) + tail);
+  world.set_transport_override(&wire);
 
   analysis::DatasetBuilder degraded_builder{
       world, {.lookup_vantages = 1, .collect_name_servers = false}};

@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "obs/metrics.h"
+
 namespace cs::dns {
 namespace {
 
@@ -99,13 +101,21 @@ class ResolverFixture : public ::testing::Test {
     network.attach(net::Ipv4(192, 0, 2, 56), glueless);
   }
 
-  Resolver::Options options(bool cache = true) {
+  Resolver::Options options() {
     Resolver::Options o;
     o.root_servers = {net::Ipv4(198, 41, 0, 4)};
     o.client_address = net::Ipv4(192, 0, 2, 1);
-    o.use_cache = cache;
     return o;
   }
+
+  /// Options whose only root is an address with no server attached.
+  Resolver::Options dead_root_options() {
+    auto o = options();
+    o.root_servers = {kUnattachedRoot};
+    return o;
+  }
+
+  static constexpr net::Ipv4 kUnattachedRoot{198, 41, 0, 99};
 
   SimulatedDnsNetwork network;
 };
@@ -157,7 +167,7 @@ TEST_F(ResolverFixture, GluelessDelegationResolved) {
 }
 
 TEST_F(ResolverFixture, CacheCutsUpstreamQueries) {
-  Resolver resolver{network, options(true)};
+  Resolver resolver{network, options()};
   resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
   const auto after_first = resolver.upstream_queries();
   resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
@@ -165,8 +175,38 @@ TEST_F(ResolverFixture, CacheCutsUpstreamQueries) {
   EXPECT_GE(resolver.cache_hits(), 1u);
 }
 
+// Every tally reaches its shared counter as it happens: a counter read
+// while the resolver lives already holds its work. The dead first root
+// makes the walk from the roots time out once and retry once.
+TEST_F(ResolverFixture, CountersAreLiveWhileTheResolverLives) {
+  auto& registry = obs::MetricsRegistry::instance();
+  const auto before = registry.snapshot();
+  auto opts = options();
+  opts.root_servers = {kUnattachedRoot, net::Ipv4(198, 41, 0, 4)};
+  Resolver resolver{network, opts};
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
+  resolver.resolve(Name::must_parse("nosuch.example.com"), RrType::kA);
+  const auto after = registry.snapshot();
+  const auto delta = [&](std::string_view name) {
+    return after.counter(name) - before.counter(name);
+  };
+  EXPECT_EQ(resolver.upstream_queries(), 5u);
+  EXPECT_EQ(resolver.cache_hits(), 1u);
+  EXPECT_EQ(resolver.delegation_hits(), 1u);
+  EXPECT_EQ(resolver.retries(), 1u);
+  EXPECT_EQ(resolver.timeouts(), 1u);
+  EXPECT_EQ(delta("dns.resolver.upstream_queries"),
+            resolver.upstream_queries());
+  EXPECT_EQ(delta("dns.resolver.cache_hits"), resolver.cache_hits());
+  EXPECT_EQ(delta("dns.resolver.delegation_hits"),
+            resolver.delegation_hits());
+  EXPECT_EQ(delta("dns.resolver.retries"), resolver.retries());
+  EXPECT_EQ(delta("dns.resolver.timeouts"), resolver.timeouts());
+}
+
 TEST_F(ResolverFixture, FlushCacheForcesRequery) {
-  Resolver resolver{network, options(true)};
+  Resolver resolver{network, options()};
   resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
   const auto after_first = resolver.upstream_queries();
   resolver.flush_cache();
@@ -175,21 +215,12 @@ TEST_F(ResolverFixture, FlushCacheForcesRequery) {
 }
 
 TEST_F(ResolverFixture, TtlExpiryForcesRequery) {
-  Resolver resolver{network, options(true)};
+  Resolver resolver{network, options()};
   resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
   const auto after_first = resolver.upstream_queries();
   resolver.advance_time(61);  // www TTL is 60
   resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
   EXPECT_GT(resolver.upstream_queries(), after_first);
-}
-
-TEST_F(ResolverFixture, CacheDisabledAlwaysQueries) {
-  Resolver resolver{network, options(false)};
-  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
-  const auto after_first = resolver.upstream_queries();
-  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
-  EXPECT_GT(resolver.upstream_queries(), after_first);
-  EXPECT_EQ(resolver.cache_hits(), 0u);
 }
 
 // Zone-cut cache. www.example.com walks root -> com -> example.com (3
@@ -245,14 +276,6 @@ TEST_F(ResolverFixture, ZoneCutExpiresWithNsTtl) {
   resolver.resolve(Name::must_parse("nosuch.example.com"), RrType::kA);
   EXPECT_EQ(resolver.upstream_queries(), 7u);
   EXPECT_EQ(resolver.delegation_hits(), 1u);
-}
-
-TEST_F(ResolverFixture, CacheDisabledAlwaysWalksFromRoot) {
-  Resolver resolver{network, options(false)};
-  resolver.resolve(Name::must_parse("www.example.com"), RrType::kA);
-  resolver.resolve(Name::must_parse("ns1.example.com"), RrType::kA);
-  EXPECT_EQ(resolver.upstream_queries(), 6u);
-  EXPECT_EQ(resolver.delegation_hits(), 0u);
 }
 
 TEST_F(ResolverFixture, CopiedResolverKeepsZoneCuts) {
@@ -344,8 +367,7 @@ TEST_F(ResolverFixture, SeededCutsKeepTheLifetimeTheyHadLeft) {
 }
 
 TEST_F(ResolverFixture, DeadRootYieldsServFail) {
-  network.set_down(net::Ipv4(198, 41, 0, 4), true);
-  Resolver resolver{network, options()};
+  Resolver resolver{network, dead_root_options()};
   const auto r = resolver.resolve(Name::must_parse("www.example.com"),
                                   RrType::kA);
   EXPECT_EQ(r.rcode, Rcode::kServFail);
@@ -377,8 +399,7 @@ TEST_F(ResolverFixture, AxfrDeniedClientGetsNothing) {
 }
 
 TEST_F(ResolverFixture, TimeoutServFailNegativelyCached) {
-  network.set_down(net::Ipv4(198, 41, 0, 4), true);
-  Resolver resolver{network, options()};
+  Resolver resolver{network, dead_root_options()};
   const auto name = Name::must_parse("www.example.com");
   EXPECT_EQ(resolver.resolve(name, RrType::kA).rcode, Rcode::kServFail);
   const auto after_first = resolver.upstream_queries();
@@ -388,15 +409,16 @@ TEST_F(ResolverFixture, TimeoutServFailNegativelyCached) {
   EXPECT_EQ(resolver.upstream_queries(), after_first);
   EXPECT_GE(resolver.cache_hits(), 1u);
   // ... but the entry is short-lived, so recovery is noticed.
-  network.set_down(net::Ipv4(198, 41, 0, 4), false);
+  network.attach(kUnattachedRoot,
+                 network.server_at(net::Ipv4(198, 41, 0, 4)));
   resolver.advance_time(Resolver::kServFailCacheTtl + 1);
   EXPECT_TRUE(resolver.resolve(name, RrType::kA).ok());
   EXPECT_GT(resolver.upstream_queries(), after_first);
 }
 
 TEST_F(ResolverFixture, AttemptCountMatchesMaxServerAttempts) {
-  // Five dead roots, default max_server_attempts = 3: exactly three
-  // upstream queries (one first try + two retries), then SERVFAIL.
+  // Five dead roots and three attempts per delegation step: exactly
+  // three upstream queries (one first try + two retries), then SERVFAIL.
   auto opts = options();
   opts.root_servers = {net::Ipv4(10, 0, 0, 1), net::Ipv4(10, 0, 0, 2),
                        net::Ipv4(10, 0, 0, 3), net::Ipv4(10, 0, 0, 4),
@@ -405,31 +427,22 @@ TEST_F(ResolverFixture, AttemptCountMatchesMaxServerAttempts) {
   const auto r = resolver.resolve(Name::must_parse("www.example.com"),
                                   RrType::kA);
   EXPECT_EQ(r.rcode, Rcode::kServFail);
-  EXPECT_EQ(resolver.upstream_queries(),
-            static_cast<std::uint64_t>(opts.max_server_attempts));
+  EXPECT_EQ(resolver.upstream_queries(), 3u);
   EXPECT_EQ(resolver.timeouts(), 3u);
   EXPECT_EQ(resolver.retries(), 2u);
 }
 
 TEST_F(ResolverFixture, AttemptBudgetBoundsFailover) {
-  // A live root hiding behind three dead ones is out of reach for the
-  // default budget of 3 attempts, and reachable at 4.
+  // A live root hiding behind three dead ones is out of reach for a
+  // budget of 3 attempts.
   auto opts = options();
   opts.root_servers = {net::Ipv4(10, 0, 0, 1), net::Ipv4(10, 0, 0, 2),
                        net::Ipv4(10, 0, 0, 3), net::Ipv4(198, 41, 0, 4)};
-  {
-    Resolver resolver{network, opts};
-    EXPECT_EQ(resolver.resolve(Name::must_parse("www.example.com"),
-                               RrType::kA)
-                  .rcode,
-              Rcode::kServFail);
-  }
-  opts.max_server_attempts = 4;
   Resolver resolver{network, opts};
-  EXPECT_TRUE(
-      resolver.resolve(Name::must_parse("www.example.com"), RrType::kA).ok());
-  EXPECT_EQ(resolver.retries(), 3u);
-  EXPECT_EQ(resolver.timeouts(), 3u);
+  EXPECT_EQ(
+      resolver.resolve(Name::must_parse("www.example.com"), RrType::kA).rcode,
+      Rcode::kServFail);
+  EXPECT_EQ(resolver.upstream_queries(), 3u);
 }
 
 TEST_F(ResolverFixture, NsLookupReturnsNameServers) {

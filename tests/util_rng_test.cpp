@@ -197,5 +197,20 @@ TEST(StableHash, DeterministicAndSensitive) {
   EXPECT_NE(stable_hash(""), stable_hash("a"));
 }
 
+// Both bases on "foobar": the standard one gives the published FNV-1a
+// test vector; the short one gives what snapshot checksums and fault keys
+// have always hashed to.
+TEST(StableHash, Fnv1aBasesArePinned) {
+  constexpr std::uint8_t kFoobar[] = {'f', 'o', 'o', 'b', 'a', 'r'};
+  EXPECT_EQ(fnv1a(kFoobar, kFnv1aBasis), 0x85944171f73967e8ULL);
+  EXPECT_EQ(stable_hash("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(kFnv1aShortBasis, 0x14650fb0739d0383ULL);
+  EXPECT_EQ(fnv1a(kFoobar, kFnv1aShortBasis), 0x88fad7c0a8ff07f2ULL);
+  // Spans chain through the basis.
+  const std::span<const std::uint8_t> all{kFoobar};
+  EXPECT_EQ(fnv1a(all.subspan(3), fnv1a(all.first(3), kFnv1aShortBasis)),
+            0x88fad7c0a8ff07f2ULL);
+}
+
 }  // namespace
 }  // namespace cs::util
