@@ -233,20 +233,21 @@ const analysis::RegionReport& Study::regions() {
 
 const proto::TraceLogs& Study::capture_logs() {
   return stage("capture_logs", capture_logs_, [&] {
-    // Streamed, one unit at a time. Units are tuple-disjoint, so every
-    // flow of a unit is complete once the unit is assembled: its flows
-    // borrow the unit's frames, are analysed while those live, and only
-    // their records outlast the unit, which is freed before the next one
-    // is taken. The collector orders records by pcap::FlowOrder, so this
-    // is byte-identical to analyze_flows(assemble_flows(
+    // Streamed as Bro reads a trace: frames arrive in bounded batches
+    // and die once the analyzer has fed them to their flows, which keep
+    // HTTP/TLS reader state, not payload. Units are tuple-disjoint, so
+    // every flow of a unit is complete when the unit ends and closes into
+    // its records there. The analyzer orders records by pcap::FlowOrder,
+    // so this is byte-identical to analyze_flows(assemble_flows(
     // generator.generate())).
     synth::TrafficGenerator generator{*world_, config_.traffic};
-    proto::LogCollector logs;
-    generator.generate_units([&](std::vector<pcap::Packet>&& unit) {
-      obs::Span span{"capture.unit"};
-      const auto frames = std::move(unit);
-      logs.add(pcap::assemble_unit(frames));
-    });
+    proto::StreamAnalyzer logs;
+    generator.generate_batches(
+        [&](std::vector<pcap::Packet>&& batch, bool unit_ends) {
+          obs::Span span{"capture.batch"};
+          logs.feed(batch);
+          if (unit_ends) logs.end_unit();
+        });
     return logs.finish();
   });
 }

@@ -12,7 +12,7 @@ bool payload_is_http_request(std::span<const std::uint8_t> data) {
       "GET ", "POST ", "HEAD ", "PUT ", "DELETE ", "OPTIONS ", "PATCH "};
   if (data.size() < 4) return false;
   const std::string_view head{reinterpret_cast<const char*>(data.data()),
-                              std::min<std::size_t>(data.size(), 8)};
+                              std::min(data.size(), kClassifyBytes)};
   for (const auto method : kMethods)
     if (util::istarts_with(head, method)) return true;
   return false;
@@ -62,8 +62,7 @@ Service classify(const net::FiveTuple& tuple,
 }
 
 Service classify(const pcap::Flow& flow) {
-  std::vector<std::uint8_t> scratch;
-  return classify(flow.tuple, flow.payload_to_responder.bytes(scratch));
+  return classify(flow.tuple, flow.payload_to_responder);
 }
 
 }  // namespace cs::proto

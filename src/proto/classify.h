@@ -21,9 +21,13 @@ enum class Service {
 
 std::string to_string(Service service);
 
+/// The most bytes of a flow's initiator-to-responder payload that
+/// classify() reads.
+inline constexpr std::size_t kClassifyBytes = 8;
+
 /// Classifies a flow by payload evidence first, well-known port second —
 /// the same precedence Bro's detectors use. `to_responder` is the flow's
-/// initiator-to-responder payload, as pcap::Payload::bytes gives it.
+/// initiator-to-responder payload; only its first kClassifyBytes count.
 Service classify(const net::FiveTuple& tuple,
                  std::span<const std::uint8_t> to_responder);
 

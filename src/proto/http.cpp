@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <type_traits>
 
 #include "util/format.h"
 #include "util/strings.h"
@@ -134,7 +135,8 @@ std::optional<HttpResponse> parse_response(std::span<const std::uint8_t> data,
   // Skip the body so pipelined responses can be parsed; a truncated body
   // (payload cap) simply consumes to the end of the buffer.
   if (const auto len = resp.content_length())
-    offset = std::min(data.size(), offset + *len);
+    offset += static_cast<std::size_t>(
+        std::min<std::uint64_t>(*len, data.size() - offset));
   return resp;
 }
 
@@ -161,6 +163,56 @@ std::vector<HttpResponse> parse_responses(
   return out;
 }
 
+template <typename Message>
+void HeadReader<Message>::feed(std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty() && !stopped_) {
+    if (body_left_ > 0) {
+      const auto passed = static_cast<std::size_t>(
+          std::min<std::uint64_t>(body_left_, bytes.size()));
+      body_left_ -= passed;
+      bytes = bytes.subspan(passed);
+      continue;
+    }
+    // A head that starts in `bytes` is read in place; only one that a
+    // piece leaves unfinished is held.
+    const std::size_t held = head_.size();
+    std::span<const std::uint8_t> head = bytes;
+    if (held > 0) {
+      head_.insert(head_.end(), bytes.begin(), bytes.end());
+      head = head_;
+    }
+    const auto end = find_head_end(head, scanned_);
+    if (end == std::string::npos) {
+      if (held == 0) head_.assign(bytes.begin(), bytes.end());
+      scanned_ = head_.size() < 3 ? 0 : head_.size() - 3;
+      return;
+    }
+    // What follows the head is body or the next head, read from `bytes`
+    // on the next turn.
+    head = head.first(end + 4);
+    bytes = bytes.subspan(end + 4 - held);
+    constexpr bool kResponse = std::is_same_v<Message, HttpResponse>;
+    std::size_t offset = 0;
+    std::optional<Message> message;
+    if constexpr (kResponse)
+      message = parse_response(head, offset);
+    else
+      message = parse_request(head, offset);
+    head_ = {};
+    scanned_ = 0;
+    if (!message) {
+      stopped_ = true;
+      return;
+    }
+    if constexpr (kResponse)
+      body_left_ = message->content_length().value_or(0);
+    messages_.push_back(*std::move(message));
+  }
+}
+
+template class HeadReader<HttpRequest>;
+template class HeadReader<HttpResponse>;
+
 std::vector<std::uint8_t> build_request(const std::string& method,
                                         const std::string& host,
                                         const std::string& target) {
@@ -171,14 +223,19 @@ std::vector<std::uint8_t> build_request(const std::string& method,
   return {text.begin(), text.end()};
 }
 
+std::string build_response_head(int status, const std::string& content_type,
+                                std::uint64_t body_bytes) {
+  return util::fmt(
+      "HTTP/1.1 {} {}\r\nServer: cloudscope\r\nContent-Type: {}\r\n"
+      "Content-Length: {}\r\n\r\n",
+      status, status == 200 ? "OK" : "Status", content_type, body_bytes);
+}
+
 std::vector<std::uint8_t> build_response(int status,
                                          const std::string& content_type,
                                          std::uint64_t body_bytes,
                                          std::size_t emit_body_cap) {
-  const std::string head = util::fmt(
-      "HTTP/1.1 {} {}\r\nServer: cloudscope\r\nContent-Type: {}\r\n"
-      "Content-Length: {}\r\n\r\n",
-      status, status == 200 ? "OK" : "Status", content_type, body_bytes);
+  const std::string head = build_response_head(status, content_type, body_bytes);
   std::vector<std::uint8_t> out{head.begin(), head.end()};
   const std::size_t emit =
       static_cast<std::size_t>(std::min<std::uint64_t>(body_bytes,

@@ -14,6 +14,8 @@ namespace cs::proto {
 struct HttpHeader {
   std::string name;   ///< original case preserved
   std::string value;  ///< trimmed
+
+  bool operator==(const HttpHeader&) const = default;
 };
 
 struct HttpRequest {
@@ -26,6 +28,8 @@ struct HttpRequest {
   std::optional<std::string> header(std::string_view name) const;
   /// The Host header (lower-cased), if present.
   std::optional<std::string> host() const;
+
+  bool operator==(const HttpRequest&) const = default;
 };
 
 struct HttpResponse {
@@ -39,6 +43,8 @@ struct HttpResponse {
   std::optional<std::string> content_type() const;
   /// Parsed Content-Length, if present and valid.
   std::optional<std::uint64_t> content_length() const;
+
+  bool operator==(const HttpResponse&) const = default;
 };
 
 /// Parses one request head starting at `offset` in `data`. On success
@@ -57,10 +63,37 @@ std::optional<HttpResponse> parse_response(std::span<const std::uint8_t> data,
 std::vector<HttpRequest> parse_requests(std::span<const std::uint8_t> data);
 std::vector<HttpResponse> parse_responses(std::span<const std::uint8_t> data);
 
+/// parse_requests (HttpRequest) or parse_responses (HttpResponse) over a
+/// stream that arrives in pieces, as one direction of a flow does. It
+/// keeps only the bytes of the one head not yet complete, lets a
+/// response body pass by its Content-Length without keeping it, and
+/// stops where those functions stop, at the first head that does not
+/// parse. After any split of a stream into feed() calls, messages() is
+/// what the whole-buffer function returns for the bytes fed so far.
+template <typename Message>
+class HeadReader {
+ public:
+  void feed(std::span<const std::uint8_t> bytes);
+  std::vector<Message>& messages() noexcept { return messages_; }
+
+ private:
+  std::vector<std::uint8_t> head_;  ///< the unfinished head's bytes
+  std::size_t scanned_ = 0;  ///< no head end starts in head_ before this
+  std::uint64_t body_left_ = 0;  ///< body bytes still to let pass
+  bool stopped_ = false;
+  std::vector<Message> messages_;
+};
+
+using RequestReader = HeadReader<HttpRequest>;
+using ResponseReader = HeadReader<HttpResponse>;
+
 /// Serializers used by the traffic generator.
 std::vector<std::uint8_t> build_request(const std::string& method,
                                         const std::string& host,
                                         const std::string& target);
+/// The head build_response starts with.
+std::string build_response_head(int status, const std::string& content_type,
+                                std::uint64_t body_bytes);
 /// Builds a response head plus `body_bytes` of filler body (capped by
 /// `emit_body_cap` to keep trace sizes manageable while Content-Length
 /// still reports the logical size).

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <iterator>
 #include <numeric>
+#include <utility>
 
 #include "exec/parallel.h"
-#include "proto/tls.h"
 
 namespace cs::proto {
 namespace {
@@ -14,24 +14,22 @@ namespace {
 /// pool size (records are concatenated in flow order either way).
 constexpr std::size_t kFlowGrain = 64;
 
-/// Appends one flow's records to `logs`. `scratch` gathers a payload held
-/// as several views: each direction is read out of it before the other
-/// direction's bytes() may overwrite it.
-void analyze_flow(const pcap::Flow& flow, std::vector<std::uint8_t>& scratch,
-                  TraceLogs& logs) {
+/// Appends one flow's records to `logs`: its conn record, and the http
+/// records pairing `requests` with `responses` or the ssl record `ssl`,
+/// as `service` asks. Both ways of reading a flow end here.
+void append_records(const pcap::FlowStats& flow, Service service,
+                    std::span<const HttpRequest> requests,
+                    std::span<const HttpResponse> responses, SslRecord ssl,
+                    TraceLogs& logs) {
   ConnRecord conn;
   conn.tuple = flow.tuple;
-  const auto to_responder = flow.payload_to_responder.bytes(scratch);
-  conn.service = classify(flow.tuple, to_responder);
+  conn.service = service;
   conn.first_ts = flow.first_ts;
   conn.duration = flow.duration();
   conn.bytes = flow.bytes;
   conn.packets = flow.packets;
 
-  if (conn.service == Service::kHttp) {
-    const auto requests = parse_requests(to_responder);
-    const auto responses =
-        parse_responses(flow.payload_to_initiator.bytes(scratch));
+  if (service == Service::kHttp) {
     for (std::size_t i = 0; i < responses.size(); ++i) {
       HttpRecord rec;
       if (i < requests.size()) {
@@ -57,18 +55,31 @@ void analyze_flow(const pcap::Flow& flow, std::vector<std::uint8_t>& scratch,
       }
     }
     if (!requests.empty()) conn.hostname = requests.front().host();
-  } else if (conn.service == Service::kHttps) {
-    SslRecord rec;
-    rec.sni = extract_sni(to_responder);
-    rec.certificate_cn =
-        extract_certificate_cn(flow.payload_to_initiator.bytes(scratch));
+  } else if (service == Service::kHttps) {
     // The paper used the certificate CN as the hostname proxy for HTTPS;
     // fall back to SNI when the certificate is unreadable.
-    conn.hostname = rec.certificate_cn ? rec.certificate_cn : rec.sni;
-    logs.ssl.push_back(std::move(rec));
+    conn.hostname = ssl.certificate_cn ? ssl.certificate_cn : ssl.sni;
+    logs.ssl.push_back(std::move(ssl));
   }
 
   logs.conns.push_back(std::move(conn));
+}
+
+/// analyze_flows' reading of one flow: the whole-buffer parsers over its
+/// payloads.
+void analyze_flow(const pcap::Flow& flow, TraceLogs& logs) {
+  const auto service = classify(flow.tuple, flow.payload_to_responder);
+  std::vector<HttpRequest> requests;
+  std::vector<HttpResponse> responses;
+  SslRecord ssl;
+  if (service == Service::kHttp) {
+    requests = parse_requests(flow.payload_to_responder);
+    responses = parse_responses(flow.payload_to_initiator);
+  } else if (service == Service::kHttps) {
+    ssl.sni = extract_sni(flow.payload_to_responder);
+    ssl.certificate_cn = extract_certificate_cn(flow.payload_to_initiator);
+  }
+  append_records(flow, service, requests, responses, std::move(ssl), logs);
 }
 
 /// One chunk's records, with each conn's record ends within the chunk.
@@ -78,16 +89,16 @@ struct Chunk {
   std::vector<std::size_t> ssl_end;
 };
 
-std::vector<Chunk> analyze_chunks(std::span<const pcap::Flow> flows) {
+template <typename F, typename Analyze>
+std::vector<Chunk> analyze_chunks(std::span<F> flows, Analyze analyze) {
   const std::size_t chunks = (flows.size() + kFlowGrain - 1) / kFlowGrain;
   return exec::parallel_map(
       chunks,
       [&](std::size_t c) {
         Chunk chunk;
-        std::vector<std::uint8_t> scratch;
         const auto end = std::min(flows.size(), (c + 1) * kFlowGrain);
         for (std::size_t i = c * kFlowGrain; i < end; ++i) {
-          analyze_flow(flows[i], scratch, chunk.logs);
+          analyze(flows[i], chunk.logs);
           chunk.http_end.push_back(chunk.logs.http.size());
           chunk.ssl_end.push_back(chunk.logs.ssl.size());
         }
@@ -113,12 +124,81 @@ void move_append(TraceLogs& to, TraceLogs& from) {
 TraceLogs analyze_flows(const std::vector<pcap::Flow>& flows) {
   TraceLogs logs;
   logs.conns.reserve(flows.size());
-  for (auto& chunk : analyze_chunks(flows)) move_append(logs, chunk.logs);
+  for (auto& chunk : analyze_chunks(std::span{flows}, analyze_flow))
+    move_append(logs, chunk.logs);
   return logs;
 }
 
-void LogCollector::add(std::span<const pcap::Flow> flows) {
-  for (auto& chunk : analyze_chunks(flows)) {
+void StreamFlow::take(bool to_responder, std::span<const std::uint8_t> segment,
+                      std::size_t cap) {
+  // classify() reads no payload off TCP, and only web flows get records
+  // from theirs.
+  if (tuple.proto != net::IpProto::kTcp) return;
+  auto& taken = to_responder ? taken_to_responder_ : taken_to_initiator_;
+  segment = segment.first(std::min(taken < cap ? cap - taken : 0,
+                                   segment.size()));
+  if (segment.empty()) return;
+  taken += segment.size();
+  if (!readers_) readers_ = std::make_unique<Readers>();
+  auto& r = *readers_;
+  if (to_responder && !r.service) {
+    const auto n = std::min(segment.size(), r.head.size() - r.head_size);
+    std::copy_n(segment.begin(), n, r.head.begin() + r.head_size);
+    r.head_size += n;
+    if (r.head_size == r.head.size()) {
+      // The service is settled: drop the readers it does not read.
+      r.service = classify(tuple, r.head);
+      if (*r.service != Service::kHttp) {
+        r.requests = {};
+        r.responses = {};
+      }
+      if (*r.service != Service::kHttps) {
+        r.sni = {};
+        r.certificate = {};
+      }
+    }
+  }
+  const bool http = !r.service || *r.service == Service::kHttp;
+  const bool https = !r.service || *r.service == Service::kHttps;
+  if (to_responder) {
+    if (http) r.requests.feed(segment);
+    if (https) r.sni.feed(segment);
+  } else {
+    if (http) r.responses.feed(segment);
+    if (https) r.certificate.feed(segment);
+  }
+}
+
+Service StreamFlow::service() const {
+  if (!readers_) return classify(tuple, {});
+  if (readers_->service) return *readers_->service;
+  return classify(tuple, std::span{readers_->head}.first(readers_->head_size));
+}
+
+void StreamFlow::record(TraceLogs& logs) {
+  if (!readers_) {
+    append_records(*this, service(), {}, {}, {}, logs);
+    return;
+  }
+  auto& r = *readers_;
+  append_records(*this, service(), r.requests.messages(),
+                 r.responses.messages(),
+                 SslRecord{r.sni.value(), r.certificate.value()}, logs);
+}
+
+StreamAnalyzer::StreamAnalyzer(pcap::FlowOptions options)
+    : flows_(options) {}
+
+void StreamAnalyzer::feed(std::span<const pcap::Packet> batch) {
+  flows_.feed(batch);
+}
+
+void StreamAnalyzer::end_unit() {
+  auto flows = flows_.take_flows();
+  const auto record = [](StreamFlow& flow, TraceLogs& logs) {
+    flow.record(logs);
+  };
+  for (auto& chunk : analyze_chunks(std::span{flows}, record)) {
     for (const auto end : chunk.http_end)
       http_end_.push_back(logs_.http.size() + end);
     for (const auto end : chunk.ssl_end)
@@ -127,25 +207,28 @@ void LogCollector::add(std::span<const pcap::Flow> flows) {
   }
 }
 
-TraceLogs LogCollector::finish() {
-  std::vector<std::size_t> order(logs_.conns.size());
+TraceLogs StreamAnalyzer::finish() {
+  end_unit();
+  auto logs = std::exchange(logs_, {});
+  const auto http_end = std::exchange(http_end_, {});
+  const auto ssl_end = std::exchange(ssl_end_, {});
+  std::vector<std::size_t> order(logs.conns.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return pcap::FlowOrder{}(logs_.conns[a], logs_.conns[b]);
+                     return pcap::FlowOrder{}(logs.conns[a], logs.conns[b]);
                    });
   TraceLogs out;
-  out.conns.reserve(logs_.conns.size());
-  out.http.reserve(logs_.http.size());
-  out.ssl.reserve(logs_.ssl.size());
+  out.conns.reserve(logs.conns.size());
+  out.http.reserve(logs.http.size());
+  out.ssl.reserve(logs.ssl.size());
   for (const auto i : order) {
-    out.conns.push_back(std::move(logs_.conns[i]));
-    for (auto j = i ? http_end_[i - 1] : 0; j < http_end_[i]; ++j)
-      out.http.push_back(std::move(logs_.http[j]));
-    for (auto j = i ? ssl_end_[i - 1] : 0; j < ssl_end_[i]; ++j)
-      out.ssl.push_back(std::move(logs_.ssl[j]));
+    out.conns.push_back(std::move(logs.conns[i]));
+    for (auto j = i ? http_end[i - 1] : 0; j < http_end[i]; ++j)
+      out.http.push_back(std::move(logs.http[j]));
+    for (auto j = i ? ssl_end[i - 1] : 0; j < ssl_end[i]; ++j)
+      out.ssl.push_back(std::move(logs.ssl[j]));
   }
-  *this = LogCollector{};
   return out;
 }
 

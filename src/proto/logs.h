@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -8,10 +10,13 @@
 #include "pcap/flow.h"
 #include "proto/classify.h"
 #include "proto/http.h"
+#include "proto/tls.h"
 
-/// Bro-style log records distilled from assembled flows: one conn record
-/// per flow plus HTTP/SSL application records. These are the inputs to
-/// every packet-capture analysis in §3.
+/// Bro-style log records distilled from flows: one conn record per flow
+/// plus HTTP/SSL application records. These are the inputs to every
+/// packet-capture analysis in §3. analyze_flows reads assembled flows'
+/// payloads; StreamAnalyzer reads frames as they stream past and keeps
+/// only reader state per flow.
 namespace cs::proto {
 
 /// Per-flow connection record (Bro's conn.log analogue).
@@ -54,19 +59,60 @@ struct TraceLogs {
 /// exec pool, so the result is the same at every CS_THREADS.
 TraceLogs analyze_flows(const std::vector<pcap::Flow>& flows);
 
-/// Builds a capture's logs one closed unit at a time: add() analyses a
-/// unit's flows while the frames they borrow are alive and keeps only
-/// their records; finish() hands back every flow's records ordered by
-/// pcap::FlowOrder and leaves the collector empty. For tuple-disjoint
-/// units that is byte-identical to analyze_flows over the
-/// FlowAssembler-assembled whole capture.
-class LogCollector {
+/// A flow as the stream analyzer keeps it: its counts and, for a TCP flow
+/// that carried payload, the readers that stand in for the payload
+/// analyze_flows reads — never the payload itself. Each direction takes
+/// at most payload_cap bytes, as pcap::Flow does, and its records are
+/// the ones analyze_flows gives the pcap::Flow of the same packets.
+class StreamFlow : public pcap::FlowStats {
  public:
-  void add(std::span<const pcap::Flow> flows);
+  void take(bool to_responder, std::span<const std::uint8_t> segment,
+            std::size_t cap);
+  /// Appends the flow's conn record and its http or ssl records.
+  void record(TraceLogs& logs);
+
+ private:
+  struct Readers {
+    /// The first bytes toward the responder, until the service is known.
+    std::array<std::uint8_t, kClassifyBytes> head{};
+    std::size_t head_size = 0;
+    /// Set once kClassifyBytes have arrived; until then every reader runs.
+    std::optional<Service> service;
+    RequestReader requests;
+    ResponseReader responses;
+    SniReader sni;
+    CertificateReader certificate;
+  };
+
+  Service service() const;
+
+  std::size_t taken_to_responder_ = 0;
+  std::size_t taken_to_initiator_ = 0;
+  std::unique_ptr<Readers> readers_;
+};
+
+/// Builds a capture's logs from batches of frames, as Bro reads a trace:
+/// each flow keeps parser state, not payload. feed() decodes a batch in
+/// parallel and hands its packets to pcap::BasicFlowTable shards (the one
+/// split rule), whose flows keep StreamFlow readers; the frames may die
+/// when it returns. end_unit() closes every flow into records; call it
+/// where no tuple fed so far occurs again, as at the end of each
+/// synth::TrafficGenerator unit. finish() hands back every record
+/// ordered by pcap::FlowOrder and leaves the analyzer empty. Any batch
+/// split and unit split of a capture whose units are tuple-disjoint
+/// gives the bytes of analyze_flows over the FlowAssembler-assembled
+/// whole capture, at every CS_THREADS.
+class StreamAnalyzer {
+ public:
+  explicit StreamAnalyzer(pcap::FlowOptions options = {});
+
+  void feed(std::span<const pcap::Packet> batch);
+  void end_unit();
   TraceLogs finish();
 
  private:
-  TraceLogs logs_;  ///< in the order flows were added
+  pcap::BasicFlowAssembler<StreamFlow> flows_;
+  TraceLogs logs_;  ///< in the order flows were closed
   /// Per conn, one past its last record in logs_.http / logs_.ssl.
   std::vector<std::size_t> http_end_;
   std::vector<std::size_t> ssl_end_;

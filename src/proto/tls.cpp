@@ -1,5 +1,7 @@
 #include "proto/tls.h"
 
+#include <algorithm>
+
 namespace cs::proto {
 namespace {
 
@@ -129,15 +131,28 @@ bool looks_like_tls(std::span<const std::uint8_t> data) noexcept {
   return version >= 0x0301 && version <= 0x0304;
 }
 
-std::optional<std::string> extract_sni(std::span<const std::uint8_t> data) {
-  if (!looks_like_tls(data)) return std::nullopt;
+namespace {
+
+/// A scan of a stream prefix: the answer, and whether the prefix ran out
+/// before it settled one (a read or a length check needed more bytes).
+/// A scan that did not starve gives the answer for any longer stream.
+struct Scan {
+  std::optional<std::string> value;
+  bool starved = false;
+};
+
+Scan starved() { return {std::nullopt, true}; }
+
+Scan scan_sni(std::span<const std::uint8_t> data) {
+  if (data.size() < 6) return starved();
+  if (!looks_like_tls(data)) return {};
   Cursor c{data};
   c.skip(1);  // content type
   c.skip(2);  // version
-  const std::uint16_t record_len = c.u16();
-  (void)record_len;
+  c.skip(2);  // record length
   const std::uint8_t handshake_type = c.u8();
-  if (!c.ok() || handshake_type != kHandshakeClientHello) return std::nullopt;
+  if (!c.ok()) return starved();
+  if (handshake_type != kHandshakeClientHello) return {};
   c.skip(3);   // handshake length
   c.skip(2);   // client version
   c.skip(32);  // random
@@ -147,8 +162,7 @@ std::optional<std::string> extract_sni(std::span<const std::uint8_t> data) {
   c.skip(cipher_len);
   const std::uint8_t compression_len = c.u8();
   c.skip(compression_len);
-  if (!c.ok()) return std::nullopt;
-  if (c.remaining() < 2) return std::nullopt;  // no extensions block
+  if (c.remaining() < 2) return starved();  // no extensions block yet
   std::uint16_t ext_total = c.u16();
   while (c.ok() && ext_total >= 4) {
     const std::uint16_t ext_type = c.u16();
@@ -158,48 +172,96 @@ std::optional<std::string> extract_sni(std::span<const std::uint8_t> data) {
     if (ext_type == kExtensionServerName) {
       c.skip(2);  // server_name_list length
       const std::uint8_t name_type = c.u8();
-      if (name_type != 0) return std::nullopt;
+      if (name_type != 0) return {};
       const std::uint16_t name_len = c.u16();
       const auto bytes = c.bytes(name_len);
-      if (!c.ok()) return std::nullopt;
-      return std::string{reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size()};
+      if (!c.ok()) return starved();
+      return {std::string{reinterpret_cast<const char*>(bytes.data()),
+                          bytes.size()}};
     }
     c.skip(ext_len);
   }
-  return std::nullopt;
+  return {std::nullopt, !c.ok()};
+}
+
+/// Scans consecutive TLS records for a Certificate handshake message.
+/// `resume` receives the offset the scan would go on from: the start of
+/// the record it was reading, or past a skipped record's end.
+Scan scan_certificate_cn(std::span<const std::uint8_t> data,
+                         std::size_t& resume) {
+  Cursor c{data};
+  for (;;) {
+    resume = c.pos();
+    if (c.remaining() < 5) return starved();
+    const std::uint8_t content_type = c.u8();
+    c.skip(2);  // version
+    const std::uint16_t record_len = c.u16();
+    if (content_type != kContentTypeHandshake) return {};
+    const std::size_t record_end = c.pos() + record_len;
+    const std::uint8_t handshake_type = c.u8();
+    const std::uint32_t handshake_len = c.u24();
+    if (!c.ok()) return starved();
+    if (handshake_type == kHandshakeCertificate) {
+      c.skip(3);  // certificate_list length
+      c.skip(3);  // certificate length
+      const std::uint16_t cn_len = c.u16();
+      const auto bytes = c.bytes(cn_len);
+      if (!c.ok()) return starved();
+      return {std::string{reinterpret_cast<const char*>(bytes.data()),
+                          bytes.size()}};
+    }
+    // Skip the rest of this record's handshake message and any padding.
+    const std::size_t next = std::max(record_end, c.pos() + handshake_len);
+    if (next > data.size()) {
+      resume = next;
+      return starved();
+    }
+    c.skip(next - c.pos());
+  }
+}
+
+}  // namespace
+
+std::optional<std::string> extract_sni(std::span<const std::uint8_t> data) {
+  return scan_sni(data).value;
 }
 
 std::optional<std::string> extract_certificate_cn(
     std::span<const std::uint8_t> data) {
-  Cursor c{data};
-  // Scan consecutive TLS records for a Certificate handshake message.
-  while (c.ok() && c.remaining() >= 5) {
-    const std::uint8_t content_type = c.u8();
-    c.skip(2);  // version
-    const std::uint16_t record_len = c.u16();
-    if (!c.ok() || content_type != kContentTypeHandshake) return std::nullopt;
-    const std::size_t record_end = c.pos() + record_len;
-    const std::uint8_t handshake_type = c.u8();
-    const std::uint32_t handshake_len = c.u24();
-    if (!c.ok()) return std::nullopt;
-    if (handshake_type == kHandshakeCertificate) {
-      c.skip(3);  // certificate_list length
-      const std::uint32_t cert_len = c.u24();
-      (void)cert_len;
-      const std::uint16_t cn_len = c.u16();
-      const auto bytes = c.bytes(cn_len);
-      if (!c.ok()) return std::nullopt;
-      return std::string{reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size()};
-    }
-    // Skip the rest of this record's handshake message and any padding.
-    const std::size_t skip_to =
-        std::max(record_end, c.pos() + handshake_len);
-    if (skip_to < c.pos()) return std::nullopt;
-    c.skip(skip_to - c.pos());
+  std::size_t resume = 0;
+  return scan_certificate_cn(data, resume).value;
+}
+
+void SniReader::feed(std::span<const std::uint8_t> bytes) {
+  if (settled_) return;
+  hello_.insert(hello_.end(), bytes.begin(), bytes.end());
+  auto scan = scan_sni(hello_);
+  if (scan.starved) return;
+  sni_ = std::move(scan.value);
+  settled_ = true;
+  hello_ = {};
+}
+
+void CertificateReader::feed(std::span<const std::uint8_t> bytes) {
+  if (settled_) return;
+  const auto passed = std::min(skip_, bytes.size());
+  skip_ -= passed;
+  bytes = bytes.subspan(passed);
+  if (bytes.empty()) return;
+  record_.insert(record_.end(), bytes.begin(), bytes.end());
+  std::size_t resume = 0;
+  auto scan = scan_certificate_cn(record_, resume);
+  if (!scan.starved) {
+    cn_ = std::move(scan.value);
+    settled_ = true;
+    record_ = {};
+  } else if (resume >= record_.size()) {
+    skip_ = resume - record_.size();
+    record_.clear();
+  } else {
+    record_.erase(record_.begin(),
+                  record_.begin() + static_cast<std::ptrdiff_t>(resume));
   }
-  return std::nullopt;
 }
 
 }  // namespace cs::proto

@@ -37,6 +37,38 @@ std::optional<std::string> extract_sni(std::span<const std::uint8_t> data);
 std::optional<std::string> extract_certificate_cn(
     std::span<const std::uint8_t> data);
 
+/// extract_sni over a client-to-server stream that arrives in pieces: it
+/// holds the stream's first bytes only until they settle the answer (the
+/// ClientHello up to its server_name, or the first byte that rules one
+/// out). value() is extract_sni of the bytes fed so far.
+class SniReader {
+ public:
+  void feed(std::span<const std::uint8_t> bytes);
+  const std::optional<std::string>& value() const noexcept { return sni_; }
+
+ private:
+  std::vector<std::uint8_t> hello_;
+  std::optional<std::string> sni_;
+  bool settled_ = false;
+};
+
+/// extract_certificate_cn over a server-to-client stream that arrives in
+/// pieces: it holds the bytes of the one record it is reading, lets the
+/// records before the Certificate pass without keeping them, and keeps
+/// nothing once the answer is settled. value() is extract_certificate_cn
+/// of the bytes fed so far.
+class CertificateReader {
+ public:
+  void feed(std::span<const std::uint8_t> bytes);
+  const std::optional<std::string>& value() const noexcept { return cn_; }
+
+ private:
+  std::vector<std::uint8_t> record_;  ///< from the current record's start
+  std::size_t skip_ = 0;  ///< bytes of a passed record still to come
+  std::optional<std::string> cn_;
+  bool settled_ = false;
+};
+
 /// True if the stream plausibly begins with a TLS handshake record
 /// (content type 22, recognized version) — the classifier's HTTPS check.
 bool looks_like_tls(std::span<const std::uint8_t> data) noexcept;

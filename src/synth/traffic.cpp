@@ -1,8 +1,11 @@
 #include "synth/traffic.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iterator>
+#include <span>
+#include <utility>
 
 #include "exec/config.h"
 #include "exec/parallel.h"
@@ -111,7 +114,163 @@ constexpr ContentPlan kContentPlans[] = {
     {"image/gif", 3.97, 4.0},
 };
 
-constexpr double kMss = 1400.0;
+constexpr std::size_t kMss = 1400;
+
+/// Which frame sequence a flow emits (see UnitPlan::frame).
+enum class FlowKind : std::uint8_t { kHttp, kHttps, kDns, kUdp, kIcmp, kTcp };
+
+/// One flow as drawn: everything its frames are built from except their
+/// timestamps, which its packets' plans carry.
+struct FlowPlan {
+  net::Endpoint client;
+  net::Endpoint server;
+  FlowKind kind = FlowKind::kTcp;
+  std::uint8_t content = 0;  ///< http: the kContentPlans entry
+  std::uint16_t head = 0;    ///< http: response head bytes
+  std::uint32_t seq = 0;     ///< http, https: the client's first seq
+  std::uint64_t content_length = 0;  ///< http: the announced length
+  /// Bytes of the flow's one stream: the response body sent (http), the
+  /// application bytes (https, tcp), the query (dns) or each datagram
+  /// (udp).
+  std::uint64_t size = 0;
+  std::uint64_t reply = 0;  ///< dns: reply bytes
+};
+
+/// One packet of a unit, 16 bytes until its batch is built.
+struct PacketPlan {
+  double timestamp;
+  std::uint32_t flow;     ///< index into the unit's flows
+  std::uint32_t ordinal;  ///< which of the flow's packets, in emission order
+};
+static_assert(sizeof(PacketPlan) == 16);
+
+/// Up to kMss bytes of one filler value: every synthetic body is a run of
+/// one byte.
+template <std::uint8_t kByte>
+std::span<const std::uint8_t> filler(std::size_t n) {
+  static const auto run = [] {
+    std::array<std::uint8_t, kMss> bytes;
+    bytes.fill(kByte);
+    return bytes;
+  }();
+  return std::span<const std::uint8_t>{run}.first(n);
+}
+
+/// One unit as drawn: its flows, and their packets in capture order once
+/// sorted. Frames are built from it a batch at a time.
+struct UnitPlan {
+  std::vector<FlowPlan> flows;
+  std::vector<PacketPlan> packets;
+  /// What every flow of a web endpoint sends alike.
+  std::vector<std::uint8_t> request;
+  std::vector<std::uint8_t> hello;
+  std::vector<std::uint8_t> certificate;
+
+  /// Starts a flow; its packets follow through emit().
+  FlowPlan& open(FlowKind kind, net::Endpoint client, net::Endpoint server) {
+    flows.push_back({.client = client, .server = server, .kind = kind});
+    next_ordinal = 0;
+    return flows.back();
+  }
+
+  /// The last opened flow's next packet, at `timestamp`.
+  void emit(double timestamp) {
+    packets.push_back({timestamp, static_cast<std::uint32_t>(flows.size() - 1),
+                       next_ordinal++});
+  }
+
+  pcap::Packet frame(const PacketPlan& packet) const;
+
+  std::uint32_t next_ordinal = 0;
+};
+
+/// Bytes [offset, offset + take) of an http flow's response: its head,
+/// then a body of 'x'.
+std::vector<std::uint8_t> response_bytes(const FlowPlan& flow,
+                                         std::uint64_t offset,
+                                         std::size_t take) {
+  std::vector<std::uint8_t> bytes;
+  if (offset < flow.head) {
+    const auto head = proto::build_response_head(
+        200, kContentPlans[flow.content].type, flow.content_length);
+    const auto from = head.begin() + static_cast<std::ptrdiff_t>(offset);
+    bytes.assign(from, from + static_cast<std::ptrdiff_t>(std::min(
+                                  take, head.size() - offset)));
+  }
+  bytes.resize(take, 'x');
+  return bytes;
+}
+
+pcap::Packet UnitPlan::frame(const PacketPlan& packet) const {
+  using pcap::make_tcp_packet;
+  using pcap::make_udp_packet;
+  const FlowPlan& f = flows[packet.flow];
+  const double t = packet.timestamp;
+  const std::uint32_t k = packet.ordinal;
+  const pcap::TcpFlags data{.ack = true, .psh = true};
+  const pcap::TcpFlags fin{.ack = true, .fin = true};
+  switch (f.kind) {
+    case FlowKind::kHttp:
+    case FlowKind::kHttps: {
+      // SYN, SYN-ACK, request or ClientHello, (Certificate,) the
+      // server's stream cut at kMss, FIN.
+      const bool https = f.kind == FlowKind::kHttps;
+      if (k == 0)
+        return make_tcp_packet(t, f.client, f.server, {.syn = true}, f.seq,
+                               {});
+      if (k == 1)
+        return make_tcp_packet(t, f.server, f.client,
+                               {.syn = true, .ack = true}, 0, {});
+      if (k == 2)
+        return make_tcp_packet(t, f.client, f.server, data, f.seq + 1,
+                               https ? hello : request);
+      if (https && k == 3)
+        return make_tcp_packet(t, f.server, f.client, data, 1, certificate);
+      const std::uint64_t stream = https ? f.size : f.head + f.size;
+      const std::uint64_t offset = std::uint64_t{k - (https ? 4u : 3u)} * kMss;
+      if (offset >= stream)
+        return make_tcp_packet(t, f.client, f.server, fin, f.seq + 2, {});
+      const auto take =
+          static_cast<std::size_t>(std::min<std::uint64_t>(kMss, stream - offset));
+      if (https)
+        return make_tcp_packet(t, f.server, f.client, data,
+                               static_cast<std::uint32_t>(1000 + offset),
+                               filler<0x5A>(take));
+      return make_tcp_packet(t, f.server, f.client, data,
+                             static_cast<std::uint32_t>(1 + offset),
+                             response_bytes(f, offset, take));
+    }
+    case FlowKind::kDns:
+      return k == 0 ? make_udp_packet(t, f.client, f.server,
+                                      filler<0x11>(f.size))
+                    : make_udp_packet(t, f.server, f.client,
+                                      filler<0x22>(f.reply));
+    case FlowKind::kUdp:
+      return make_udp_packet(t, f.client, f.server, filler<0x33>(f.size));
+    case FlowKind::kIcmp:
+      return k == 0 ? pcap::make_icmp_packet(t, f.client.addr, f.server.addr,
+                                             8, filler<0x44>(48))
+                    : pcap::make_icmp_packet(t, f.server.addr, f.client.addr,
+                                             0, filler<0x44>(48));
+    case FlowKind::kTcp: {
+      // SYN, SYN-ACK, the client's stream cut at kMss, FIN.
+      if (k == 0)
+        return make_tcp_packet(t, f.client, f.server, {.syn = true}, 1, {});
+      if (k == 1)
+        return make_tcp_packet(t, f.server, f.client,
+                               {.syn = true, .ack = true}, 0, {});
+      const std::uint64_t offset = std::uint64_t{k - 2} * kMss;
+      if (offset >= f.size)
+        return make_tcp_packet(t, f.client, f.server, fin,
+                               static_cast<std::uint32_t>(1 + f.size), {});
+      return make_tcp_packet(
+          t, f.client, f.server, data, static_cast<std::uint32_t>(1 + offset),
+          filler<0x55>(static_cast<std::size_t>(
+              std::min<std::uint64_t>(kMss, f.size - offset))));
+    }
+  }
+  return {};
+}
 
 }  // namespace
 
@@ -203,12 +362,11 @@ void TrafficGenerator::setup_endpoints() {
   (void)named_total;
 }
 
-std::size_t TrafficGenerator::generate_units(
-    const std::function<void(std::vector<pcap::Packet>&&)>& sink) {
+std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
   obs::Span span{"synth.traffic.generate"};
   // Every parallel unit of work (one endpoint's flows, one cloud's
   // non-web flows) draws from its own deterministic RNG stream, so the
-  // merged capture is byte-identical at every CS_THREADS value.
+  // capture is byte-identical at every CS_THREADS.
   const exec::ShardedRng shards{config_.seed};
 
   auto university_client = [](util::Rng& rng) {
@@ -223,28 +381,24 @@ std::size_t TrafficGenerator::generate_units(
   for (const auto& plan : kContentPlans)
     content_weights.push_back(plan.byte_share / plan.mean_kb);
 
-  auto emit_http_flow = [&](util::Rng& rng, std::vector<pcap::Packet>& packets,
+  // The draws below are the generator's whole randomness: a flow's frames
+  // are built later, from its plan, and draw nothing.
+  auto plan_http_flow = [&](util::Rng& rng, UnitPlan& unit,
                             const TrafficEndpoint& ep, double start,
                             std::uint64_t& emitted, std::uint64_t budget) {
-    const net::Endpoint client = university_client(rng);
-    const net::Endpoint server{ep.ip, 80};
+    FlowPlan& flow =
+        unit.open(FlowKind::kHttp, university_client(rng), {ep.ip, 80});
     double t = start;
-    std::uint32_t seq = rng()  % 100000;
-    packets.push_back(pcap::make_tcp_packet(t, client, server,
-                                            {.syn = true}, seq, {}));
+    flow.seq = static_cast<std::uint32_t>(rng() % 100000);
+    unit.emit(t);  // SYN
     t += 0.04;
-    packets.push_back(pcap::make_tcp_packet(t, server, client,
-                                            {.syn = true, .ack = true}, 0,
-                                            {}));
+    unit.emit(t);  // SYN-ACK
     t += 0.04;
-    const auto request =
-        proto::build_request("GET", ep.hostname, "/index.html");
-    packets.push_back(pcap::make_tcp_packet(
-        t, client, server, {.ack = true, .psh = true}, seq + 1, request));
-    emitted += 54 + request.size();
+    unit.emit(t);  // request
+    emitted += 54 + unit.request.size();
 
-    const auto& plan =
-        kContentPlans[rng.weighted_pick(content_weights)];
+    const auto content = rng.weighted_pick(content_weights);
+    const auto& plan = kContentPlans[content];
     // Content-Length: lognormal with the plan's mean.
     const double sigma = 1.0;
     const double mu = std::log(plan.mean_kb * 1024.0) - sigma * sigma / 2.0;
@@ -261,55 +415,39 @@ std::size_t TrafficGenerator::generate_units(
     emit_cap = std::min<std::uint64_t>(emit_cap, config_.emitted_flow_cap);
     if (budget > emitted)
       emit_cap = std::min(emit_cap, (budget - emitted) + 2048);
-    const auto response = proto::build_response(
-        200, plan.type, content_length,
-        static_cast<std::size_t>(std::min(emit_cap, content_length)));
-    // Chunk the response into MSS-sized segments.
-    std::size_t offset = 0;
-    std::uint32_t server_seq = 1;
-    while (offset < response.size()) {
-      const std::size_t take =
-          std::min<std::size_t>(static_cast<std::size_t>(kMss),
-                                response.size() - offset);
+    flow.content = static_cast<std::uint8_t>(content);
+    flow.content_length = content_length;
+    flow.size = std::min(emit_cap, content_length);
+    flow.head = static_cast<std::uint16_t>(
+        proto::build_response_head(200, plan.type, content_length).size());
+    // The response goes out in MSS-sized segments.
+    const std::uint64_t response = flow.head + flow.size;
+    for (std::uint64_t offset = 0; offset < response; offset += kMss) {
       t += 0.002 + rng.exponential(50.0);
-      packets.push_back(pcap::make_tcp_packet(
-          t, server, client, {.ack = true, .psh = true}, server_seq,
-          std::span<const std::uint8_t>{response.data() + offset, take}));
-      offset += take;
-      server_seq += static_cast<std::uint32_t>(take);
-      emitted += 54 + take;
+      unit.emit(t);
+      emitted += 54 + std::min<std::uint64_t>(kMss, response - offset);
     }
     t += 0.02;
-    packets.push_back(pcap::make_tcp_packet(t, client, server,
-                                            {.ack = true, .fin = true},
-                                            seq + 2, {}));
+    unit.emit(t);  // FIN
     emitted += 54 * 2;
   };
 
-  auto emit_https_flow = [&](util::Rng& rng,
-                             std::vector<pcap::Packet>& packets,
+  auto plan_https_flow = [&](util::Rng& rng, UnitPlan& unit,
                              const TrafficEndpoint& ep, bool elephant,
                              double start, std::uint64_t& emitted,
                              std::uint64_t budget) {
-    const net::Endpoint client = university_client(rng);
-    const net::Endpoint server{ep.ip, 443};
+    FlowPlan& flow =
+        unit.open(FlowKind::kHttps, university_client(rng), {ep.ip, 443});
     double t = start;
-    std::uint32_t seq = rng() % 100000;
-    packets.push_back(pcap::make_tcp_packet(t, client, server,
-                                            {.syn = true}, seq, {}));
+    flow.seq = static_cast<std::uint32_t>(rng() % 100000);
+    unit.emit(t);  // SYN
     t += 0.04;
-    packets.push_back(pcap::make_tcp_packet(t, server, client,
-                                            {.syn = true, .ack = true}, 0,
-                                            {}));
+    unit.emit(t);  // SYN-ACK
     t += 0.04;
-    const auto hello = proto::build_client_hello(ep.hostname);
-    packets.push_back(pcap::make_tcp_packet(
-        t, client, server, {.ack = true, .psh = true}, seq + 1, hello));
+    unit.emit(t);  // ClientHello
     t += 0.05;
-    const auto cert = proto::build_certificate(ep.cert_cn);
-    packets.push_back(pcap::make_tcp_packet(
-        t, server, client, {.ack = true, .psh = true}, 1, cert));
-    emitted += 108 + hello.size() + cert.size();
+    unit.emit(t);  // Certificate
+    emitted += 108 + unit.hello.size() + unit.certificate.size();
 
     // Encrypted application bytes: elephants (storage services) push to
     // the cap; ordinary HTTPS flows are ~10 KB median.
@@ -319,65 +457,68 @@ std::size_t TrafficGenerator::generate_units(
     want = std::min(want, static_cast<double>(config_.emitted_flow_cap));
     if (budget > emitted)
       want = std::min(want, static_cast<double>(budget - emitted) + 4096);
-    std::size_t remaining = static_cast<std::size_t>(want);
-    std::vector<std::uint8_t> chunk(static_cast<std::size_t>(kMss), 0x5A);
-    std::uint32_t server_seq = 1000;
+    flow.size = static_cast<std::size_t>(want);
     // Long-lived storage sessions: stretch gaps (still under the flow
     // table's idle timeout).
     const double gap_scale = elephant && rng.chance(0.1) ? 60.0 : 1.0;
-    while (remaining > 0) {
-      const std::size_t take =
-          std::min(chunk.size(), remaining);
+    for (std::uint64_t offset = 0; offset < flow.size; offset += kMss) {
       t += (0.002 + rng.exponential(80.0)) * gap_scale;
-      packets.push_back(pcap::make_tcp_packet(
-          t, server, client, {.ack = true, .psh = true}, server_seq,
-          std::span<const std::uint8_t>{chunk.data(), take}));
-      remaining -= take;
-      server_seq += static_cast<std::uint32_t>(take);
-      emitted += 54 + take;
+      unit.emit(t);
+      emitted += 54 + std::min<std::uint64_t>(kMss, flow.size - offset);
     }
     t += 0.02;
-    packets.push_back(pcap::make_tcp_packet(t, client, server,
-                                            {.ack = true, .fin = true},
-                                            seq + 2, {}));
+    unit.emit(t);  // FIN
     emitted += 54 * 2;
   };
 
-  const auto by_timestamp = [](const pcap::Packet& a, const pcap::Packet& b) {
+  const auto by_timestamp = [](const PacketPlan& a, const PacketPlan& b) {
     return a.timestamp < b.timestamp;
   };
 
-  // --- Web traffic by byte budget -------------------------------------
-  // One task per endpoint: endpoint i draws from RNG stream i and emits
-  // into its own packet vector. Endpoints run in windows of a few pool
-  // widths so only a window's packets are ever in memory, but every byte
-  // depends solely on the endpoint's global stream index, and units reach
-  // the sink in endpoint order regardless of the window size.
-  struct EndpointTraffic {
-    std::vector<pcap::Packet> packets;
-    std::size_t flows = 0;
-  };
-  std::size_t ec2_web_flows = 0, azure_web_flows = 0;
+  // A unit reaches the sink as batches of at most kBatchFrames frames,
+  // each built in parallel from its plans: only one batch of frames is
+  // ever alive. A unit with no packets is one empty batch.
   std::uint64_t total_packets = 0;
   std::uint64_t total_wire_bytes = 0;
-  auto deliver = [&](std::vector<pcap::Packet>&& unit) {
-    total_packets += unit.size();
-    for (const auto& p : unit) total_wire_bytes += p.data.size();
-    sink(std::move(unit));
+  auto deliver = [&](const UnitPlan& unit) {
+    const std::size_t n = unit.packets.size();
+    std::size_t begin = 0;
+    do {
+      const std::size_t end = std::min(n, begin + kBatchFrames);
+      auto batch = exec::parallel_map(end - begin, [&](std::size_t i) {
+        return unit.frame(unit.packets[begin + i]);
+      });
+      total_packets += batch.size();
+      for (const auto& p : batch) total_wire_bytes += p.data.size();
+      sink(std::move(batch), end == n);
+      begin = end;
+    } while (begin < n);
   };
 
+  // --- Web traffic by byte budget -------------------------------------
+  // One task per endpoint: endpoint i draws its unit's plan from RNG
+  // stream i. Endpoints are planned in windows of a few pool widths, and
+  // units reach the sink in endpoint order regardless of the window size.
+  std::size_t ec2_web_flows = 0, azure_web_flows = 0;
   const std::size_t window =
       std::max<std::size_t>(2 * exec::thread_count(), 1);
   for (std::size_t base = 0; base < endpoints_.size(); base += window) {
     const std::size_t count = std::min(window, endpoints_.size() - base);
-    auto per_endpoint = exec::parallel_map(
+    auto units = exec::parallel_map(
         count,
         [&](std::size_t offset) {
           obs::Span ep_span{"synth.traffic.endpoint"};
           const std::size_t i = base + offset;
-          EndpointTraffic out;
+          UnitPlan unit;
           util::Rng rng = shards.stream(i);
           const auto& ep = endpoints_[i];
+          if (https_[i]) {
+            unit.hello = proto::build_client_hello(ep.hostname);
+            unit.certificate = proto::build_certificate(ep.cert_cn);
+          } else {
+            unit.request =
+                proto::build_request("GET", ep.hostname, "/index.html");
+          }
           const auto budget = static_cast<std::uint64_t>(
               byte_shares_[i] * static_cast<double>(config_.total_web_bytes));
           const bool elephant = byte_shares_[i] > 0.05;
@@ -386,27 +527,27 @@ std::size_t TrafficGenerator::generate_units(
             const double start =
                 config_.start_time + rng.uniform01() * config_.duration_sec;
             if (https_[i])
-              emit_https_flow(rng, out.packets, ep, elephant, start, emitted,
+              plan_https_flow(rng, unit, ep, elephant, start, emitted,
                               budget);
             else
-              emit_http_flow(rng, out.packets, ep, start, emitted, budget);
-            ++out.flows;
+              plan_http_flow(rng, unit, ep, start, emitted, budget);
           }
-          // Sorted inside the task so the per-unit ordering work runs in
-          // parallel. Stable: equal timestamps keep emission order, which
-          // is what lets generate()'s global stable_sort reproduce the
-          // pre-streaming capture byte for byte.
-          std::stable_sort(out.packets.begin(), out.packets.end(),
+          // Sorted inside the task so the ordering work runs in parallel.
+          // Stable: equal timestamps keep emission order, which is what
+          // lets generate()'s global stable_sort reproduce the capture
+          // byte for byte.
+          std::stable_sort(unit.packets.begin(), unit.packets.end(),
                            by_timestamp);
-          return out;
+          return unit;
         },
         /*grain=*/1);
-    for (std::size_t offset = 0; offset < per_endpoint.size(); ++offset) {
+    for (std::size_t offset = 0; offset < units.size(); ++offset) {
       if (endpoints_[base + offset].provider == ProviderKind::kEc2)
-        ec2_web_flows += per_endpoint[offset].flows;
+        ec2_web_flows += units[offset].flows.size();
       else
-        azure_web_flows += per_endpoint[offset].flows;
-      deliver(std::move(per_endpoint[offset].packets));
+        azure_web_flows += units[offset].flows.size();
+      deliver(units[offset]);
+      units[offset] = {};
     }
   }
 
@@ -432,8 +573,7 @@ std::size_t TrafficGenerator::generate_units(
     return instances[rng.next_below(instances.size())].public_ip;
   };
 
-  auto emit_count_flows = [&](util::Rng& rng,
-                              std::vector<pcap::Packet>& packets,
+  auto plan_count_flows = [&](util::Rng& rng, UnitPlan& unit,
                               ProviderKind kind, std::size_t total) {
     const auto dns_servers = cloud_dns_servers(kind);
     const double dns_frac = kind == ProviderKind::kEc2 ? 0.1033 : 0.1159;
@@ -448,11 +588,11 @@ std::size_t TrafficGenerator::generate_units(
           dns_servers[rng.next_below(dns_servers.size())], 53};
       const double t =
           config_.start_time + rng.uniform01() * config_.duration_sec;
-      std::vector<std::uint8_t> query(40 + rng.next_below(30), 0x11);
-      std::vector<std::uint8_t> reply(120 + rng.next_below(200), 0x22);
-      packets.push_back(pcap::make_udp_packet(t, client, server, query));
-      packets.push_back(
-          pcap::make_udp_packet(t + 0.03, server, client, reply));
+      FlowPlan& flow = unit.open(FlowKind::kDns, client, server);
+      flow.size = 40 + rng.next_below(30);
+      flow.reply = 120 + rng.next_below(200);
+      unit.emit(t);
+      unit.emit(t + 0.03);
     }
     const auto n_udp = static_cast<std::size_t>(total * udp_frac);
     for (std::size_t i = 0; i < n_udp; ++i) {
@@ -463,23 +603,20 @@ std::size_t TrafficGenerator::generate_units(
       const double t =
           config_.start_time + rng.uniform01() * config_.duration_sec;
       const int datagrams = 1 + static_cast<int>(rng.next_below(3));
-      std::vector<std::uint8_t> payload(100 + rng.next_below(300), 0x33);
-      for (int d = 0; d < datagrams; ++d)
-        packets.push_back(pcap::make_udp_packet(t + d * 0.2, client, server,
-                                                payload));
+      unit.open(FlowKind::kUdp, client, server).size =
+          100 + rng.next_below(300);
+      for (int d = 0; d < datagrams; ++d) unit.emit(t + d * 0.2);
     }
     const auto n_icmp = std::max<std::size_t>(
         1, static_cast<std::size_t>(total * icmp_frac));
     for (std::size_t i = 0; i < n_icmp; ++i) {
       const auto client = university_client(rng);
-      const auto server = any_instance_ip(rng, kind);
+      const net::Endpoint server{any_instance_ip(rng, kind), 0};
       const double t =
           config_.start_time + rng.uniform01() * config_.duration_sec;
-      std::vector<std::uint8_t> ping(48, 0x44);
-      packets.push_back(
-          pcap::make_icmp_packet(t, client.addr, server, 8, ping));
-      packets.push_back(
-          pcap::make_icmp_packet(t + 0.05, server, client.addr, 0, ping));
+      unit.open(FlowKind::kIcmp, client, server);
+      unit.emit(t);
+      unit.emit(t + 0.05);
     }
     const auto n_tcp = static_cast<std::size_t>(total * tcp_frac);
     for (std::size_t i = 0; i < n_tcp; ++i) {
@@ -488,27 +625,18 @@ std::size_t TrafficGenerator::generate_units(
                                  rng.chance(0.5) ? std::uint16_t{22}
                                                  : std::uint16_t{25}};
       double t = config_.start_time + rng.uniform01() * config_.duration_sec;
-      std::uint32_t seq = 1;
-      packets.push_back(
-          pcap::make_tcp_packet(t, client, server, {.syn = true}, seq, {}));
-      packets.push_back(pcap::make_tcp_packet(
-          t + 0.04, server, client, {.syn = true, .ack = true}, 0, {}));
+      FlowPlan& flow = unit.open(FlowKind::kTcp, client, server);
+      unit.emit(t);         // SYN
+      unit.emit(t + 0.04);  // SYN-ACK
       // Bulky non-web TCP (scp-like): more bytes per flow than HTTP.
-      std::size_t bytes = static_cast<std::size_t>(
+      flow.size = static_cast<std::size_t>(
           std::min(rng.lognormal(std::log(12.0 * 1024), 1.0),
                    static_cast<double>(config_.emitted_flow_cap)));
-      std::vector<std::uint8_t> chunk(static_cast<std::size_t>(kMss), 0x55);
-      while (bytes > 0) {
-        const std::size_t take = std::min(chunk.size(), bytes);
+      for (std::uint64_t offset = 0; offset < flow.size; offset += kMss) {
         t += 0.01;
-        packets.push_back(pcap::make_tcp_packet(
-            t, client, server, {.ack = true, .psh = true}, seq,
-            std::span<const std::uint8_t>{chunk.data(), take}));
-        bytes -= take;
-        seq += static_cast<std::uint32_t>(take);
+        unit.emit(t);
       }
-      packets.push_back(pcap::make_tcp_packet(
-          t + 0.02, client, server, {.ack = true, .fin = true}, seq, {}));
+      unit.emit(t + 0.02);  // FIN
     }
   };
 
@@ -526,11 +654,11 @@ std::size_t TrafficGenerator::generate_units(
       std::size(non_web_plans),
       [&](std::size_t i) {
         obs::Span nw_span{"synth.traffic.non_web"};
-        std::vector<pcap::Packet> out;
+        UnitPlan unit;
         util::Rng rng = shards.stream(endpoints_.size() + i);
-        emit_count_flows(rng, out, non_web_plans[i].kind,
+        plan_count_flows(rng, unit, non_web_plans[i].kind,
                          non_web_plans[i].total);
-        return out;
+        return unit;
       },
       /*grain=*/1);
 
@@ -538,15 +666,18 @@ std::size_t TrafficGenerator::generate_units(
   // overlap (the shared fallback DNS server of a world with no dns-vm
   // instances) must stay inside a single unit so flow assembly sees those
   // packets in global capture order.
-  std::vector<pcap::Packet> tail;
-  std::size_t tail_count = 0;
-  for (const auto& chunk : non_web) tail_count += chunk.size();
-  tail.reserve(tail_count);
-  for (auto& chunk : non_web)
-    tail.insert(tail.end(), std::make_move_iterator(chunk.begin()),
-                std::make_move_iterator(chunk.end()));
-  std::stable_sort(tail.begin(), tail.end(), by_timestamp);
-  deliver(std::move(tail));
+  UnitPlan tail;
+  for (auto& part : non_web) {
+    const auto first_flow = static_cast<std::uint32_t>(tail.flows.size());
+    tail.flows.insert(tail.flows.end(), part.flows.begin(), part.flows.end());
+    for (auto packet : part.packets) {
+      packet.flow += first_flow;
+      tail.packets.push_back(packet);
+    }
+    part = {};
+  }
+  std::stable_sort(tail.packets.begin(), tail.packets.end(), by_timestamp);
+  deliver(tail);
 
   obs::counter("synth.traffic.packets").inc(total_packets);
   obs::counter("synth.traffic.bytes").inc(total_wire_bytes);
@@ -555,12 +686,22 @@ std::size_t TrafficGenerator::generate_units(
   return total_packets;
 }
 
+std::size_t TrafficGenerator::generate_units(
+    const std::function<void(std::vector<pcap::Packet>&&)>& sink) {
+  std::vector<pcap::Packet> unit;
+  return generate_batches([&](std::vector<pcap::Packet>&& batch,
+                              bool unit_ends) {
+    unit.insert(unit.end(), std::make_move_iterator(batch.begin()),
+                std::make_move_iterator(batch.end()));
+    if (unit_ends) sink(std::exchange(unit, {}));
+  });
+}
+
 std::vector<pcap::Packet> TrafficGenerator::generate() {
   std::vector<pcap::Packet> packets;
-  packets.reserve(1 << 18);
-  generate_units([&](std::vector<pcap::Packet>&& unit) {
-    packets.insert(packets.end(), std::make_move_iterator(unit.begin()),
-                   std::make_move_iterator(unit.end()));
+  generate_batches([&](std::vector<pcap::Packet>&& batch, bool) {
+    packets.insert(packets.end(), std::make_move_iterator(batch.begin()),
+                   std::make_move_iterator(batch.end()));
   });
   // stable_sort, not sort: units arrive individually time-sorted with
   // emission order preserved at equal timestamps, so the stable global

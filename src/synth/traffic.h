@@ -57,21 +57,34 @@ class TrafficGenerator {
   /// providers; the world itself is never modified.
   TrafficGenerator(const World& world, TrafficConfig config);
 
-  /// Generates the full capture, sorted by timestamp.
-  std::vector<pcap::Packet> generate();
+  /// The most frames one batch of generate_batches carries.
+  static constexpr std::size_t kBatchFrames = 8192;
 
-  /// Streaming generation for the paper-scale pipeline: delivers the
-  /// capture as a sequence of independently timestamp-sorted units (each
-  /// web endpoint's flows, then both clouds' non-web flows as one final
-  /// unit). Every canonical five-tuple lives inside exactly one unit —
-  /// each endpoint owns a freshly launched server IP, and the non-web
-  /// unit's servers are disjoint from the web ports — so feeding units in
-  /// order to a pcap::FlowAssembler produces byte-identical flows to
-  /// assemble_flows(generate()) while only ever holding a bounded window
-  /// of packets (pinned by synth_traffic_test). Returns the total packet
-  /// count.
+  /// Receives one batch of a unit; `unit_ends` marks the unit's last.
+  using BatchSink =
+      std::function<void(std::vector<pcap::Packet>&& batch, bool unit_ends)>;
+
+  /// The capture as a sequence of units — each web endpoint's flows, then
+  /// both clouds' non-web flows as one final unit — each delivered as
+  /// time-ordered batches of at most kBatchFrames frames (an empty unit
+  /// as one empty batch). Every canonical five-tuple lives inside exactly
+  /// one unit: each endpoint owns a freshly launched server IP, and the
+  /// non-web unit's servers are disjoint from the web ports. A unit's
+  /// flows are drawn first, with every random draw, into per-packet
+  /// plans of 16 bytes that are sorted by timestamp; frames are then
+  /// built one batch at a time, in parallel, and die when the sink
+  /// returns, so memory holds the plans of a few units and one batch of
+  /// frames. The frames are the same at every CS_THREADS. Returns the
+  /// total packet count.
+  std::size_t generate_batches(const BatchSink& sink);
+
+  /// generate_batches with each unit's batches joined into one
+  /// time-sorted vector per unit.
   std::size_t generate_units(
       const std::function<void(std::vector<pcap::Packet>&&)>& sink);
+
+  /// The full capture in one vector, sorted by timestamp.
+  std::vector<pcap::Packet> generate();
 
   /// Writes straight to a pcap file.
   void generate_to_file(const std::string& path);

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/format.h"
+#include "util/rng.h"
 
 namespace cs::synth {
 namespace {
@@ -591,8 +592,7 @@ class World::Builder {
         continue;
       }
       const auto idx =
-          std::min<std::uint64_t>(rng_.zipf(words.size(), 1.05) - 1,
-                                  words.size() - 1);
+          std::min<std::uint64_t>(word_rank_(rng_) - 1, words.size() - 1);
       if (used.insert(words[idx]).second) {
         discoverable = true;
         return words[idx];
@@ -1008,6 +1008,8 @@ class World::Builder {
 
   World& world_;
   util::Rng rng_;
+  /// Wordlist ranks for subdomain prefixes: the one Zipf the build draws.
+  const util::Zipf word_rank_{dns::default_wordlist().size(), 1.05};
 
   cloud::ElbManager elbs_;
   cloud::HerokuManager heroku_;

@@ -113,29 +113,33 @@ double Rng::pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-std::uint64_t Rng::zipf(std::uint64_t n, double s) {
-  if (n == 0) throw std::invalid_argument{"Rng::zipf: n == 0"};
-  if (n == 1) return 1;
-  // Rejection-inversion sampling (Hormann & Derflinger) specialised for the
-  // classic Zipf pmf ~ 1/k^s. Works for s close to or greater than 1.
-  const double nd = static_cast<double>(n);
-  auto h = [s](double x) {
-    if (s == 1.0) return std::log(x);
-    return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-  };
-  auto h_inv = [s](double y) {
-    if (s == 1.0) return std::exp(y);
-    return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
-  };
-  const double hx0 = h(0.5) - 1.0;
-  const double hn = h(nd + 0.5);
+Zipf::Zipf(std::uint64_t n, double s)
+    : s_(s), n_(static_cast<double>(n)) {
+  if (n == 0) throw std::invalid_argument{"Zipf: n == 0"};
+  hx0_ = h(0.5) - 1.0;
+  hn_ = h(n_ + 0.5);
+}
+
+// The classic Zipf pmf ~ 1/k^s; works for s close to or greater than 1.
+double Zipf::h(double x) const {
+  if (s_ == 1.0) return std::log(x);
+  return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+}
+
+double Zipf::h_inv(double y) const {
+  if (s_ == 1.0) return std::exp(y);
+  return std::pow(1.0 + y * (1.0 - s_), 1.0 / (1.0 - s_));
+}
+
+std::uint64_t Zipf::operator()(Rng& rng) const {
+  if (n_ == 1.0) return 1;
   for (;;) {
-    const double u = hx0 + uniform01() * (hn - hx0);
+    const double u = hx0_ + rng.uniform01() * (hn_ - hx0_);
     const double x = h_inv(u);
     const double k = std::floor(x + 0.5);
-    if (k < 1.0 || k > nd) continue;
+    if (k < 1.0 || k > n_) continue;
     // Acceptance test against the true pmf.
-    if (u >= h(k + 0.5) - std::pow(k, -s)) continue;
+    if (u >= h(k + 0.5) - std::pow(k, -s_)) continue;
     return static_cast<std::uint64_t>(k);
   }
 }

@@ -59,10 +59,6 @@ class Rng {
   /// Pareto with scale xm > 0 and shape alpha > 0 (heavy tails).
   double pareto(double xm, double alpha);
 
-  /// Zipf-distributed rank in [1, n] with exponent s (rejection sampling;
-  /// suitable for n up to millions). Used for domain popularity.
-  std::uint64_t zipf(std::uint64_t n, double s);
-
   /// Picks an index in [0, weights.size()) proportionally to weights.
   /// Weights must be non-negative with a positive sum.
   std::size_t weighted_pick(std::span<const double> weights);
@@ -75,6 +71,27 @@ class Rng {
   std::uint64_t s_[4];
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;
+};
+
+/// Zipf-distributed ranks in [1, n] with exponent s, by rejection-inversion
+/// sampling (Hormann & Derflinger; suitable for n up to millions). The
+/// bounds h(0.5) and h(n + 0.5) are computed once here, so a draw pays
+/// only for the inversion and the acceptance test.
+class Zipf {
+ public:
+  /// Throws std::invalid_argument when n == 0.
+  Zipf(std::uint64_t n, double s);
+
+  std::uint64_t operator()(Rng& rng) const;
+
+ private:
+  double h(double x) const;
+  double h_inv(double y) const;
+
+  double s_;
+  double n_;    ///< n as a double
+  double hx0_;  ///< h(0.5) - 1
+  double hn_;   ///< h(n + 0.5)
 };
 
 /// The standard 64-bit FNV-1a offset basis.

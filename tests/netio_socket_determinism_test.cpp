@@ -71,15 +71,17 @@ INSTANTIATE_TEST_SUITE_P(Threads, SocketDeterminism,
                          testing::Values(1u, 8u));
 
 TEST(SocketDeterminism, ExchangeTimeoutsMatchSimByteForByte) {
-  // timeout=0.3 silences 30% of exchanges at the server on every attempt.
+  // timeout=0.05 silences 5% of exchanges at the server on every attempt.
   // The sim fails them at once; the socket client must expire exactly
-  // those after its retransmit schedule, and answer every other one.
-  fault::ScopedPlan plan{"timeout=0.3"};
+  // those after its retransmit schedule, and answer every other one. Each
+  // attempt waits long enough for a reply from a server thread that a
+  // shared host deschedules for a while.
+  fault::ScopedPlan plan{"timeout=0.05"};
   const std::uint64_t seed = 2013;
   const auto sim = dataset_bytes(seed, netio::TransportMode::kSim, 8);
   auto config = small_config(seed, netio::TransportMode::kSocket);
   config.netio.emplace();
-  config.netio->rto_us = 2'000;  // each lost exchange waits 2 + 4 + 8 ms
+  config.netio->rto_us = 20'000;  // each lost exchange waits 20 + 40 + 80 ms
   const auto before = obs::MetricsRegistry::instance().snapshot();
   const auto socket = dataset_bytes(std::move(config), 8);
   const auto after = obs::MetricsRegistry::instance().snapshot();

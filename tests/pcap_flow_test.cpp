@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <span>
 #include <string>
 
@@ -250,73 +249,15 @@ TEST(FlowAssembler, IdleTimeoutSpansBatchBoundaries) {
   EXPECT_EQ(assembler.finish().size(), 2u);
 }
 
-// A payload cut at its cap holds the same bytes whether it copied the
-// segments or viewed them; a lone view is handed out as it is, several
-// are gathered into the caller's scratch.
-TEST(Payload, CapCutsTheCrossingSegmentAlikeOwnedOrBorrowed) {
-  const auto hello = bytes_of("hello ");
-  const auto world = bytes_of("world");
-  const std::array<std::span<const std::uint8_t>, 2> segments{hello, world};
-  Payload owned;
-  Payload borrowed;
-  for (const auto segment : segments) {
-    owned.append(segment, 8, /*borrow=*/false);
-    borrowed.append(segment, 8, /*borrow=*/true);
-  }
-  EXPECT_EQ(owned.size(), 8u);
-  EXPECT_EQ(borrowed.size(), 8u);
-  EXPECT_EQ(owned, borrowed);
-  EXPECT_EQ(borrowed, Payload{bytes_of("hello wo")});
-
-  std::vector<std::uint8_t> scratch;
-  const auto gathered = borrowed.bytes(scratch);
-  EXPECT_EQ(gathered.data(), scratch.data());
-  Payload lone;
-  lone.append(hello, 8, /*borrow=*/true);
-  scratch.clear();
-  const auto as_is = lone.bytes(scratch);
-  EXPECT_EQ(as_is.data(), hello.data());
-  EXPECT_TRUE(scratch.empty());
-}
-
-// One conversation of many segments per direction, each direction's cap
-// falling inside a segment: assemble_unit's borrowed payloads gather to
-// exactly the bytes a FlowTable copies.
-TEST(AssembleUnit, BorrowedPayloadsMatchOwnedOnes) {
-  std::vector<Packet> packets;
-  std::vector<std::uint8_t> sent;
-  packets.push_back(make_tcp_packet(1.0, kClient, kServer,
-                                    TcpFlags{.syn = true}, 0, {}));
-  for (std::uint8_t i = 0; i < 40; ++i) {
-    const std::vector<std::uint8_t> up(
-        37, static_cast<std::uint8_t>('a' + i % 26));
-    const std::vector<std::uint8_t> down(53, i);
-    sent.insert(sent.end(), up.begin(), up.end());
-    packets.push_back(make_tcp_packet(1.1 + 0.01 * i, kClient, kServer,
-                                      TcpFlags{.ack = true, .psh = true}, 1,
-                                      up));
-    packets.push_back(make_tcp_packet(1.105 + 0.01 * i, kServer, kClient,
-                                      TcpFlags{.ack = true, .psh = true}, 1,
-                                      down));
-  }
-  const FlowTable::Options options{.payload_cap = 1000};
-  FlowTable table{options};
-  for (const auto& packet : packets) table.add(packet);
-  const auto owned = table.finish();
-  const auto borrowed = assemble_unit(packets, options);
-  expect_same_flows(borrowed, owned);
-  ASSERT_EQ(borrowed.size(), 1u);
-  EXPECT_EQ(borrowed[0].payload_to_responder.size(), 1000u);
-  EXPECT_EQ(borrowed[0].payload_to_initiator.size(), 1000u);
-  sent.resize(1000);
-  EXPECT_EQ(borrowed[0].payload_to_responder, Payload{sent});
-}
-
-// A whole capture taken as one unit assembles to the flows of
-// assemble_flows, payloads included.
-TEST(AssembleUnit, MatchesWholeCaptureAssembly) {
-  const auto packets = mixed_capture();
-  expect_same_flows(assemble_unit(packets), assemble_flows(packets));
+// A flow takes each direction's payload up to the cap: the segment that
+// crosses it is cut there, and later segments add nothing.
+TEST(Flow, TakeCutsTheCrossingSegmentAtTheCap) {
+  Flow flow;
+  for (const auto* text : {"hello ", "world", "!"})
+    flow.take(/*to_responder=*/true, bytes_of(text), 8);
+  flow.take(/*to_responder=*/false, bytes_of("reply"), 8);
+  EXPECT_EQ(flow.payload_to_responder, bytes_of("hello wo"));
+  EXPECT_EQ(flow.payload_to_initiator, bytes_of("reply"));
 }
 
 }  // namespace

@@ -92,6 +92,21 @@ TEST(Http, TruncatedBodyConsumesToEnd) {
   EXPECT_EQ(offset, data.size());
 }
 
+// A Content-Length near 2^64 also consumes to the end. Added to the
+// offset unchecked, this one wraps it back to the head, which the
+// pipelined parse then read again without end.
+TEST(Http, ContentLengthThatWrapsTheOffsetConsumesToEnd) {
+  const std::string prefix = "HTTP/1.1 200 OK\r\nContent-Length: ";
+  const std::uint64_t head_bytes = prefix.size() + 20 + 4;
+  const std::string length = std::to_string(std::uint64_t{0} - head_bytes);
+  ASSERT_EQ(length.size(), 20u);
+  const auto data = bytes_of(prefix + length + "\r\n\r\nbody");
+  std::size_t offset = 0;
+  ASSERT_TRUE(parse_response(data, offset));
+  EXPECT_EQ(offset, data.size());
+  EXPECT_EQ(parse_responses(data).size(), 1u);
+}
+
 TEST(Http, BadStatusRejected) {
   for (const auto* line :
        {"HTTP/1.1 XX OK\r\n\r\n", "HTTP/1.1 99 Low\r\n\r\n",

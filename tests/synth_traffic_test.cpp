@@ -10,6 +10,7 @@
 #include "pcap/file.h"
 #include "pcap/flow.h"
 #include "proto/logs.h"
+#include "util/rng.h"
 
 namespace cs::synth {
 namespace {
@@ -244,6 +245,65 @@ TEST_F(TrafficTest, StreamedUnitsRebuildTheExactCapture) {
         collected[i].data != (*packets_)[i].data)
       ++mismatches;
   EXPECT_EQ(mismatches, 0u);
+}
+
+/// FNV-1a folded over one unit: its frame count, then each frame's
+/// timestamp bits and bytes.
+std::uint64_t fold_unit(std::uint64_t hash,
+                        const std::vector<pcap::Packet>& unit) {
+  const std::uint64_t frames = unit.size();
+  hash = util::fnv1a({reinterpret_cast<const std::uint8_t*>(&frames), 8},
+                     hash);
+  for (const auto& packet : unit) {
+    hash = util::fnv1a(
+        {reinterpret_cast<const std::uint8_t*>(&packet.timestamp), 8}, hash);
+    hash = util::fnv1a(packet.data, hash);
+  }
+  return hash;
+}
+
+// Frames are built from per-packet plans one batch at a time. A unit's
+// batches, joined, must be the unit the generator emitted when it built
+// every frame of a unit at once: the digest below was taken from that
+// generator (91 units, 47,337 frames at 200 domains and 32 MiB, where
+// the dropbox unit spans three batches). Every batch is time-ordered,
+// continues its unit's order, and holds at most kBatchFrames frames;
+// generate_units hands out the joined units.
+TEST_F(TrafficTest, BatchesRebuildThePinnedUnits) {
+  TrafficConfig config;
+  config.total_web_bytes = 32ull << 20;
+  TrafficGenerator generator{*world_, config};
+  std::vector<pcap::Packet> unit;
+  std::vector<std::uint64_t> unit_digests;
+  std::uint64_t digest = util::kFnv1aBasis;
+  std::size_t unit_batches = 0, split_units = 0, disorders = 0;
+  const auto frames = generator.generate_batches(
+      [&](std::vector<pcap::Packet>&& batch, bool unit_ends) {
+        EXPECT_LE(batch.size(), TrafficGenerator::kBatchFrames);
+        ++unit_batches;
+        for (auto& packet : batch) {
+          if (!unit.empty() && unit.back().timestamp > packet.timestamp)
+            ++disorders;
+          unit.push_back(std::move(packet));
+        }
+        if (!unit_ends) return;
+        digest = fold_unit(digest, unit);
+        unit_digests.push_back(fold_unit(util::kFnv1aBasis, unit));
+        split_units += unit_batches > 1;
+        unit_batches = 0;
+        unit.clear();
+      });
+  EXPECT_EQ(disorders, 0u);
+  EXPECT_EQ(frames, 47337u);
+  EXPECT_EQ(unit_digests.size(), 91u);
+  EXPECT_GE(split_units, 1u);
+  EXPECT_EQ(digest, 0xd73f4691715f11e6ULL);
+
+  std::vector<std::uint64_t> joined;
+  generator.generate_units([&](std::vector<pcap::Packet>&& whole) {
+    joined.push_back(fold_unit(util::kFnv1aBasis, whole));
+  });
+  EXPECT_EQ(joined, unit_digests);
 }
 
 // Every canonical five-tuple must live inside exactly one unit — the

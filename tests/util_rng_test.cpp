@@ -135,8 +135,9 @@ TEST(Rng, ParetoRejectsBadParams) {
 
 TEST(Rng, ZipfStaysInRange) {
   Rng rng{31};
+  const Zipf zipf{100, 1.0};
   for (int i = 0; i < 10000; ++i) {
-    const auto v = rng.zipf(100, 1.0);
+    const auto v = zipf(rng);
     EXPECT_GE(v, 1u);
     EXPECT_LE(v, 100u);
   }
@@ -144,8 +145,9 @@ TEST(Rng, ZipfStaysInRange) {
 
 TEST(Rng, ZipfRankOneIsMostFrequent) {
   Rng rng{37};
+  const Zipf zipf{1000, 1.1};
   std::map<std::uint64_t, int> counts;
-  for (int i = 0; i < 50000; ++i) ++counts[rng.zipf(1000, 1.1)];
+  for (int i = 0; i < 50000; ++i) ++counts[zipf(rng)];
   int max_count = 0;
   std::uint64_t max_rank = 0;
   for (const auto& [rank, count] : counts)
@@ -160,7 +162,54 @@ TEST(Rng, ZipfRankOneIsMostFrequent) {
 
 TEST(Rng, ZipfSingletonAlwaysOne) {
   Rng rng{41};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.zipf(1, 1.2), 1u);
+  const Zipf zipf{1, 1.2};
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf(rng), 1u);
+}
+
+/// The reference Zipf sampler: rejection-inversion with both bounds
+/// computed with pow on every call.
+std::uint64_t per_call_zipf(Rng& rng, std::uint64_t n, double s) {
+  if (n == 1) return 1;
+  const double nd = static_cast<double>(n);
+  auto h = [s](double x) {
+    if (s == 1.0) return std::log(x);
+    return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
+  };
+  auto h_inv = [s](double y) {
+    if (s == 1.0) return std::exp(y);
+    return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
+  };
+  const double hx0 = h(0.5) - 1.0;
+  const double hn = h(nd + 0.5);
+  for (;;) {
+    const double u = hx0 + rng.uniform01() * (hn - hx0);
+    const double x = h_inv(u);
+    const double k = std::floor(x + 0.5);
+    if (k < 1.0 || k > nd) continue;
+    if (u >= h(k + 0.5) - std::pow(k, -s)) continue;
+    return static_cast<std::uint64_t>(k);
+  }
+}
+
+// A kept Zipf draws the ranks the per-call sampler draws, consuming the
+// same uniforms, so no stream that switches to it moves.
+TEST(Zipf, DrawsMatchThePerCallSampler) {
+  struct Shape {
+    std::uint64_t n;
+    double s;
+  };
+  for (const Shape shape : {Shape{1, 1.2}, Shape{2, 0.9}, Shape{100, 1.0},
+                            Shape{1000, 1.1}, Shape{3000, 1.05},
+                            Shape{1'000'000, 1.5}}) {
+    const Zipf zipf{shape.n, shape.s};
+    Rng kept{53}, reference{53};
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(zipf(kept), per_call_zipf(reference, shape.n, shape.s))
+          << "n=" << shape.n << " s=" << shape.s << " draw " << i;
+    }
+    EXPECT_EQ(kept(), reference()) << "n=" << shape.n << " s=" << shape.s;
+  }
+  EXPECT_THROW(Zipf(0, 1.0), std::invalid_argument);
 }
 
 TEST(Rng, WeightedPickHonorsWeights) {
