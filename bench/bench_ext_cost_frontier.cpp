@@ -11,8 +11,7 @@ int main() {
   using namespace cs;
   bench::print_header("Extension: k-region cost/latency frontier");
   auto study = core::Study{bench::default_config(200)};
-  const auto frontier =
-      analysis::cost_latency_frontier(study.campaign(), {});
+  const auto frontier = analysis::cost_latency_frontier(study.campaign());
 
   util::Table t{{"k", "avg RTT (ms)", "compute $/mo", "replication $/mo",
                  "total $/mo", "$ per ms saved"}};

@@ -7,6 +7,9 @@
 namespace cs::analysis {
 namespace {
 
+/// Table 5 lists each cloud's 15 domains with the most HTTP(S) bytes.
+constexpr std::size_t kTopDomains = 15;
+
 /// Which cloud the flow's remote endpoint belongs to; the capture filter
 /// kept only cloud-destined flows, so "neither" means skip. The remote
 /// side is the destination of university-initiated flows.
@@ -36,10 +39,9 @@ std::string registered_domain(std::string_view hostname) {
          std::string{labels[labels.size() - 1]};
 }
 
-CaptureReport analyze_capture(const proto::TraceLogs& logs,
-                              const CloudRanges& ranges,
-                              const std::map<std::string, std::size_t>& rank_of,
-                              std::size_t top_n) {
+CaptureReport analyze_capture(
+    const proto::TraceLogs& logs, const CloudRanges& ranges,
+    const std::map<std::string, std::size_t>& rank_of) {
   CaptureReport report;
 
   // Per-domain volume and flow-count accumulators.
@@ -100,7 +102,7 @@ CaptureReport analyze_capture(const proto::TraceLogs& logs,
     for (const auto& [domain, bytes] : volumes)
       sorted.emplace_back(bytes, domain);
     std::sort(sorted.rbegin(), sorted.rend());
-    for (std::size_t i = 0; i < std::min(top_n, sorted.size()); ++i) {
+    for (std::size_t i = 0; i < std::min(kTopDomains, sorted.size()); ++i) {
       DomainVolumeRow row;
       row.domain = sorted[i].second;
       row.bytes = sorted[i].first;

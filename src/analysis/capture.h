@@ -74,7 +74,6 @@ std::string registered_domain(std::string_view hostname);
 /// its Alexa-style rank (empty map = no rank joins).
 CaptureReport analyze_capture(
     const proto::TraceLogs& logs, const CloudRanges& ranges,
-    const std::map<std::string, std::size_t>& rank_of = {},
-    std::size_t top_n = 15);
+    const std::map<std::string, std::size_t>& rank_of = {});
 
 }  // namespace cs::analysis

@@ -5,6 +5,10 @@
 namespace cs::analysis {
 namespace {
 
+/// Table 4 lists the top 10 EC2-using domains by rank; the Azure list and
+/// the subdomain-prefix list keep as many rows.
+constexpr std::size_t kTopRows = 10;
+
 /// Classifies one subdomain observation into a Table 3 bucket and
 /// updates the counters.
 void count_subdomain(const SubdomainObservation& obs, ProviderBreakdown& b) {
@@ -28,8 +32,7 @@ void count_subdomain(const SubdomainObservation& obs, ProviderBreakdown& b) {
 
 }  // namespace
 
-CloudUsageReport analyze_cloud_usage(const AlexaDataset& dataset,
-                                     std::size_t top_n) {
+CloudUsageReport analyze_cloud_usage(const AlexaDataset& dataset) {
   CloudUsageReport report;
 
   for (const auto& obs : dataset.cloud_subdomains)
@@ -68,7 +71,7 @@ CloudUsageReport analyze_cloud_usage(const AlexaDataset& dataset,
   auto emit_top = [&](bool want_azure,
                       std::vector<CloudUsageReport::TopDomain>& out) {
     for (const auto& [rank, domain] : ranked) {
-      if (out.size() >= top_n) break;
+      if (out.size() >= kTopRows) break;
       bool azure = false, ec2 = false;
       for (const auto idx : domain->cloud_subdomains) {
         azure |= dataset.cloud_subdomains[idx].has_azure_address;
@@ -108,7 +111,7 @@ CloudUsageReport analyze_cloud_usage(const AlexaDataset& dataset,
       prefixes.begin(), prefixes.end());
   std::sort(sorted_prefixes.begin(), sorted_prefixes.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (sorted_prefixes.size() > top_n) sorted_prefixes.resize(top_n);
+  if (sorted_prefixes.size() > kTopRows) sorted_prefixes.resize(kTopRows);
   report.top_prefixes = std::move(sorted_prefixes);
 
   return report;

@@ -47,7 +47,6 @@ struct CloudUsageReport {
 };
 
 /// Computes the §3.2 report from the dataset.
-CloudUsageReport analyze_cloud_usage(const AlexaDataset& dataset,
-                                     std::size_t top_n = 10);
+CloudUsageReport analyze_cloud_usage(const AlexaDataset& dataset);
 
 }  // namespace cs::analysis

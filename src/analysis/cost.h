@@ -17,18 +17,6 @@
 /// tenant actually chooses on.
 namespace cs::analysis {
 
-struct CostModel {
-  double instance_hour_usd = 0.12;        ///< m1.medium-era on-demand
-  double instances_per_region = 2.0;      ///< front-end redundancy
-  double egress_per_gb_usd = 0.12;
-  double inter_region_per_gb_usd = 0.02;
-  double hours_per_month = 730.0;
-  /// Client demand served per month (egress) in GB.
-  double demand_gb_per_month = 2000.0;
-  /// Fraction of the dataset rewritten per month (drives replication).
-  double replication_gb_per_month = 500.0;
-};
-
 struct DeploymentCost {
   int k = 0;
   std::vector<std::string> regions;
@@ -43,7 +31,6 @@ struct DeploymentCost {
 };
 
 /// Prices the latency-optimal deployment for every k in the campaign.
-std::vector<DeploymentCost> cost_latency_frontier(const Campaign& campaign,
-                                                  const CostModel& model);
+std::vector<DeploymentCost> cost_latency_frontier(const Campaign& campaign);
 
 }  // namespace cs::analysis

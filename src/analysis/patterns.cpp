@@ -7,6 +7,9 @@
 namespace cs::analysis {
 namespace {
 
+/// Table 8 lists the top 10 EC2-using domains.
+constexpr std::size_t kTopDomains = 10;
+
 bool cname_matches(const std::vector<dns::Name>& cnames,
                    std::string_view marker) {
   for (const auto& cname : cnames)
@@ -213,8 +216,7 @@ PatternReport analyze_patterns(const AlexaDataset& dataset,
 }
 
 std::vector<DomainFeatureRow> analyze_top_domain_features(
-    const AlexaDataset& dataset, const PatternReport& report,
-    std::size_t top_n) {
+    const AlexaDataset& dataset, const PatternReport& report) {
   std::vector<std::pair<std::size_t, const DomainObservation*>> ranked;
   for (const auto& domain : dataset.domains)
     if (!domain.cloud_subdomains.empty())
@@ -223,7 +225,7 @@ std::vector<DomainFeatureRow> analyze_top_domain_features(
 
   std::vector<DomainFeatureRow> rows;
   for (const auto& [rank, domain] : ranked) {
-    if (rows.size() >= top_n) break;
+    if (rows.size() >= kTopDomains) break;
     // Match the paper's Table 8: EC2-using domains only.
     bool any_ec2 = false;
     for (const auto idx : domain->cloud_subdomains)

@@ -87,7 +87,6 @@ struct DomainFeatureRow {
   std::size_t cdn = 0;
 };
 std::vector<DomainFeatureRow> analyze_top_domain_features(
-    const AlexaDataset& dataset, const PatternReport& report,
-    std::size_t top_n = 10);
+    const AlexaDataset& dataset, const PatternReport& report);
 
 }  // namespace cs::analysis

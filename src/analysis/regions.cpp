@@ -6,6 +6,9 @@
 namespace cs::analysis {
 namespace {
 
+/// Table 10 lists the top 14 cloud-using domains.
+constexpr std::size_t kTopDomains = 14;
+
 /// Country -> continent for the customer-geo analysis.
 std::string continent_of(const std::string& country) {
   static const std::map<std::string, std::string> kMap = {
@@ -89,8 +92,7 @@ RegionReport analyze_regions(const AlexaDataset& dataset,
 }
 
 std::vector<DomainRegionRow> analyze_top_domain_regions(
-    const AlexaDataset& dataset, const RegionReport& report,
-    std::size_t top_n) {
+    const AlexaDataset& dataset, const RegionReport& report) {
   std::vector<std::pair<std::size_t, const DomainObservation*>> ranked;
   for (const auto& domain : dataset.domains)
     if (!domain.cloud_subdomains.empty())
@@ -99,7 +101,7 @@ std::vector<DomainRegionRow> analyze_top_domain_regions(
 
   std::vector<DomainRegionRow> rows;
   for (const auto& [rank, domain] : ranked) {
-    if (rows.size() >= top_n) break;
+    if (rows.size() >= kTopDomains) break;
     DomainRegionRow row;
     row.rank = rank;
     row.domain = domain->name.to_string();

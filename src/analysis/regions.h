@@ -46,8 +46,7 @@ struct DomainRegionRow {
   std::size_t k2 = 0;  ///< subdomains using two regions
 };
 std::vector<DomainRegionRow> analyze_top_domain_regions(
-    const AlexaDataset& dataset, const RegionReport& report,
-    std::size_t top_n = 14);
+    const AlexaDataset& dataset, const RegionReport& report);
 
 /// Customer-location analysis: fraction of subdomains hosted outside the
 /// customer country / continent. Country truth comes from the world (the

@@ -53,7 +53,7 @@ void for_each_subset(std::size_t n, std::size_t k, Fn&& fn) {
 Campaign run_campaign(internet::WideAreaModel& model,
                       const std::vector<internet::VantagePoint>& vantages,
                       const std::vector<const cloud::Region*>& regions,
-                      double days, std::uint64_t start_time) {
+                      double days) {
   Campaign campaign;
   campaign.vantages = vantages;
   for (const auto* r : regions) campaign.region_names.push_back(r->name);
@@ -91,8 +91,7 @@ Campaign run_campaign(internet::WideAreaModel& model,
     for (std::size_t r = 0; r < regions.size(); ++r) {
       for (std::size_t round = 0; round < rounds; ++round) {
         if (!offline.empty() && offline[round]) continue;
-        const double t = static_cast<double>(start_time) +
-                         round * campaign.round_seconds;
+        const double t = round * campaign.round_seconds;
         // 5 TCP pings, averaged, timeouts excluded (§5.1).
         double sum = 0.0;
         int ok = 0;

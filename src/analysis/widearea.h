@@ -38,7 +38,7 @@ struct Campaign {
 Campaign run_campaign(internet::WideAreaModel& model,
                       const std::vector<internet::VantagePoint>& vantages,
                       const std::vector<const cloud::Region*>& regions,
-                      double days, std::uint64_t start_time = 0);
+                      double days);
 
 /// Figure 9/10: average latency/throughput per (vantage, region).
 struct ClientRegionAverages {

@@ -3,26 +3,41 @@
 #include <algorithm>
 
 namespace cs::carto {
+namespace {
+
+/// hping3-style pings per probe instance in one round.
+constexpr int kProbesPerRound = 10;
+/// Rounds, one per day, as the paper repeated its probes across days.
+constexpr int kRounds = 5;
+/// The account the probes launch from; estimates are in its label space.
+constexpr const char* kProbeAccount = "carto-main";
+/// m1.medium probe instances per zone; US East gets 3 more m1.small, as
+/// in the paper.
+constexpr int kProbeInstancesPerZone = 3;
+/// The paper could not launch probes in one ap-northeast-1 zone after
+/// January 2013, which drives that region's 50.7% unknown rate.
+constexpr const char* kBlockedProbeRegion = "ec2.ap-northeast-1";
+constexpr int kBlockedProbeLabel = 1;
+
+}  // namespace
 
 LatencyZoneEstimator::LatencyZoneEstimator(cloud::Provider& ec2,
                                            internet::WideAreaModel& model,
                                            Options options)
     : ec2_(ec2), model_(model), options_(std::move(options)) {
   for (const auto& region : ec2_.regions()) {
-    // US East gets extra small probes, as in the paper.
     const int per_zone = region.name == "ec2.us-east-1"
-                             ? options_.probe_instances_per_zone + 3
-                             : options_.probe_instances_per_zone;
+                             ? kProbeInstancesPerZone + 3
+                             : kProbeInstancesPerZone;
     for (int label = 0; label < region.zone_count; ++label) {
-      if (options_.blocked_probe_zones.contains({region.name, label}))
+      if (region.name == kBlockedProbeRegion && label == kBlockedProbeLabel)
         continue;
       for (int i = 0; i < per_zone; ++i) {
         const auto& probe = ec2_.launch(
-            {.account = options_.probe_account,
+            {.account = kProbeAccount,
              .region = region.name,
              .zone_label = label,
-             .type = i < options_.probe_instances_per_zone ? "m1.medium"
-                                                           : "m1.small"});
+             .type = i < kProbeInstancesPerZone ? "m1.medium" : "m1.small"});
         probes_[region.name][label].push_back(&probe);
       }
     }
@@ -54,8 +69,8 @@ LatencyZoneEstimator::Estimate LatencyZoneEstimator::estimate(
   for (const auto& [label, instances] : it->second) {
     double best = 1e18;
     for (const auto* probe : instances) {
-      for (int round = 0; round < options_.rounds; ++round) {
-        for (int ping = 0; ping < options_.probes_per_round; ++ping) {
+      for (int round = 0; round < kRounds; ++round) {
+        for (int ping = 0; ping < kProbesPerRound; ++ping) {
           clock_ += 0.5;
           best = std::min(best, model_.instance_rtt_sample(
                                     ec2_, *probe, *target,
@@ -88,7 +103,7 @@ LatencyZoneEstimator::Estimate LatencyZoneEstimator::estimate(
 
 int LatencyZoneEstimator::label_to_physical(const std::string& region,
                                             int label) const {
-  return ec2_.physical_zone(options_.probe_account, region, label);
+  return ec2_.physical_zone(kProbeAccount, region, label);
 }
 
 }  // namespace cs::carto

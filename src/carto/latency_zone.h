@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -22,15 +21,6 @@ class LatencyZoneEstimator {
   struct Options {
     std::uint64_t seed = 7;
     double threshold_ms = 1.1;
-    int probes_per_round = 10;  ///< hping3-style pings per probe instance
-    int rounds = 5;             ///< repetitions across days
-    std::string probe_account = "carto-main";
-    int probe_instances_per_zone = 3;
-    /// (region, zone label) pairs where probe instances cannot be
-    /// launched. The paper could not launch in one ap-northeast-1 zone
-    /// after January 2013, driving that region's 50.7% unknown rate.
-    std::set<std::pair<std::string, int>> blocked_probe_zones = {
-        {"ec2.ap-northeast-1", 1}};
   };
 
   /// Launches the probe fleet (mutates the provider).

@@ -4,6 +4,16 @@
 #include <numeric>
 
 namespace cs::carto {
+namespace {
+
+/// Accounts the samples are launched from, round robin; the paper merged
+/// the zone labels of several accounts.
+constexpr std::size_t kAccounts = 10;
+/// The account whose label space the merged map uses; it is also the
+/// latency estimator's probe account, so both speak one label space.
+constexpr const char* kCanonicalAccount = "carto-main";
+
+}  // namespace
 
 ProximityEstimator::ProximityEstimator(cloud::Provider& ec2, Options options)
     : ec2_(ec2), options_(std::move(options)) {
@@ -19,12 +29,10 @@ ProximityEstimator::ProximityEstimator(cloud::Provider& ec2, Options options)
     region_weights.push_back(region.name == "ec2.us-east-1" ? 6.0 : 1.0);
 
   for (std::size_t i = 0; i < options_.total_samples; ++i) {
-    const std::size_t account_idx =
-        i % options_.accounts;  // round robin accounts
+    const std::size_t account_idx = i % kAccounts;
     const std::string account =
-        account_idx == 0
-            ? options_.canonical_account
-            : "carto-acct-" + std::to_string(account_idx);
+        account_idx == 0 ? kCanonicalAccount
+                         : "carto-acct-" + std::to_string(account_idx);
     const auto& region = regions[rng.weighted_pick(region_weights)];
     const int label = static_cast<int>(rng.next_below(region.zone_count));
     const auto& inst = ec2_.launch({.account = account,
@@ -51,7 +59,7 @@ void ProximityEstimator::calibrate(const std::vector<Sample>& samples) {
 
     // Seed the merged map from the canonical account.
     std::map<int, int> merged;  // /16 second octet -> canonical label
-    if (const auto it = by_account.find(options_.canonical_account);
+    if (const auto it = by_account.find(kCanonicalAccount);
         it != by_account.end()) {
       for (const auto* s : it->second)
         merged[s->internal_ip.octet(1)] = s->label;
@@ -61,7 +69,7 @@ void ProximityEstimator::calibrate(const std::vector<Sample>& samples) {
     // permutation maximizing /16 agreement with the merged map, then fold
     // its samples in (the paper's iterative approach).
     for (const auto& [account, account_samples] : by_account) {
-      if (account == options_.canonical_account) continue;
+      if (account == kCanonicalAccount) continue;
       std::vector<int> perm(zones);
       std::iota(perm.begin(), perm.end(), 0);
       std::vector<int> best_perm = perm;
@@ -124,7 +132,7 @@ std::vector<ProximityEstimator::MapPoint> ProximityEstimator::sample_map()
 
 int ProximityEstimator::label_to_physical(const std::string& region,
                                           int label) const {
-  return ec2_.physical_zone(options_.canonical_account, region, label);
+  return ec2_.physical_zone(kCanonicalAccount, region, label);
 }
 
 }  // namespace cs::carto

@@ -27,8 +27,6 @@ class ProximityEstimator {
     /// Total sampled instances across accounts and regions (the paper
     /// accumulated 5096).
     std::size_t total_samples = 900;
-    std::size_t accounts = 10;
-    std::string canonical_account = "carto-main";
   };
 
   /// Launches the sample instances (mutates the provider) and calibrates

@@ -110,10 +110,7 @@ std::uint64_t Study::config_hash() const {
   w.f64(config_.world.adoption_scale);
   w.boolean(config_.world.plant_marquee_domains);
   w.u64(config_.traffic.seed);
-  w.f64(config_.traffic.start_time);
-  w.f64(config_.traffic.duration_sec);
   w.u64(config_.traffic.total_web_bytes);
-  w.u64(config_.traffic.emitted_flow_cap);
   w.count(config_.dataset.wordlist.size());
   for (const auto& word : config_.dataset.wordlist) w.str(word);
   w.boolean(config_.dataset.attempt_axfr);

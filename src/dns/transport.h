@@ -107,9 +107,9 @@ class SimulatedDnsNetwork final : public DnsTransport {
 
   std::unordered_map<std::uint32_t, std::shared_ptr<AuthoritativeServer>>
       servers_;
-#ifndef NDEBUG
+  /// Declared in every build, so the class layout never depends on
+  /// NDEBUG; only debug builds count exchanges in it.
   mutable std::atomic<int> active_exchanges_{0};
-#endif
 };
 
 }  // namespace cs::dns

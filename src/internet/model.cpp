@@ -6,6 +6,17 @@
 namespace cs::internet {
 namespace {
 
+// Calibration constants: the paper reports their effects, not values.
+/// Chance a path is congested in a 2-hour bucket, calibrated so a client's
+/// best region changes over three days (Figure 11).
+constexpr double kCongestionProbability = 0.15;
+/// Chance a single hping3-style ping goes unanswered.
+constexpr double kProbeLoss = 0.01;
+/// TCP window of Figure 9's 2 MB downloads: throughput = window / RTT.
+constexpr double kTcpWindowBytes = 128 * 1024;
+/// Last-mile ceiling of a PlanetLab client's download, in KB/s.
+constexpr double kAccessCapKbps = 12000.0;
+
 /// Deterministic per-(key, bucket) uniform in [0, 1).
 double hashed_uniform(std::uint64_t key, std::uint64_t bucket) {
   util::Rng rng{key ^ (bucket * 0x9e3779b97f4a7c15ULL)};
@@ -48,7 +59,7 @@ double WideAreaModel::congestion_factor(std::uint64_t path_key,
                                         double t_sec) const {
   const auto bucket = static_cast<std::uint64_t>(t_sec / 7200.0);
   const double draw = hashed_uniform(path_key, bucket);
-  if (draw >= config_.congestion_probability) return 1.0;
+  if (draw >= kCongestionProbability) return 1.0;
   // Episode severity is itself stable within the bucket: 1.5x - 3x.
   return 1.5 + 1.5 * hashed_uniform(path_key * 31, bucket);
 }
@@ -58,7 +69,7 @@ std::optional<double> WideAreaModel::rtt_sample(const VantagePoint& v,
                                                 double t_sec) {
   const std::uint64_t key = path_key_of(v, region, config_.seed);
   util::Rng probe_rng{key ^ static_cast<std::uint64_t>(t_sec * 1000.0)};
-  if (probe_rng.chance(config_.probe_loss)) return std::nullopt;
+  if (probe_rng.chance(kProbeLoss)) return std::nullopt;
   const double base = base_rtt_ms(v, region) * diurnal_factor(v, t_sec) *
                       congestion_factor(key, t_sec);
   // Per-probe jitter: small lognormal tail, as queues produce.
@@ -74,8 +85,8 @@ std::optional<double> WideAreaModel::throughput_sample(
   if (!rtt) return std::nullopt;
   // Window-limited TCP with loss-episode degradation.
   const double rtt_sec = *rtt / 1000.0;
-  double kbps = config_.tcp_window_bytes / rtt_sec / 1024.0;
-  kbps = std::min(kbps, config_.access_cap_kbps);
+  double kbps = kTcpWindowBytes / rtt_sec / 1024.0;
+  kbps = std::min(kbps, kAccessCapKbps);
   const double loss_draw =
       hashed_uniform(key * 13, static_cast<std::uint64_t>(t_sec / 7200.0));
   if (loss_draw < 0.1) kbps *= 0.3 + 0.4 * loss_draw / 0.1;  // lossy episode

@@ -29,10 +29,6 @@ class WideAreaModel {
  public:
   struct Config {
     std::uint64_t seed = 1;
-    double congestion_probability = 0.15;  ///< per 2-hour path-bucket
-    double probe_loss = 0.01;              ///< chance a single ping is lost
-    double tcp_window_bytes = 128 * 1024;  ///< throughput = wnd / RTT
-    double access_cap_kbps = 12000.0;      ///< last-mile ceiling
   };
 
   explicit WideAreaModel(Config config);

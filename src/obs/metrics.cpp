@@ -104,14 +104,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
               .first->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  util::LockGuard lock{mutex_};
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return *it->second;
-  return *gauges_.emplace(std::string{name}, std::make_unique<Gauge>())
-              .first->second;
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds) {
   util::LockGuard lock{mutex_};
@@ -129,9 +121,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_)
     snap.counters.push_back({name, c->value()});
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_)
-    snap.gauges.push_back({name, g->value()});
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
     HistogramSnapshot hs;
@@ -148,7 +137,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset_values() {
   util::LockGuard lock{mutex_};
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 

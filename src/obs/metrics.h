@@ -12,9 +12,9 @@
 
 #include "util/sync.h"
 
-/// Process-wide metrics: named counters, gauges, and fixed-bucket
-/// histograms describing how much work the pipeline did (DNS queries
-/// served, packets decoded, bytes generated, ...).
+/// Process-wide metrics: named counters and fixed-bucket histograms
+/// describing how much work the pipeline did (DNS queries served, packets
+/// decoded, bytes generated, ...).
 ///
 /// Design rules:
 ///  - Hot paths touch only relaxed atomics. Registration (the name lookup)
@@ -75,23 +75,6 @@ class Counter {
   std::array<Cell, kCounterStripes> cells_{};
 };
 
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t n) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
 /// Histogram over fixed, registration-time bucket upper bounds. A sample
 /// lands in the first bucket whose bound is >= the sample; samples above
 /// the last bound land in the implicit overflow bucket.
@@ -122,11 +105,6 @@ struct CounterSnapshot {
   std::uint64_t value = 0;
 };
 
-struct GaugeSnapshot {
-  std::string name;
-  std::int64_t value = 0;
-};
-
 struct HistogramSnapshot {
   std::string name;
   std::vector<double> bounds;
@@ -146,7 +124,6 @@ struct HistogramSnapshot {
 
 struct MetricsSnapshot {
   std::vector<CounterSnapshot> counters;
-  std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 
   /// Value of a named counter, or 0 when absent.
@@ -164,7 +141,6 @@ class MetricsRegistry {
 
   /// Finds or creates the named instrument. The reference is stable.
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   /// `bounds` is used only on first registration and must be non-empty;
   /// later calls with the same name return the existing histogram.
   Histogram& histogram(std::string_view name, std::vector<double> bounds);
@@ -179,8 +155,6 @@ class MetricsRegistry {
  private:
   mutable util::Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      CS_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       CS_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       CS_GUARDED_BY(mutex_);
@@ -212,9 +186,6 @@ inline void set_detailed_metrics(bool on) noexcept {
 /// Shorthands against the process-wide registry.
 inline Counter& counter(std::string_view name) {
   return MetricsRegistry::instance().counter(name);
-}
-inline Gauge& gauge(std::string_view name) {
-  return MetricsRegistry::instance().gauge(name);
 }
 inline Histogram& histogram(std::string_view name,
                             std::vector<double> bounds) {

@@ -119,6 +119,21 @@ void move_append(TraceLogs& to, TraceLogs& from) {
   move_append(to.ssl, from.ssl);
 }
 
+/// Flow i's records are `records[end[i - 1], end[i])`; returns them flow
+/// by flow in `order`. `records` is taken by value, so its storage is
+/// freed at the end of the calling statement, not with the caller.
+template <typename Record>
+std::vector<Record> reorder(std::vector<Record> records,
+                            const std::vector<std::size_t>& order,
+                            const std::vector<std::size_t>& end) {
+  std::vector<Record> out;
+  out.reserve(records.size());
+  for (const auto i : order)
+    for (auto j = i ? end[i - 1] : 0; j < end[i]; ++j)
+      out.push_back(std::move(records[j]));
+  return out;
+}
+
 }  // namespace
 
 TraceLogs analyze_flows(const std::vector<pcap::Flow>& flows) {
@@ -218,17 +233,14 @@ TraceLogs StreamAnalyzer::finish() {
                    [&](std::size_t a, std::size_t b) {
                      return pcap::FlowOrder{}(logs.conns[a], logs.conns[b]);
                    });
+  // One record kind at a time, each source freed once drained, so at
+  // most one kind is held twice.
   TraceLogs out;
-  out.conns.reserve(logs.conns.size());
-  out.http.reserve(logs.http.size());
-  out.ssl.reserve(logs.ssl.size());
-  for (const auto i : order) {
-    out.conns.push_back(std::move(logs.conns[i]));
-    for (auto j = i ? http_end[i - 1] : 0; j < http_end[i]; ++j)
-      out.http.push_back(std::move(logs.http[j]));
-    for (auto j = i ? ssl_end[i - 1] : 0; j < ssl_end[i]; ++j)
-      out.ssl.push_back(std::move(logs.ssl[j]));
-  }
+  out.conns.reserve(order.size());
+  for (const auto i : order) out.conns.push_back(std::move(logs.conns[i]));
+  std::vector<ConnRecord>().swap(logs.conns);
+  out.http = reorder(std::move(logs.http), order, http_end);
+  out.ssl = reorder(std::move(logs.ssl), order, ssl_end);
   return out;
 }
 

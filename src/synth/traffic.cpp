@@ -25,6 +25,19 @@ namespace {
 
 using cloud::ProviderKind;
 
+/// Capture start: Tue Jun 26 2012 00:00 UTC, as in the paper.
+constexpr double kCaptureStart = 1340668800.0;
+/// The paper's capture ran one week.
+constexpr double kCaptureSeconds = 7 * 86400.0;
+/// Per-flow cap on emitted payload bytes; it keeps packet counts sane,
+/// so the largest objects appear as Content-Length only.
+constexpr std::size_t kEmittedFlowCap = 256 * 1024;
+
+/// A flow's start time, drawn uniformly over the capture week.
+double capture_time(util::Rng& rng) {
+  return kCaptureStart + rng.uniform01() * kCaptureSeconds;
+}
+
 /// Table 5's named tenants with their share of total HTTP(S) bytes and
 /// the protocol their traffic rides on.
 struct HeavyHitter {
@@ -303,14 +316,12 @@ TrafficEndpoint TrafficGenerator::make_endpoint(const std::string& domain,
 }
 
 void TrafficGenerator::setup_endpoints() {
-  double named_total = 0.0;
   for (const auto& hh : kHeavyHitters) {
     const bool in_alexa = world_.domain(hh.domain) != nullptr;
     endpoints_.push_back(make_endpoint(hh.domain, hh.host_prefix,
                                        hh.provider, hh.region, in_alexa));
     byte_shares_.push_back(hh.share_percent / 100.0);
     https_.push_back(hh.https);
-    named_total += hh.share_percent / 100.0;
   }
 
   // Tail: EC2 gets ~6.4% of bytes, Azure ~1.7%, split zipf-style between
@@ -359,7 +370,6 @@ void TrafficGenerator::setup_endpoints() {
                            : rng.chance(0.3));
     }
   }
-  (void)named_total;
 }
 
 std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
@@ -412,7 +422,7 @@ std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
     const double emit_sigma = ep.provider == ProviderKind::kEc2 ? 0.9 : 1.2;
     std::uint64_t emit_cap = static_cast<std::uint64_t>(
         rng.lognormal(std::log(emit_median), emit_sigma));
-    emit_cap = std::min<std::uint64_t>(emit_cap, config_.emitted_flow_cap);
+    emit_cap = std::min<std::uint64_t>(emit_cap, kEmittedFlowCap);
     if (budget > emitted)
       emit_cap = std::min(emit_cap, (budget - emitted) + 2048);
     flow.content = static_cast<std::uint8_t>(content);
@@ -454,7 +464,7 @@ std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
     const double median = elephant ? 15.0 * 1024 : 12.0 * 1024;
     const double sigma = elephant ? 2.0 : 1.5;
     double want = rng.lognormal(std::log(median), sigma);
-    want = std::min(want, static_cast<double>(config_.emitted_flow_cap));
+    want = std::min(want, static_cast<double>(kEmittedFlowCap));
     if (budget > emitted)
       want = std::min(want, static_cast<double>(budget - emitted) + 4096);
     flow.size = static_cast<std::size_t>(want);
@@ -524,8 +534,7 @@ std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
           const bool elephant = byte_shares_[i] > 0.05;
           std::uint64_t emitted = 0;
           while (emitted < budget) {
-            const double start =
-                config_.start_time + rng.uniform01() * config_.duration_sec;
+            const double start = capture_time(rng);
             if (https_[i])
               plan_https_flow(rng, unit, ep, elephant, start, emitted,
                               budget);
@@ -586,8 +595,7 @@ std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
       const auto client = university_client(rng);
       const net::Endpoint server{
           dns_servers[rng.next_below(dns_servers.size())], 53};
-      const double t =
-          config_.start_time + rng.uniform01() * config_.duration_sec;
+      const double t = capture_time(rng);
       FlowPlan& flow = unit.open(FlowKind::kDns, client, server);
       flow.size = 40 + rng.next_below(30);
       flow.reply = 120 + rng.next_below(200);
@@ -600,8 +608,7 @@ std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
       const net::Endpoint server{any_instance_ip(rng, kind),
                                  static_cast<std::uint16_t>(
                                      3000 + rng.next_below(30000))};
-      const double t =
-          config_.start_time + rng.uniform01() * config_.duration_sec;
+      const double t = capture_time(rng);
       const int datagrams = 1 + static_cast<int>(rng.next_below(3));
       unit.open(FlowKind::kUdp, client, server).size =
           100 + rng.next_below(300);
@@ -612,8 +619,7 @@ std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
     for (std::size_t i = 0; i < n_icmp; ++i) {
       const auto client = university_client(rng);
       const net::Endpoint server{any_instance_ip(rng, kind), 0};
-      const double t =
-          config_.start_time + rng.uniform01() * config_.duration_sec;
+      const double t = capture_time(rng);
       unit.open(FlowKind::kIcmp, client, server);
       unit.emit(t);
       unit.emit(t + 0.05);
@@ -624,14 +630,14 @@ std::size_t TrafficGenerator::generate_batches(const BatchSink& sink) {
       const net::Endpoint server{any_instance_ip(rng, kind),
                                  rng.chance(0.5) ? std::uint16_t{22}
                                                  : std::uint16_t{25}};
-      double t = config_.start_time + rng.uniform01() * config_.duration_sec;
+      double t = capture_time(rng);
       FlowPlan& flow = unit.open(FlowKind::kTcp, client, server);
       unit.emit(t);         // SYN
       unit.emit(t + 0.04);  // SYN-ACK
       // Bulky non-web TCP (scp-like): more bytes per flow than HTTP.
       flow.size = static_cast<std::size_t>(
           std::min(rng.lognormal(std::log(12.0 * 1024), 1.0),
-                   static_cast<double>(config_.emitted_flow_cap)));
+                   static_cast<double>(kEmittedFlowCap)));
       for (std::uint64_t offset = 0; offset < flow.size; offset += kMss) {
         t += 0.01;
         unit.emit(t);

@@ -31,13 +31,8 @@ namespace cs::synth {
 
 struct TrafficConfig {
   std::uint64_t seed = 77;
-  /// Capture start: Tue Jun 26 2012 00:00 UTC, as in the paper.
-  double start_time = 1340668800.0;
-  double duration_sec = 7 * 86400.0;
   /// Total HTTP+HTTPS wire bytes to emit across both clouds.
   std::uint64_t total_web_bytes = 48ull * 1024 * 1024;
-  /// Per-flow cap on emitted response payload (keeps packet counts sane).
-  std::size_t emitted_flow_cap = 256 * 1024;
 };
 
 /// A cloud-hosted traffic endpoint the generator can aim flows at.

@@ -50,14 +50,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   return v % bound;
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument{"Rng::uniform_int: lo > hi"};
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>((*this)());  // full range
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::uniform01() {
   // 53 random bits -> double in [0, 1).
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -159,10 +151,6 @@ std::size_t Rng::weighted_pick(std::span<const double> weights) {
     if (target < 0.0) return i;
   }
   return weights.size() - 1;  // numeric slack lands on the last bucket
-}
-
-Rng Rng::fork() {
-  return Rng{(*this)() ^ 0xd1b54a32d192ed03ULL};
 }
 
 std::uint64_t stable_hash(std::string_view text) noexcept {

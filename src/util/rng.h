@@ -35,9 +35,6 @@ class Rng {
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform01();
 
@@ -62,10 +59,6 @@ class Rng {
   /// Picks an index in [0, weights.size()) proportionally to weights.
   /// Weights must be non-negative with a positive sum.
   std::size_t weighted_pick(std::span<const double> weights);
-
-  /// Derives an independent child generator; streams do not overlap in
-  /// practice because the child is seeded from a splitmix64 step.
-  Rng fork();
 
  private:
   std::uint64_t s_[4];

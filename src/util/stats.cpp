@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace cs::util {
 namespace {
@@ -45,18 +46,6 @@ double mean(std::span<const double> xs) noexcept {
   return n ? total / static_cast<double>(n) : 0.0;
 }
 
-double stddev(std::span<const double> xs) noexcept {
-  const double m = mean(xs);
-  double acc = 0.0;
-  std::size_t n = 0;
-  for (const double x : xs) {
-    if (std::isnan(x)) continue;
-    acc += (x - m) * (x - m);
-    ++n;
-  }
-  return n >= 2 ? std::sqrt(acc / static_cast<double>(n)) : 0.0;
-}
-
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
 double quantile(std::span<const double> xs, double q) {
@@ -66,70 +55,5 @@ double quantile(std::span<const double> xs, double q) {
   std::sort(copy.begin(), copy.end());
   return sorted_quantile(copy, q);
 }
-
-double min_of(std::span<const double> xs) noexcept {
-  double best = 0.0;
-  bool seen = false;
-  for (const double x : xs) {
-    if (std::isnan(x)) continue;
-    if (!seen || x < best) best = x;
-    seen = true;
-  }
-  return best;
-}
-
-double max_of(std::span<const double> xs) noexcept {
-  double best = 0.0;
-  bool seen = false;
-  for (const double x : xs) {
-    if (std::isnan(x)) continue;
-    if (!seen || x > best) best = x;
-    seen = true;
-  }
-  return best;
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  std::vector<double> copy = drop_nans(xs);
-  s.count = copy.size();
-  s.dropped_nans = xs.size() - copy.size();
-  if (copy.empty()) return s;
-  std::sort(copy.begin(), copy.end());
-  s.mean = mean(copy);
-  s.stddev = stddev(copy);
-  s.min = copy.front();
-  s.p25 = sorted_quantile(copy, 0.25);
-  s.median = sorted_quantile(copy, 0.5);
-  s.p75 = sorted_quantile(copy, 0.75);
-  s.p95 = sorted_quantile(copy, 0.95);
-  s.p99 = sorted_quantile(copy, 0.99);
-  s.max = copy.back();
-  return s;
-}
-
-void RunningStats::add(double x) noexcept {
-  if (std::isnan(x)) {
-    ++nan_count_;
-    return;
-  }
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 }  // namespace cs::util

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 /// Small statistics helpers shared by analysis and benchmarking code.
 ///
@@ -17,65 +15,11 @@ namespace cs::util {
 /// Arithmetic mean of non-NaN values; 0 when none.
 double mean(std::span<const double> xs) noexcept;
 
-/// Population standard deviation of non-NaN values; 0 for fewer than 2.
-double stddev(std::span<const double> xs) noexcept;
-
 /// Exact median of non-NaN values (copies and sorts). 0 when none.
 double median(std::span<const double> xs);
 
 /// Linear-interpolated quantile over non-NaN values, q clamped to [0,1].
 /// Returns 0 when no non-NaN value exists.
 double quantile(std::span<const double> xs, double q);
-
-/// Smallest non-NaN element; 0 when none.
-double min_of(std::span<const double> xs) noexcept;
-
-/// Largest non-NaN element; 0 when none.
-double max_of(std::span<const double> xs) noexcept;
-
-/// Five-number-style summary of a sample. `count` is the number of
-/// samples actually summarized; NaN inputs are excluded and tallied in
-/// `dropped_nans` so data-quality reporting can surface them.
-struct Summary {
-  std::size_t count = 0;
-  std::size_t dropped_nans = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-/// Computes the full summary in one pass over a sorted copy.
-Summary summarize(std::span<const double> xs);
-
-/// Accumulates a streaming mean/variance (Welford) without storing
-/// samples. NaN samples are ignored (and counted) rather than poisoning
-/// every later moment.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  std::size_t nan_count() const noexcept { return nan_count_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;  ///< population variance
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  std::size_t nan_count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 }  // namespace cs::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include "util/format.h"
 
 namespace cs::util {
 namespace {
@@ -81,16 +80,6 @@ bool icontains(std::string_view text, std::string_view needle) noexcept {
   for (std::size_t i = 0; i + needle.size() <= text.size(); ++i)
     if (iequals(text.substr(i, needle.size()), needle)) return true;
   return false;
-}
-
-std::string human_bytes(double bytes) {
-  static constexpr const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
-  std::size_t unit = 0;
-  while (bytes >= 1024.0 && unit + 1 < std::size(kUnits)) {
-    bytes /= 1024.0;
-    ++unit;
-  }
-  return cs::util::fmt("{:.2f} {}", bytes, kUnits[unit]);
 }
 
 }  // namespace cs::util

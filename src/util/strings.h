@@ -32,8 +32,4 @@ bool istarts_with(std::string_view text, std::string_view prefix) noexcept;
 bool iends_with(std::string_view text, std::string_view suffix) noexcept;
 bool icontains(std::string_view text, std::string_view needle) noexcept;
 
-/// Formats a byte count with binary units ("1.4 GB"-style, as the paper
-/// reports traffic volumes).
-std::string human_bytes(double bytes);
-
 }  // namespace cs::util

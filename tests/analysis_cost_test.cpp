@@ -22,7 +22,7 @@ class CostTest : public ::testing::Test {
 };
 
 TEST_F(CostTest, FrontierCoversEveryK) {
-  const auto frontier = cost_latency_frontier(campaign, {});
+  const auto frontier = cost_latency_frontier(campaign);
   ASSERT_EQ(frontier.size(), 8u);
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     EXPECT_EQ(frontier[i].k, static_cast<int>(i + 1));
@@ -31,7 +31,7 @@ TEST_F(CostTest, FrontierCoversEveryK) {
 }
 
 TEST_F(CostTest, CostsMonotoneLatencyMonotone) {
-  const auto frontier = cost_latency_frontier(campaign, {});
+  const auto frontier = cost_latency_frontier(campaign);
   for (std::size_t i = 1; i < frontier.size(); ++i) {
     EXPECT_GT(frontier[i].total_usd, frontier[i - 1].total_usd);
     EXPECT_LE(frontier[i].avg_rtt_ms, frontier[i - 1].avg_rtt_ms + 1e-9);
@@ -39,41 +39,31 @@ TEST_F(CostTest, CostsMonotoneLatencyMonotone) {
 }
 
 TEST_F(CostTest, ComponentsAddUp) {
-  CostModel model;
-  model.demand_gb_per_month = 1000.0;
-  const auto frontier = cost_latency_frontier(campaign, model);
+  // cost.cpp's constants: 2 instances per region at $0.12 for 730 hours,
+  // 2000 GB of egress at $0.12, and 500 GB replicated at $0.02 per extra
+  // region.
+  const auto frontier = cost_latency_frontier(campaign);
   for (const auto& cost : frontier) {
     EXPECT_NEAR(cost.total_usd,
                 cost.compute_usd + cost.egress_usd + cost.replication_usd,
                 1e-9);
+    EXPECT_NEAR(cost.compute_usd, cost.k * 2.0 * 0.12 * 730.0, 1e-9);
     // Egress is independent of k.
-    EXPECT_NEAR(cost.egress_usd, 1000.0 * model.egress_per_gb_usd, 1e-9);
+    EXPECT_NEAR(cost.egress_usd, 2000.0 * 0.12, 1e-9);
   }
   // Replication starts at zero for k=1 and grows linearly.
   EXPECT_NEAR(frontier[0].replication_usd, 0.0, 1e-9);
-  EXPECT_NEAR(frontier[3].replication_usd,
-              3 * model.replication_gb_per_month *
-                  model.inter_region_per_gb_usd,
-              1e-9);
+  EXPECT_NEAR(frontier[3].replication_usd, 3 * 500.0 * 0.02, 1e-9);
 }
 
 TEST_F(CostTest, MarginalCostPerMsGrowsAtTheTail) {
-  const auto frontier = cost_latency_frontier(campaign, {});
+  const auto frontier = cost_latency_frontier(campaign);
   // Early additions buy real latency; late ones buy little or nothing, so
   // $/ms either grows or becomes "no gain" (-1).
   const double early = frontier[1].usd_per_ms_saved;
   const double late = frontier[7].usd_per_ms_saved;
   ASSERT_GT(early, 0.0);
   EXPECT_TRUE(late < 0.0 || late > early);
-}
-
-TEST_F(CostTest, CustomModelScales) {
-  CostModel expensive;
-  expensive.instance_hour_usd = 1.2;  // 10x
-  const auto cheap = cost_latency_frontier(campaign, {});
-  const auto costly = cost_latency_frontier(campaign, expensive);
-  for (std::size_t i = 0; i < cheap.size(); ++i)
-    EXPECT_NEAR(costly[i].compute_usd, 10.0 * cheap[i].compute_usd, 1e-6);
 }
 
 }  // namespace

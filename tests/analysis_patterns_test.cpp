@@ -135,7 +135,7 @@ TEST_F(PatternsTest, NameServerCdfInPaperBand) {
 }
 
 TEST_F(PatternsTest, Table8RowsConsistent) {
-  const auto rows = analyze_top_domain_features(*dataset_, *report_, 10);
+  const auto rows = analyze_top_domain_features(*dataset_, *report_);
   ASSERT_FALSE(rows.empty());
   for (const auto& row : rows) {
     EXPECT_LE(row.vm, row.cloud_subdomains);
@@ -202,7 +202,7 @@ TEST_F(PatternsTest, CustomerGeoMismatchInPaperBand) {
 
 TEST_F(PatternsTest, Table10RegionRowsConsistent) {
   const auto regions = analyze_regions(*dataset_, *ranges_);
-  const auto rows = analyze_top_domain_regions(*dataset_, regions, 14);
+  const auto rows = analyze_top_domain_regions(*dataset_, regions);
   for (const auto& row : rows) {
     EXPECT_GE(row.cloud_subdomains, row.k1 + row.k2);
     EXPECT_GE(row.total_regions, 1u);

@@ -522,6 +522,52 @@ TEST(CslintS1, CppFilesNeedNoPragma) {
   EXPECT_TRUE(run({source}).empty());
 }
 
+// The private section of dns/transport.h as it once was: a member that
+// exists only without NDEBUG. A program built without -DNDEBUG against
+// release archives saw another layout and aborted with a double free.
+TEST(CslintS1, NdebugConditionalInSrcHeaderIsFlagged) {
+  const Source source{"src/dns/transport.h", R"cpp(#pragma once
+#include <atomic>
+namespace cs::dns {
+class SimulatedDnsNetwork final : public DnsTransport {
+ private:
+  class ExchangeScope;
+  void assert_quiescent() const;
+
+  std::unordered_map<std::uint32_t, std::shared_ptr<AuthoritativeServer>>
+      servers_;
+#ifndef NDEBUG
+  mutable std::atomic<int> active_exchanges_{0};
+#endif
+};
+}  // namespace cs::dns
+)cpp"};
+  const auto findings = run({source});
+  ASSERT_EQ(count_check(findings, "S1"), 1u);
+  EXPECT_EQ(findings[0].line, 11);
+}
+
+TEST(CslintS1, EveryNdebugConditionalSpellingIsFlagged) {
+  const Source source{"src/net/fixture.h",
+                      "#pragma once\n"
+                      "#ifdef NDEBUG\n#endif\n"
+                      "#if !defined(NDEBUG) && 1\n#endif\n"
+                      "#if 0\n#elif defined \\\n  NDEBUG\n#endif\n"};
+  EXPECT_EQ(count_check(run({source}), "S1"), 3u);
+}
+
+TEST(CslintS1, NdebugInCppTestHeaderOrDefinePasses) {
+  // A .cpp may keep debug-only code, and so may a test's own header; a
+  // NDEBUG that no conditional tests is no layout switch.
+  const Source cpp{"src/net/fixture.cpp",
+                   "void f() {\n#ifndef NDEBUG\n  g();\n#endif\n}\n"};
+  const Source test_header{"tests/fixture.h",
+                           "#pragma once\n#ifdef NDEBUG\n#endif\n"};
+  const Source define{"src/net/fixture.h",
+                      "#pragma once\n#define CS_NDEBUG_NOTE NDEBUG\n"};
+  EXPECT_TRUE(run({cpp, test_header, define}).empty());
+}
+
 // ---------------------------------------------------------------------------
 // A1 suppression hygiene
 // ---------------------------------------------------------------------------

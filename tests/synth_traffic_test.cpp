@@ -60,11 +60,12 @@ TEST_F(TrafficTest, PacketsAreTimeSorted) {
 }
 
 TEST_F(TrafficTest, TimestampsInsideCaptureWindow) {
-  const TrafficConfig defaults{};
+  // The paper's week from Tue Jun 26 2012 00:00 UTC.
+  constexpr double kStart = 1340668800.0;
+  constexpr double kWeek = 7 * 86400.0;
   for (const auto& packet : *packets_) {
-    EXPECT_GE(packet.timestamp, defaults.start_time);
-    EXPECT_LE(packet.timestamp,
-              defaults.start_time + defaults.duration_sec + 3600.0);
+    EXPECT_GE(packet.timestamp, kStart);
+    EXPECT_LE(packet.timestamp, kStart + kWeek + 3600.0);
   }
 }
 

@@ -64,11 +64,5 @@ TEST(Strings, Contains) {
   EXPECT_FALSE(icontains("ab", "abc"));
 }
 
-TEST(Strings, HumanBytes) {
-  EXPECT_EQ(human_bytes(512), "512.00 B");
-  EXPECT_EQ(human_bytes(2048), "2.00 KB");
-  EXPECT_EQ(human_bytes(1024.0 * 1024 * 1024 * 1.5), "1.50 GB");
-}
-
 }  // namespace
 }  // namespace cs::util

@@ -497,6 +497,26 @@ void check_header(const std::string& path, const std::vector<Tok>& toks,
     if (toks[i].text == "using" && toks[i + 1].text == "namespace")
       add(report, path, toks[i].line, "S1",
           "'using namespace' in a header leaks into every includer");
+  // A src/ header that tests NDEBUG gives each NDEBUG setting its own
+  // class layout or inline body, so a program built with another setting
+  // than the cs_* archives it links breaks the one-definition rule.
+  if (!in_src(path)) return;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].text != "#" || !toks[i].preproc) continue;
+    const std::string& directive = toks[i + 1].text;
+    if (directive != "if" && directive != "ifdef" && directive != "ifndef" &&
+        directive != "elif")
+      continue;
+    for (std::size_t j = i + 2;
+         j < toks.size() && toks[j].preproc && toks[j].text != "#"; ++j) {
+      if (toks[j].text == "NDEBUG") {
+        add(report, path, toks[i].line, "S1",
+            "NDEBUG conditional in a src/ header: builds with another "
+            "NDEBUG setting see another layout; keep it in the .cpp");
+        break;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@
 ///       (a server worker and a client caller each wait in ppoll on
 ///       their own socket, which is not in the family).
 ///   S1  header hygiene: #pragma once present, no `using namespace`
-///       in headers.
+///       in headers, and no #if/#ifdef/#ifndef/#elif on NDEBUG in src/
+///       headers (a consumer built with another NDEBUG setting than the
+///       archives would see another class layout).
 ///   A1  suppression hygiene: inline allows must name known checks,
 ///       carry a non-empty reason, and actually suppress something.
 ///
